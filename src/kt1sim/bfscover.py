@@ -46,8 +46,9 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from .clustercomm import source_route, split_routes
 from .covers import Cover, CoverParams, cover_construction
 from .netgraph import Graph
 from .simengine import (
@@ -88,6 +89,8 @@ class BFSTree:
             raise BFSError("root must sit on layer 0")
         if set(self.layer) != set(g.adjacency):
             raise BFSError("BFS tree does not span the graph")
+        if set(self.parent) != set(self.layer) - {self.root}:
+            raise BFSError("parent map must name exactly the non-root nodes")
         for v, p in self.parent.items():
             if not g.has_edge(v, p):
                 raise BFSError(f"tree edge ({v},{p}) not in graph")
@@ -153,14 +156,10 @@ class _HomeSetupProtocol(Protocol):
         st["regbuf"] = {}
         st["flush_due"] = {}
         st["registrants"] = set()
-        st["sched"] = {self.H + 2: [("home",)]}
         node.output = {"home": None, "report_to": []}
-        v = node.self_id
-        if v in self.cov2:
-            st["sched"].setdefault(2 * self.H + 2, []).append(("wave_c",))
-
-    def _sched(self, node: NodeContext, rnd: int, action: Tuple) -> None:
-        node.state["sched"].setdefault(rnd, []).append(action)
+        node.schedule(self.H + 2, ("home",))
+        if node.self_id in self.cov2:
+            node.schedule(2 * self.H + 2, ("wave_c",))
 
     def step(self, node: NodeContext, rnd: int):
         st = node.state
@@ -192,51 +191,41 @@ class _HomeSetupProtocol(Protocol):
                     sends.append((parent, payload, CAT_CLUSTER_TREE))
             elif kind == K_REL:
                 _, root, entries = payload
-                groups: Dict[int, List] = {}
-                for path, idx in entries:
-                    if idx == len(path):
-                        node.output["report_to"].append(root)
-                    else:
-                        groups.setdefault(path[idx], []).append((path, idx + 1))
-                for hop in sorted(groups):
-                    sends.append((hop, (K_REL, root, tuple(groups[hop])),
-                                  CAT_CLUSTER_TREE))
+                here, onward = split_routes(entries)
+                if here:
+                    node.output["report_to"].append(root)
+                for hop, fwd in onward:
+                    sends.append((hop, (K_REL, root, fwd), CAT_CLUSTER_TREE))
             else:
                 raise BFSError(f"unexpected payload kind {kind!r} in home setup")
 
-        # Drain in a loop: a depth-H node's home decision schedules its
-        # registration flush for this very round.
-        while True:
-            due = st["sched"].pop(rnd, None)
-            if not due:
-                break
-            for action in due:
-                kind = action[0]
-                if kind == "home":
-                    homes = sorted(r for r, bit in st["bits"].items() if bit)
-                    if not homes:
-                        continue  # cover defect; driver spots home=None and retries
-                    home = homes[0]
-                    node.output["home"] = home
-                    if home == v:
-                        st["registrants"].add(v)
-                    else:
-                        d = self._tree(home).depths[v]
-                        flush_at = self.H + 2 + (self.H - d)
-                        st["flush_due"][home] = flush_at
-                        self._sched(node, flush_at, ("reg_flush", home))
-                elif kind == "reg_flush":
-                    _, home = action
-                    items = tuple(sorted(set(st["regbuf"].pop(home, [])) | {v}))
-                    parent = self._tree(home).parent[v]
-                    sends.append((parent, (K_REG, home, items), CAT_CLUSTER_TREE))
-                elif kind == "wave_c":
-                    sends.extend(self._wave_c(node))
+        # A depth-H node's home decision schedules its registration flush
+        # for this very round; it joins node.due and runs below.
+        for action in node.due:
+            kind = action[0]
+            if kind == "home":
+                homes = sorted(r for r, bit in st["bits"].items() if bit)
+                if not homes:
+                    continue  # cover defect; preprocess() sees home=None and retries
+                home = homes[0]
+                node.output["home"] = home
+                if home == v:
+                    st["registrants"].add(v)
                 else:
-                    raise BFSError(f"unknown scheduled action {action!r}")
-
-        wake = min(st["sched"]) if st["sched"] else None
-        return sends, False, wake
+                    d = self._tree(home).depths[v]
+                    flush_at = self.H + 2 + (self.H - d)
+                    st["flush_due"][home] = flush_at
+                    node.schedule(flush_at, ("reg_flush", home))
+            elif kind == "reg_flush":
+                _, home = action
+                items = tuple(sorted(set(st["regbuf"].pop(home, [])) | {v}))
+                parent = self._tree(home).parent[v]
+                sends.append((parent, (K_REG, home, items), CAT_CLUSTER_TREE))
+            elif kind == "wave_c":
+                sends.extend(self._wave_c(node))
+            else:
+                raise BFSError(f"unknown scheduled action {action!r}")
+        return sends, False
 
     def _wave_c(self, node: NodeContext) -> List:
         """Root tells the union of registrants' 2-balls to report joins."""
@@ -248,23 +237,11 @@ class _HomeSetupProtocol(Protocol):
             for u in know[r]:
                 relevant.add(u)
                 relevant.update(know[u])
-        tree = self._tree(v)
-        groups: Dict[int, List] = {}
-        for w in sorted(relevant):
-            if w == v:
-                node.output["report_to"].append(v)
-                continue
-            path = []
-            x = w
-            while x != v:
-                path.append(x)
-                x = tree.parent[x]
-            path.reverse()
-            groups.setdefault(path[0], []).append((tuple(path), 1))
-        sends = []
-        for hop in sorted(groups):
-            sends.append((hop, (K_REL, v, tuple(groups[hop])), CAT_CLUSTER_TREE))
-        return sends
+        if v in relevant:
+            node.output["report_to"].append(v)
+        targets = [(w,) for w in sorted(relevant) if w != v]
+        return [(hop, (K_REL, v, entries), CAT_CLUSTER_TREE)
+                for hop, entries in source_route(v, self._tree(v).parent, targets)]
 
 
 @dataclass
@@ -333,7 +310,6 @@ class _BFSPhaseProtocol(Protocol):
     def setup(self, node: NodeContext) -> None:
         st = node.state
         v = node.self_id
-        st["sched"] = {}
         st["pingbuf"] = {}
         st["flush_due"] = {}
         if v in self.pre.cover.root_index:
@@ -346,9 +322,6 @@ class _BFSPhaseProtocol(Protocol):
             node.output["layer"] = 0
             self._schedule_reports(node, 0, 1)
 
-    def _sched(self, node: NodeContext, rnd: int, action: Tuple) -> None:
-        node.state["sched"].setdefault(rnd, []).append(action)
-
     def _schedule_reports(self, node: NodeContext, layer: int, phase_start: int) -> None:
         """As the phase-(layer+1) frontier, report the join to every cluster
         that asked, requesting an aggregate from the home cluster."""
@@ -356,12 +329,12 @@ class _BFSPhaseProtocol(Protocol):
         for root in self.pre.report_to[v]:
             want = root == self.pre.home[v]
             if root == v:
-                self._sched(node, phase_start + self.H, ("self_ping", root, want))
+                node.schedule(phase_start + self.H, ("self_ping", root, want))
                 continue
             d = self._tree(root).depths[v]
             at = phase_start + (self.H - d)
             node.state["flush_due"][root] = at
-            self._sched(node, at, ("ping_flush", root, want))
+            node.schedule(at, ("ping_flush", root, want))
 
     def step(self, node: NodeContext, rnd: int):
         st = node.state
@@ -383,15 +356,11 @@ class _BFSPhaseProtocol(Protocol):
                     sends.append((parent, payload, CAT_CLUSTER_TREE))
             elif kind == K_AGG:
                 _, root, entries, agg = payload
-                groups: Dict[int, List] = {}
-                for path, idx in entries:
-                    if idx == len(path):
-                        self._consume_aggregate(node, rnd, agg)
-                    else:
-                        groups.setdefault(path[idx], []).append((path, idx + 1))
-                for hop in sorted(groups):
-                    sends.append((hop, (K_AGG, root, tuple(groups[hop]), agg),
-                                  CAT_CLUSTER_TREE))
+                here, onward = split_routes(entries)
+                if here:
+                    self._consume_aggregate(node, rnd, agg)
+                for hop, fwd in onward:
+                    sends.append((hop, (K_AGG, root, fwd, agg), CAT_CLUSTER_TREE))
             elif kind == K_GROW:
                 _, layer = payload
                 node.output["grow_msgs"] += 1
@@ -406,35 +375,29 @@ class _BFSPhaseProtocol(Protocol):
             else:
                 raise BFSError(f"unexpected payload kind {kind!r} in BFS phase")
 
-        while True:
-            due = st["sched"].pop(rnd, None)
-            if not due:
-                break
-            for action in due:
-                kind = action[0]
-                if kind == "ping_flush":
-                    _, root, want = action
-                    items = st["pingbuf"].pop(root, [])
-                    items.append((v, want))
-                    items.sort()
-                    parent = self._tree(root).parent[v]
-                    sends.append((parent, (K_PING, root, tuple(items)), CAT_CLUSTER_TREE))
-                elif kind == "self_ping":
-                    _, root, want = action
-                    root_touched = True
-                    self._root_absorb(node, ((v, want),))
-                elif kind == "explore":
-                    _, targets, layer = action
-                    for w in targets:
-                        sends.append((w, (K_GROW, layer), CAT_EXPLORATION))
-                else:
-                    raise BFSError(f"unknown scheduled action {action!r}")
+        for action in node.due:
+            kind = action[0]
+            if kind == "ping_flush":
+                _, root, want = action
+                items = st["pingbuf"].pop(root, [])
+                items.append((v, want))
+                items.sort()
+                parent = self._tree(root).parent[v]
+                sends.append((parent, (K_PING, root, tuple(items)), CAT_CLUSTER_TREE))
+            elif kind == "self_ping":
+                _, root, want = action
+                root_touched = True
+                self._root_absorb(node, ((v, want),))
+            elif kind == "explore":
+                _, targets, layer = action
+                for w in targets:
+                    sends.append((w, (K_GROW, layer), CAT_EXPLORATION))
+            else:
+                raise BFSError(f"unknown scheduled action {action!r}")
 
         if root_touched:
             sends.extend(self._root_answer(node, rnd))
-
-        wake = min(st["sched"]) if st["sched"] else None
-        return sends, False, wake
+        return sends, False
 
     # Root-side -----------------------------------------------------------
     def _root_absorb(self, node: NodeContext, items) -> None:
@@ -459,24 +422,11 @@ class _BFSPhaseProtocol(Protocol):
             return []
         st["asking"] = []
         agg = (self.pre.cover.root_knowledge[v], st["joined"])
-        tree = self._tree(v)
-        groups: Dict[int, List] = {}
-        for w in sorted(set(asking)):
-            if w == v:
-                self._consume_aggregate(node, rnd, agg)
-                continue
-            path = []
-            x = w
-            while x != v:
-                path.append(x)
-                x = tree.parent[x]
-            path.reverse()
-            groups.setdefault(path[0], []).append((tuple(path), 1))
-        sends = []
-        for hop in sorted(groups):
-            sends.append((hop, (K_AGG, v, tuple(groups[hop]), agg),
-                          CAT_CLUSTER_TREE))
-        return sends
+        if v in asking:
+            self._consume_aggregate(node, rnd, agg)
+        targets = [(w,) for w in sorted(set(asking)) if w != v]
+        return [(hop, (K_AGG, v, entries, agg), CAT_CLUSTER_TREE)
+                for hop, entries in source_route(v, self._tree(v).parent, targets)]
 
     # Frontier-side -------------------------------------------------------
     def _consume_aggregate(self, node: NodeContext, rnd: int, agg) -> None:
@@ -509,7 +459,7 @@ class _BFSPhaseProtocol(Protocol):
             phase_start = rnd - self.H - (self._tree(self.pre.home[v]).depths[v]
                                           if self.pre.home[v] != v else 0)
             send_at = phase_start + 2 * self.H + 2
-            self._sched(node, send_at, ("explore", tuple(targets), my_layer + 1))
+            node.schedule(send_at, ("explore", tuple(targets), my_layer + 1))
 
 
 @dataclass

@@ -36,7 +36,6 @@ from .simengine import (
     NO_SENDS,
     Protocol,
     RunMetrics,
-    RunResult,
     SimError,
     run,
 )
@@ -118,14 +117,6 @@ class OutgoingEdgeSet:
     def boundary(self) -> frozenset:
         return frozenset(w for _, w in self.edges)
 
-    def by_inside(self) -> Dict[int, List[int]]:
-        out: Dict[int, List[int]] = {}
-        for u, w in self.edges:
-            out.setdefault(u, []).append(w)
-        for ws in out.values():
-            ws.sort()
-        return out
-
 
 @dataclass(frozen=True)
 class AugmentedClusterTree:
@@ -166,6 +157,47 @@ def _op_rounds(metrics: RunMetrics) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Source routing: a root that knows its whole tree sends one batch per first
+# hop; each batch entry is (path, idx, *data), path the tree path from the
+# root to the entry's target (root excluded) and idx the position of the
+# next hop on it.
+# ---------------------------------------------------------------------------
+
+RouteBatches = List[Tuple[int, Tuple[Tuple, ...]]]
+
+
+def source_route(root: int, parent: Mapping[int, int],
+                 targets: Iterable[Tuple]) -> RouteBatches:
+    """Batch (target, *data) items, targets other than root, by the first
+    hop of their tree path; batches come in ascending hop order and keep
+    the order of targets within each batch."""
+    groups: Dict[int, List[Tuple]] = {}
+    for item in targets:
+        path = []
+        x = item[0]
+        while x != root:
+            path.append(x)
+            x = parent[x]
+        path.reverse()
+        groups.setdefault(path[0], []).append((tuple(path), 1) + item[1:])
+    return [(hop, tuple(groups[hop])) for hop in sorted(groups)]
+
+
+def split_routes(entries: Iterable[Tuple]) -> Tuple[List[Tuple], RouteBatches]:
+    """Split received (path, idx, *data) entries into the data of those that
+    end at this node and the batches to forward, as source_route does."""
+    here: List[Tuple] = []
+    groups: Dict[int, List[Tuple]] = {}
+    for entry in entries:
+        path, idx = entry[0], entry[1]
+        if idx == len(path):
+            here.append(entry[2:])
+        else:
+            groups.setdefault(path[idx], []).append((path, idx + 1) + entry[2:])
+    return here, [(hop, tuple(groups[hop])) for hop in sorted(groups)]
+
+
+# ---------------------------------------------------------------------------
 # Broadcast / convergecast at exact cost |C|-1 messages, depth rounds.
 # ---------------------------------------------------------------------------
 
@@ -180,17 +212,17 @@ class _BroadcastProtocol(Protocol):
     def step(self, node: NodeContext, rnd: int):
         v = node.self_id
         if v not in self.tree.members:
-            return NO_SENDS, True, None
+            return NO_SENDS, True
         if v == self.tree.root and rnd == 1:
             node.output = self.payload
             sends = [(c, self.payload, CAT_CLUSTER_TREE) for c in self.children[v]]
-            return sends, True, None
+            return sends, True
         if node.inbox:
             payload = node.inbox[0][1]
             node.output = payload
             sends = [(c, payload, CAT_CLUSTER_TREE) for c in self.children[v]]
-            return sends, True, None
-        return NO_SENDS, False, None
+            return sends, True
+        return NO_SENDS, False
 
 
 @dataclass
@@ -227,20 +259,20 @@ class _ConvergecastProtocol(Protocol):
     def step(self, node: NodeContext, rnd: int):
         v = node.self_id
         if v not in self.tree.members:
-            return NO_SENDS, True, None
+            return NO_SENDS, True
         ch = self.children[v]
         acc = node.state["acc"]
         for src, payload in node.inbox:
             acc[src] = payload
         if len(acc) < len(ch):
-            return NO_SENDS, False, None
+            return NO_SENDS, False
         value = self.payloads[v]
         for c in sorted(acc):
             value = self.combine(value, acc[c])
         if v == self.tree.root:
             node.output = value
-            return NO_SENDS, True, None
-        return [(self.tree.parent[v], value, CAT_CLUSTER_TREE)], True, None
+            return NO_SENDS, True
+        return [(self.tree.parent[v], value, CAT_CLUSTER_TREE)], True
 
 
 def convergecast(g: Graph, tree: ClusterTree, payloads: Mapping[int, Any], combine) -> TreeOpResult:
@@ -280,15 +312,15 @@ class _AugmentProtocol(Protocol):
             # Possibly a boundary node: a notification may still arrive.
             if node.inbox:
                 node.output = sorted(payload for _, payload in node.inbox)
-                return NO_SENDS, True, None
-            return NO_SENDS, False, None
+                return NO_SENDS, True
+            return NO_SENDS, False
         ch = self.children[v]
         if st["phase"] == "up":
             acc = st["acc"]
             for src, payload in node.inbox:
                 acc[src] = payload
             if len(acc) < len(ch):
-                return NO_SENDS, False, None
+                return NO_SENDS, False
             info = [(v, node.neighbor_ids)]
             for c in sorted(acc):
                 info.extend(acc[c])
@@ -297,21 +329,18 @@ class _AugmentProtocol(Protocol):
                 oes = minimal_outgoing_edge_set(
                     self.tree.members, dict(info), self.lexicographic
                 )
-                st["assign"] = oes
-                return self._down(node, oes)
-            return [(self.tree.parent[v], tuple(info), CAT_CLUSTER_TREE)], False, None
-        # phase "down": the assignment map arrives from the parent.
-        oes = node.inbox[0][1]
-        return self._down(node, oes)
+                return self._down(node, oes.edges)
+            return [(self.tree.parent[v], tuple(info), CAT_CLUSTER_TREE)], False
+        # phase "down": the sorted chosen edges arrive from the parent.
+        return self._down(node, node.inbox[0][1])
 
-    def _down(self, node: NodeContext, oes: OutgoingEdgeSet):
+    def _down(self, node: NodeContext, edges: Tuple[Edge, ...]):
         v = node.self_id
-        sends = [(c, oes, CAT_CLUSTER_TREE) for c in self.children[v]]
-        mine = oes.by_inside().get(v, [])
-        for w in mine:
-            sends.append((w, (v, w), CAT_CLUSTER_TREE))
-        node.output = tuple((v, w) for w in mine)
-        return sends, True, None
+        sends = [(c, edges, CAT_CLUSTER_TREE) for c in self.children[v]]
+        mine = tuple(e for e in edges if e[0] == v)
+        sends.extend((e[1], e, CAT_CLUSTER_TREE) for e in mine)
+        node.output = mine
+        return sends, True
 
 
 @dataclass
@@ -406,16 +435,6 @@ class ClusterState:
                 del self.best[w]
         self.last_layer = j
 
-    def route(self, target: int) -> Tuple[int, ...]:
-        """Tree path root -> target, excluding the root itself."""
-        path = []
-        x = target
-        while x != self.root:
-            path.append(x)
-            x = self.parent[x]
-        path.reverse()
-        return tuple(path)
-
     def tree(self) -> ClusterTree:
         return ClusterTree(
             root=self.root,
@@ -459,22 +478,13 @@ class ExplorationProtocol(Protocol):
         h = self.roots.get(root)
         return h is None or depth < h
 
-    # Hooks ---------------------------------------------------------------
     def on_joined(self, node: NodeContext, root: int, depth: int, extra: Any) -> None:
-        pass
+        """Hook: this node just joined root's cluster at the given depth."""
 
-    def on_cluster_done(self, node: NodeContext, cstate: ClusterState) -> None:
-        pass
-
-    def extra_wake(self, node: NodeContext, rnd: int) -> Optional[int]:
-        return None
-
-    # ---------------------------------------------------------------------
     def setup(self, node: NodeContext) -> None:
         st = node.state
         st["mem"] = {}
         st["joins"] = {}
-        st["sched"] = {}
         st["clusters"] = {}
         node.output = {"mem": st["mem"], "joins": st["joins"]}
 
@@ -493,28 +503,18 @@ class ExplorationProtocol(Protocol):
             return []
         if j > cs.h or not cs.best:
             cs.done = True
-            self.on_cluster_done(node, cs)
             return []
         assign = cs.assignments()
         explore_round = rnd + j + 1
-        sends = []
-        # Entries routed through each first hop, batched into one message.
-        groups: Dict[int, List] = {}
-        for u in sorted(assign):
-            ws = tuple(assign[u])
-            if u == cs.root:
-                self._sched(node, explore_round, ("explore", cs.root, j, ws, cs.join_extra))
-            else:
-                path = cs.route(u)
-                groups.setdefault(path[0], []).append((path, 1, ws))
-        for hop in sorted(groups):
-            payload = (K_DOWN, cs.root, j, explore_round, cs.join_extra, tuple(groups[hop]))
-            sends.append((hop, payload, CAT_CLUSTER_TREE))
+        if cs.root in assign:
+            node.schedule(explore_round,
+                          ("explore", cs.root, j, tuple(assign[cs.root]), cs.join_extra))
+        targets = [(u, tuple(assign[u])) for u in sorted(assign) if u != cs.root]
+        sends = [(hop, (K_DOWN, cs.root, j, explore_round, cs.join_extra, entries),
+                  CAT_CLUSTER_TREE)
+                 for hop, entries in source_route(cs.root, cs.parent, targets)]
         cs.register_joins(assign, j)
         return sends
-
-    def _sched(self, node: NodeContext, rnd: int, action: Tuple) -> None:
-        node.state["sched"].setdefault(rnd, []).append(action)
 
     def step(self, node: NodeContext, rnd: int):
         st = node.state
@@ -533,19 +533,12 @@ class ExplorationProtocol(Protocol):
                     up_merge.setdefault((root, j), []).extend(items)
                 elif kind == K_DOWN:
                     _, root, j, explore_round, extra, entries = payload
-                    groups: Dict[int, List] = {}
-                    my_ws: List[int] = []
-                    for path, idx, ws in entries:
-                        if idx == len(path):
-                            my_ws.extend(ws)
-                        else:
-                            groups.setdefault(path[idx], []).append((path, idx + 1, ws))
-                    if my_ws:
-                        self._sched(node, explore_round,
-                                    ("explore", root, j, tuple(my_ws), extra))
-                    for hop in sorted(groups):
-                        fwd = (K_DOWN, root, j, explore_round, extra, tuple(groups[hop]))
-                        sends.append((hop, fwd, CAT_CLUSTER_TREE))
+                    here, onward = split_routes(entries)
+                    for (ws,) in here:
+                        node.schedule(explore_round, ("explore", root, j, ws, extra))
+                    for hop, fwd in onward:
+                        sends.append((hop, (K_DOWN, root, j, explore_round, extra, fwd),
+                                      CAT_CLUSTER_TREE))
                 elif kind == K_JOIN:
                     _, root, depth, extra = payload
                     st["joins"][root] = st["joins"].get(root, 0) + 1
@@ -555,7 +548,7 @@ class ExplorationProtocol(Protocol):
                         )
                     st["mem"][root] = (src, depth)
                     if self._should_report(root, depth):
-                        self._sched(node, rnd + 2, ("up", root, depth + 1))
+                        node.schedule(rnd + 2, ("up", root, depth + 1))
                     self.on_joined(node, root, depth, extra)
                 else:
                     raise SimError(f"unknown payload kind {kind!r} at node {v}")
@@ -569,27 +562,20 @@ class ExplorationProtocol(Protocol):
                     payload = (K_UP, root, j, tuple(items))
                     sends.append((parent, payload, CAT_CLUSTER_TREE))
 
-        due = st["sched"].pop(rnd, None)
-        if due:
-            for action in due:
-                kind = action[0]
-                if kind == "up":
-                    _, root, j = action
-                    parent = st["mem"][root][0]
-                    payload = (K_UP, root, j, ((v, node.neighbor_ids),))
-                    sends.append((parent, payload, CAT_CLUSTER_TREE))
-                elif kind == "explore":
-                    _, root, j, ws, extra = action
-                    for w in ws:
-                        sends.append((w, (K_JOIN, root, j, extra), CAT_EXPLORATION))
-                else:
-                    sends.extend(self.run_action(node, rnd, action))
-
-        wake = min(st["sched"]) if st["sched"] else None
-        hook_wake = self.extra_wake(node, rnd)
-        if hook_wake is not None and (wake is None or hook_wake < wake):
-            wake = hook_wake
-        return sends, False, wake
+        for action in node.due:
+            kind = action[0]
+            if kind == "up":
+                _, root, j = action
+                parent = st["mem"][root][0]
+                payload = (K_UP, root, j, ((v, node.neighbor_ids),))
+                sends.append((parent, payload, CAT_CLUSTER_TREE))
+            elif kind == "explore":
+                _, root, j, ws, extra = action
+                for w in ws:
+                    sends.append((w, (K_JOIN, root, j, extra), CAT_EXPLORATION))
+            else:
+                sends.extend(self.run_action(node, rnd, action))
+        return sends, False
 
     def run_action(self, node: NodeContext, rnd: int, action: Tuple) -> List:
         raise SimError(f"unknown scheduled action {action!r}")

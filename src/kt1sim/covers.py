@@ -121,7 +121,7 @@ class _CoverProtocol(ExplorationProtocol):
         node.output["covered"] = False
         node.output["phase"] = None
         for i, start in self.phase_start.items():
-            self._sched(node, start, ("sample", i))
+            node.schedule(start, ("sample", i))
 
     def on_joined(self, node: NodeContext, root: int, depth: int, extra: Any) -> None:
         if depth <= extra:

@@ -48,8 +48,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from .netgraph import Graph, canonical_edge
 from .simengine import (
@@ -119,14 +119,11 @@ class _GossipProtocol(Protocol):
         st["wm"] = {}
         st["incident"] = set()
         st["last_act"] = None
-        st["sched"] = {1: [("iter", 1)]}
+        node.schedule(1, ("iter", 1))
         if st["R"]:
             self.pending += 1
         node.output = {"e": (), "incident": (), "R": (), "known": st["known"],
                        "last_iter": 0, "last_rwork": 0}
-
-    def _sched(self, node: NodeContext, rnd: int, action: Tuple) -> None:
-        node.state["sched"].setdefault(rnd, []).append(action)
 
     def _delta(self, node: NodeContext, partner: int,
                upto: Optional[int] = None) -> Tuple:
@@ -189,7 +186,7 @@ class _GossipProtocol(Protocol):
             sends.append((src, (GOSSIP_RSP, self._delta(node, src, pre_round)),
                           CAT_GOSSIP))
 
-        for action in st["sched"].pop(rnd, ()):
+        for action in node.due:
             if action[0] == "iter":
                 _, i = action
                 if i > self.cap or self.pending == 0:
@@ -202,18 +199,12 @@ class _GossipProtocol(Protocol):
                     target = min(st["R"])
                     st["E"].append(target)
                     st["incident"].add(target)
+                # Slot 1 is this round: that sweep joins node.due and runs
+                # right after this action.
                 for slot, idx in self._sweep_plan(i, len(st["E"])):
-                    partner = st["E"][idx - 1]
-                    at = rnd + 2 * (slot - 1)
-                    if at == rnd:
-                        st["last_act"] = (partner, rnd)
-                        sends.append((partner,
-                                      (GOSSIP_ACT, self._delta(node, partner)),
-                                      CAT_GOSSIP))
-                    else:
-                        self._sched(node, at, ("sweep", partner))
+                    node.schedule(rnd + 2 * (slot - 1), ("sweep", st["E"][idx - 1]))
                 if i + 1 <= self.cap:
-                    self._sched(node, self.starts[i + 1], ("iter", i + 1))
+                    node.schedule(self.starts[i + 1], ("iter", i + 1))
             elif action[0] == "sweep":
                 _, partner = action
                 st["last_act"] = (partner, rnd)
@@ -225,8 +216,7 @@ class _GossipProtocol(Protocol):
         node.output["e"] = tuple(st["E"])
         node.output["incident"] = tuple(sorted(st["incident"]))
         node.output["R"] = tuple(sorted(st["R"]))
-        wake = min(st["sched"]) if st["sched"] else None
-        return sends, False, wake
+        return sends, False
 
 
 @dataclass
@@ -353,12 +343,6 @@ def spanner_stretch_violations(g: Graph, spanner: Spanner,
     return sorted(bad)
 
 
-def spanner_to_edge_list(spanner: Spanner, g: Graph, path: str) -> None:
-    sp = spanner.as_graph(g.nodes)
-    from .netgraph import write_edge_list
-    write_edge_list(sp, path)
-
-
 # ---------------------------------------------------------------------------
 # Deterministic BFS on G via the spanner.
 # ---------------------------------------------------------------------------
@@ -410,7 +394,6 @@ class _FloodCollectProtocol(Protocol):
         st["subs"] = []
         st["ready"] = False
         st["sent_up"] = False
-        st["sched"] = {}
         node.output = None
 
     def _hn(self, v: int) -> Tuple[int, ...]:
@@ -440,12 +423,11 @@ class _FloodCollectProtocol(Protocol):
         st = node.state
         v = node.self_id
         sends: List = []
-        halt = False
 
         if rnd == 1 and v == self.root:
             for w in self._hn(v):
                 sends.append((w, ("fl", 1), CAT_EXPLORATION))
-            self._sched(node, 3, ("leafcheck",))
+            node.schedule(3, ("leafcheck",))
 
         flood_srcs = []
         for src, payload in node.inbox:
@@ -462,7 +444,7 @@ class _FloodCollectProtocol(Protocol):
                                "hparent": st["hparent"], "n_seen": len(layer_map)}
                 for c in sorted(st["children"]):
                     sends.append((c, payload, CAT_CLUSTER_TREE))
-                return sends, True, None
+                return sends, True
             else:
                 raise SpannerError(f"unknown payload kind {kind!r} in spanner BFS")
 
@@ -475,20 +457,14 @@ class _FloodCollectProtocol(Protocol):
                     sends.append((w, ("ch",), CAT_EXPLORATION))
                 else:
                     sends.append((w, ("fl", depth + 1), CAT_EXPLORATION))
-            self._sched(node, rnd + 2, ("leafcheck",))
+            node.schedule(rnd + 2, ("leafcheck",))
 
-        for action in st["sched"].pop(rnd, ()):
+        for action in node.due:
             if action[0] == "leafcheck":
                 st["ready"] = True
 
         sends.extend(self._try_up(node))
-        if st.get("halt"):
-            halt = True
-        wake = min(st["sched"]) if st["sched"] else None
-        return sends, halt, wake
-
-    def _sched(self, node: NodeContext, rnd: int, action: Tuple) -> None:
-        node.state["sched"].setdefault(rnd, []).append(action)
+        return sends, bool(st.get("halt"))
 
 
 def deterministic_bfs(g: Graph, root: int,
@@ -543,14 +519,11 @@ class _ElectProtocol(Protocol):
         st = node.state
         st["cand"] = True
         st["phase"] = -1
-        st["sched"] = {1: [("phase", 0)]}
+        node.schedule(1, ("phase", 0))
         node.output = None
 
     def _hn(self, v: int) -> Tuple[int, ...]:
         return self.incident.get(v, ())
-
-    def _sched(self, node: NodeContext, rnd: int, action: Tuple) -> None:
-        node.state["sched"].setdefault(rnd, []).append(action)
 
     def _reset(self, node: NodeContext, j: int) -> None:
         st = node.state
@@ -584,7 +557,7 @@ class _ElectProtocol(Protocol):
                     st["best_src"] = src
                     at = self.starts[j] + (1 << (j + 1)) + 2 - (rnd - self.starts[j])
                     st["echo_at"] = at
-                    self._sched(node, at, ("echo", j))
+                    node.schedule(at, ("echo", j))
                     fwd = (j, c, ttl, src)
             elif kind == "ec":
                 _, j, c, cnt = payload
@@ -597,7 +570,7 @@ class _ElectProtocol(Protocol):
                     for w in self._hn(v):
                         if w != src:
                             sends.append((w, payload, CAT_CONTROL))
-                return sends, True, None
+                return sends, True
             else:
                 raise SpannerError(f"unknown payload kind {kind!r} in election")
 
@@ -608,7 +581,7 @@ class _ElectProtocol(Protocol):
                     if w != src:
                         sends.append((w, ("wv", j, c, ttl - 1), CAT_CONTROL))
 
-        for action in st["sched"].pop(rnd, ()):
+        for action in node.due:
             kind = action[0]
             if kind == "phase":
                 _, j = action
@@ -617,7 +590,7 @@ class _ElectProtocol(Protocol):
                 self._reset(node, j)
                 st["best"] = v
                 st["echo_at"] = self.starts[j] + (1 << (j + 1)) + 2
-                self._sched(node, st["echo_at"], ("echo", j))
+                node.schedule(st["echo_at"], ("echo", j))
                 ttl = 1 << j
                 for w in self._hn(v):
                     sends.append((w, ("wv", j, v, ttl), CAT_CONTROL))
@@ -632,8 +605,8 @@ class _ElectProtocol(Protocol):
                         node.output = {"leader": v}
                         for w in self._hn(v):
                             sends.append((w, ("halt", v), CAT_CONTROL))
-                        return sends, True, None
-                    self._sched(node, rnd + 1, ("phase", j + 1))
+                        return sends, True
+                    node.schedule(rnd + 1, ("phase", j + 1))
                 elif st["best"] == v:
                     pass
                 else:
@@ -643,9 +616,7 @@ class _ElectProtocol(Protocol):
                                   CAT_CONTROL))
             else:
                 raise SpannerError(f"unknown scheduled action {action!r}")
-
-        wake = min(st["sched"]) if st["sched"] else None
-        return sends, False, wake
+        return sends, False
 
 
 @dataclass
@@ -734,7 +705,7 @@ class _GlobalSolveProtocol(Protocol):
                 node.output = self._local_view(v, solution)
                 for c in sorted(ch):
                     sends.append((c, payload, CAT_CLUSTER_TREE))
-                return sends, True, None
+                return sends, True
             else:
                 raise SpannerError(f"unknown payload kind {kind!r} in solve_global")
 
@@ -749,10 +720,9 @@ class _GlobalSolveProtocol(Protocol):
                 node.state["solution"] = solution
                 for c in sorted(ch):
                     sends.append((c, ("dn", solution), CAT_CLUSTER_TREE))
-                return sends, True, None
+                return sends, True
             sends.append((self.tree.parent[v], ("up", tuple(topo)), CAT_CLUSTER_TREE))
-            return sends, False, None
-        return sends, False, None
+        return sends, False
 
     def _solve(self, topo: Dict[int, Tuple[int, ...]]):
         edges = [(u, w) for u, ns in topo.items() for w in ns if u < w]

@@ -200,13 +200,13 @@ class _FloodProtocol(Protocol):
         if rnd == 1 and v == self.root:
             node.output = {"layer": 0, "parent": None}
             sends = [(w, ("fl",), CAT_EXPLORATION) for w in node.neighbor_ids]
-            return sends, True, None
+            return sends, True
         srcs = [src for src, _ in node.inbox]
         if srcs and node.output is None:
             node.output = {"layer": rnd - 1, "parent": min(srcs)}
             sends = [(w, ("fl",), CAT_EXPLORATION) for w in node.neighbor_ids]
-            return sends, True, None
-        return [], node.output is not None, None
+            return sends, True
+        return [], node.output is not None
 
 
 def flood_baseline_bfs(g: Graph, root: int) -> Tuple[BFSTree, RunMetrics]:
@@ -415,6 +415,8 @@ def scaling_study(family: str, n_list: Sequence[int], algo: str,
     ratio growing by more than 2x from the smallest to the largest n."""
     if list(n_list) != sorted(set(n_list)):
         raise HarnessError("n_list must be ascending and duplicate-free")
+    if not seeds:
+        raise HarnessError("scaling study needs at least one seed")
     rows: List[ScalingRow] = []
     for n in n_list:
         per_rounds: List[int] = []

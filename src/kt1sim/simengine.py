@@ -7,14 +7,17 @@ t+1, never earlier.  Message size is unbounded; complexity is measured in
 message COUNT (by category) and in rounds.
 
 Nodes are stepped in ascending id order and inboxes are sorted by sender id,
-so a run is a pure function of (graph, protocol, config).  Rounds in which no
-node has mail and no node asked to be woken are skipped in O(1) while still
-counting toward the round total: skipping idle time is measurement-side
-bookkeeping, not something the protocol can observe.
+so a run is a pure function of (graph, protocol, config).  Timers are the
+engine's too: node.schedule(r, action) hands the action back in node.due when
+the node is stepped in round r.  Rounds in which no node has mail and no node
+has a timer are skipped in O(1) while still counting toward the round total:
+skipping idle time is measurement-side bookkeeping, not something the
+protocol can observe.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import heapq
 import random
@@ -53,7 +56,7 @@ class SimTimeout(SimError):
 
 
 class ProtocolStuck(SimError):
-    """No pending mail, no wake-ups, yet nodes never declared halt."""
+    """No pending mail, no timers, yet nodes never declared halt."""
 
 
 class GossipViolation(SimError):
@@ -114,20 +117,41 @@ class RunMetrics:
         return RunMetrics(rounds, self.messages_total + other.messages_total, cats)
 
 
+class _Clock:
+    """Engine-side timer index shared by a run's nodes: the round being
+    processed and a heap of (round, node) entries, one per round a node
+    holds timers for; entries of halted nodes are dropped lazily."""
+
+    __slots__ = ("now", "heap")
+
+    def __init__(self) -> None:
+        self.now = 0
+        self.heap: List[Tuple[int, int]] = []
+
+
 class NodeContext:
     """What one node is allowed to know: its id, its neighbors' ids, its own
-    mutable state bag, this round's inbox, and a private seeded rng."""
+    mutable state bag, this round's inbox and due timer actions, and a
+    private seeded rng."""
 
-    __slots__ = ("self_id", "neighbor_ids", "state", "inbox", "output", "_rng", "_seed")
+    __slots__ = ("self_id", "neighbor_ids", "state", "inbox", "due", "output",
+                 "_rng", "_seed", "_timers", "_clock")
 
-    def __init__(self, self_id: int, neighbor_ids: Tuple[int, ...], seed: int):
+    def __init__(self, self_id: int, neighbor_ids: Tuple[int, ...], seed: int,
+                 clock: _Clock):
         self.self_id = self_id
         self.neighbor_ids = neighbor_ids
         self.state: Dict[str, Any] = {}
         self.inbox: List[Tuple[int, Any]] = []
+        self.due: List[Any] = []
         self.output: Any = None
         self._rng: Optional[random.Random] = None
         self._seed = seed
+        # round -> actions in scheduling order.  Every node is stepped once
+        # in round 1, so that round starts out scheduled.
+        self._timers: Dict[int, List[Any]] = {1: []}
+        self._clock = clock
+        heapq.heappush(clock.heap, (1, self_id))
 
     @property
     def rng(self) -> random.Random:
@@ -135,10 +159,26 @@ class NodeContext:
             self._rng = random.Random((self._seed * _RNG_MIX + self.self_id) & _RNG_MASK)
         return self._rng
 
+    def schedule(self, rnd: int, action: Any) -> None:
+        """Have action appear in self.due when this node is stepped in round
+        rnd.  An action for the round being processed joins the live
+        self.due; one for a past round is a SimError."""
+        now = self._clock.now
+        if rnd > now:
+            acts = self._timers.get(rnd)
+            if acts is None:
+                self._timers[rnd] = [action]
+                heapq.heappush(self._clock.heap, (rnd, self.self_id))
+            else:
+                acts.append(action)
+        elif rnd == now and now > 0:
+            self.due.append(action)
+        else:
+            raise SimError(f"node {self.self_id} scheduled round {rnd} in round {now}")
 
-# A step returns (sends, halt, wake): sends is a list of
-# (dst, payload, category:int); wake is an absolute round number or None.
-StepResult = Tuple[List[Tuple[int, Any, int]], bool, Optional[int]]
+
+# A step returns (sends, halt): sends is a list of (dst, payload, category:int).
+StepResult = Tuple[List[Tuple[int, Any, int]], bool]
 
 NO_SENDS: List[Tuple[int, Any, int]] = []
 
@@ -146,8 +186,9 @@ NO_SENDS: List[Tuple[int, Any, int]] = []
 class Protocol:
     """Per-node behavior plugged into run().  Subclasses override setup() to
     seed node state and step() to react each round.  Every node is stepped
-    once in round 1; afterwards a node runs only when it has mail or when a
-    previously returned wake round comes due."""
+    once in round 1; afterwards a node runs only when it has mail or when
+    one of its node.schedule() timers comes due.  Halting drops a node's
+    timers."""
 
     name = "protocol"
 
@@ -192,13 +233,15 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
     mode on a double activation.
     """
     config = config or ModeConfig()
+    clock = _Clock()
     nodes: Dict[int, NodeContext] = {}
     nbr_sets: Dict[int, frozenset] = {}
     for v in graph.nodes:
-        nodes[v] = NodeContext(v, graph.adjacency[v], config.rng_seed)
+        nodes[v] = NodeContext(v, graph.adjacency[v], config.rng_seed, clock)
         nbr_sets[v] = frozenset(graph.adjacency[v])
     for v in graph.nodes:
         protocol.setup(nodes[v])
+    timer_heap = clock.heap  # filled by NodeContext.schedule
 
     halted: set = set()
     n_total = graph.n
@@ -208,10 +251,6 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
 
     # In-flight mail sent last processed round: (src, dst, payload, cat).
     pending: List[Tuple[int, int, Any, int]] = []
-    # Wake-up heap with lazy deletion; wake_at holds each node's live entry.
-    wake_heap: List[Tuple[int, int]] = [(1, v) for v in graph.nodes]
-    heapq.heapify(wake_heap)
-    wake_at: Dict[int, int] = {v: 1 for v in graph.nodes}
 
     rnd = 0
     last_active = 0
@@ -220,10 +259,10 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
     while True:
         # Next round with anything to do; idle gaps are skipped but counted.
         next_rnd: Optional[int] = rnd + 1 if pending else None
-        while wake_heap and (wake_heap[0][1] in halted or wake_at.get(wake_heap[0][1]) != wake_heap[0][0]):
-            heapq.heappop(wake_heap)
-        if wake_heap and (next_rnd is None or wake_heap[0][0] < next_rnd):
-            next_rnd = wake_heap[0][0]
+        while timer_heap and timer_heap[0][0] not in nodes[timer_heap[0][1]]._timers:
+            heapq.heappop(timer_heap)  # the node halted
+        if timer_heap and (next_rnd is None or timer_heap[0][0] < next_rnd):
+            next_rnd = timer_heap[0][0]
         if next_rnd is None:
             if len(halted) == n_total:
                 reason = "halted"
@@ -236,7 +275,7 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
             break
         if next_rnd > config.max_rounds:
             raise SimTimeout(f"exceeded max_rounds={config.max_rounds}")
-        rnd = next_rnd
+        rnd = clock.now = next_rnd
 
         # Deliver.
         inboxes: Dict[int, List[Tuple[int, Any]]] = {}
@@ -244,13 +283,13 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
             inboxes.setdefault(dst, []).append((src, payload))
         pending = []
 
-        # Collect due wake-ups.
-        due: List[int] = []
-        while wake_heap and wake_heap[0][0] == rnd:
-            _, v = heapq.heappop(wake_heap)
-            if v not in halted and wake_at.get(v) == rnd:
-                due.append(v)
-                del wake_at[v]
+        # Collect due timers.
+        due: Dict[int, List[Any]] = {}
+        while timer_heap and timer_heap[0][0] == rnd:
+            _, v = heapq.heappop(timer_heap)
+            acts = nodes[v]._timers.pop(rnd, None)
+            if acts is not None:
+                due[v] = acts
 
         active = set(inboxes)
         active.update(due)
@@ -259,7 +298,7 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
             continue  # all addressees already halted; mail is dropped
         last_active = rnd
 
-        gossip_acts: Dict[int, List[Tuple[int, int]]] = {} if gossip_mode else {}
+        gossip_acts: Dict[int, List[Tuple[int, int]]] = {}
 
         for v in sorted(active):
             node = nodes[v]
@@ -267,7 +306,9 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
             if mail is not None and len(mail) > 1:
                 mail.sort(key=_sender_key)
             node.inbox = mail if mail is not None else []
-            sends, halt, wake = protocol.step(node, rnd)
+            acts = due.get(v)
+            node.due = acts if acts is not None else []
+            sends, halt = protocol.step(node, rnd)
             if sends:
                 allowed = nbr_sets[v]
                 for dst, payload, cat in sends:
@@ -287,15 +328,7 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
                         hasher.update(_canon(payload))
             if halt:
                 halted.add(v)
-                wake_at.pop(v, None)
-            elif wake is not None:
-                if wake <= rnd:
-                    raise SimError(f"node {v} asked for a wake in the past ({wake} <= {rnd})")
-                prev = wake_at.get(v)
-                if prev is None or wake < prev:
-                    wake_at[v] = wake
-                    heapq.heappush(wake_heap, (wake, v))
-                # A later wake than one already scheduled keeps the earlier one.
+                node._timers.clear()
 
         if gossip_mode:
             for v, links in gossip_acts.items():
@@ -357,13 +390,5 @@ def gossip_check(trace: List[Envelope]) -> GossipCheckResult:
 def run_digest(graph: Graph, protocol_factory: Callable[[], Protocol],
                config: Optional[ModeConfig] = None) -> str:
     """Convenience: run with digesting enabled and return the trace hash."""
-    cfg = config or ModeConfig()
-    cfg = ModeConfig(
-        gossip_mode=cfg.gossip_mode,
-        max_rounds=cfg.max_rounds,
-        rng_seed=cfg.rng_seed,
-        allow_quiescence=cfg.allow_quiescence,
-        record_trace=False,
-        trace_digest=True,
-    )
+    cfg = dataclasses.replace(config or ModeConfig(), record_trace=False, trace_digest=True)
     return run(graph, protocol_factory(), cfg).digest or ""

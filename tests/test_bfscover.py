@@ -53,6 +53,9 @@ def test_tree_validate_good_and_bad():
         BFSTree(root=1, parent={2: 1, 3: 1}, layer={1: 0, 2: 1, 3: 2}).validate(g)  # (1,3) not an edge
     with pytest.raises(BFSError):
         BFSTree(root=1, parent={2: 1, 3: 2}, layer={1: 0, 2: 1, 3: 3}).validate(g)  # wrong layer
+    path4 = make_graph("path", 4)
+    with pytest.raises(BFSError):
+        BFSTree(root=1, parent={}, layer={1: 0, 2: 1, 3: 2, 4: 3}).validate(path4)  # no parents
 
 
 def test_tree_json_roundtrip():

@@ -1,0 +1,107 @@
+"""Golden message traces.
+
+Every engine run made by every harness algorithm and by the cluster-tree
+primitives, on a few small graphs, is digested message by message (round,
+sender, receiver, category and payload).  The (protocol name, digest, rounds,
+messages) list of each (graph, pipeline) pair must equal the recorded one in
+`golden_traces.json`, so a refactor that keeps it keeps every simulated
+message, in the same order and in the same round.
+
+Regenerate the recording, after a deliberate change of behaviour only, with
+
+    PYTHONPATH=src python tests/test_golden_traces.py > tests/golden_traces.json
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import operator
+import sys
+from pathlib import Path
+from typing import Dict, List
+
+import pytest
+
+from kt1sim import bfscover, clustercomm, covers, gossipspanner, harness, simengine
+from kt1sim.harness import ALGOS, ExperimentConfig, run_experiment
+from kt1sim.netgraph import GraphGenSpec, generate_graph
+
+GOLDEN = Path(__file__).with_name("golden_traces.json")
+
+GRAPHS = {
+    "grid36": GraphGenSpec(family="grid", n=36),
+    "er40": GraphGenSpec(family="erdos_renyi", n=40, p=0.15, seed=3,
+                         id_scheme="random_permutation"),
+    "tree31": GraphGenSpec(family="balanced_binary_tree", n=31, seed=1,
+                           id_scheme="random_permutation"),
+    "cycle24": GraphGenSpec(family="cycle", n=24, seed=2,
+                            id_scheme="random_permutation"),
+    "complete12": GraphGenSpec(family="complete", n=12),
+}
+
+# Modules that call the engine through their own module-level `run` name.
+ENGINE_USERS = (simengine, clustercomm, covers, bfscover, gossipspanner, harness)
+
+
+def _cluster_ops(spec: GraphGenSpec) -> None:
+    g = generate_graph(spec)
+    root = min(g.nodes)
+    tree = clustercomm.bfs_exploration(g, root, 3).tree
+    clustercomm.broadcast(g, tree, ("hello", root))
+    clustercomm.convergecast(g, tree, {v: 1 for v in tree.members}, operator.add)
+
+
+def _augment(spec: GraphGenSpec) -> None:
+    g = generate_graph(spec)
+    tree = clustercomm.bfs_exploration(g, min(g.nodes), 2).tree
+    clustercomm.compute_augmented_tree(g, tree)
+
+
+def _pipelines():
+    for algo in ALGOS:
+        yield algo, lambda spec, algo=algo: run_experiment(
+            ExperimentConfig(graph=spec, algo=algo))
+    yield "cluster_ops", _cluster_ops
+    yield "augment", _augment
+
+
+def collect(patch) -> Dict[str, List[List]]:
+    """Run every pipeline on every graph with digests forced on; `patch`
+    rebinds a module attribute (pytest's monkeypatch.setattr, or setattr
+    in a throwaway process)."""
+    real = simengine.run
+    runs: List[List] = []
+
+    def digested_run(graph, protocol, config=None):
+        cfg = dataclasses.replace(config or simengine.ModeConfig(), trace_digest=True)
+        res = real(graph, protocol, cfg)
+        runs.append([protocol.name, res.digest, res.metrics.rounds,
+                     res.metrics.messages_total])
+        return res
+
+    for module in ENGINE_USERS:
+        if getattr(module, "run", None) is real:
+            patch(module, "run", digested_run)
+    out: Dict[str, List[List]] = {}
+    for gname, spec in GRAPHS.items():
+        for pname, pipeline in _pipelines():
+            runs.clear()
+            pipeline(spec)
+            out[f"{gname}/{pname}"] = list(runs)
+    return out
+
+
+def test_every_engine_run_matches_golden_trace(monkeypatch):
+    want = json.loads(GOLDEN.read_text())
+    got = collect(monkeypatch.setattr)
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key
+
+
+if __name__ == "__main__":
+    golden = collect(setattr)
+    print("{\n" + ",\n".join(
+        f" {json.dumps(key)}: [\n" + ",\n".join(f"  {json.dumps(r)}" for r in runs) + "\n ]"
+        for key, runs in golden.items()) + "\n}")

@@ -203,6 +203,15 @@ def test_scaling_rejects_unsorted():
         scaling_study("path", [64, 32], "bfs_spanner")
 
 
+def test_scaling_rejects_no_seeds(capsys):
+    with pytest.raises(HarnessError):
+        scaling_study("path", [16], "bfs_spanner", seeds=())
+    code = cli.main(["scale", "--family", "path", "--algo", "bfs_spanner",
+                     "--ns", "16", "--seeds", "0"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

@@ -19,6 +19,7 @@ from kt1sim.simengine import (
     Protocol,
     ProtocolStuck,
     RunMetrics,
+    SimError,
     SimTimeout,
     gossip_check,
     run,
@@ -32,7 +33,7 @@ def _graph(family, n, **kw):
 
 class Silent(Protocol):
     def step(self, node, rnd):
-        return NO_SENDS, True, None
+        return NO_SENDS, True
 
 
 class PingOnce(Protocol):
@@ -40,9 +41,9 @@ class PingOnce(Protocol):
 
     def step(self, node, rnd):
         if rnd == 1:
-            return [(w, ("ping",), CAT_CONTROL) for w in node.neighbor_ids], False, None
+            return [(w, ("ping",), CAT_CONTROL) for w in node.neighbor_ids], False
         node.state["got"] = [src for src, _ in node.inbox]
-        return NO_SENDS, True, None
+        return NO_SENDS, True
 
 
 class Flood(Protocol):
@@ -54,8 +55,8 @@ class Flood(Protocol):
             node.inbox and "sent" not in node.state)
         if first:
             node.state["sent"] = True
-            return [(w, ("f",), CAT_EXPLORATION) for w in node.neighbor_ids], True, None
-        return NO_SENDS, "sent" in node.state, None
+            return [(w, ("f",), CAT_EXPLORATION) for w in node.neighbor_ids], True
+        return NO_SENDS, "sent" in node.state
 
 
 def test_empty_protocol_one_round_zero_messages():
@@ -92,7 +93,7 @@ def test_inbox_sorted_by_sender():
 def test_non_edge_send_faults():
     class Bad(Protocol):
         def step(self, node, rnd):
-            return [(node.self_id + 70, ("x",), CAT_CONTROL)], True, None
+            return [(node.self_id + 70, ("x",), CAT_CONTROL)], True
 
     with pytest.raises(ModelViolation):
         run(_graph("path", 2), Bad())
@@ -101,7 +102,7 @@ def test_non_edge_send_faults():
 def test_never_halting_with_no_mail_is_stuck():
     class Limbo(Protocol):
         def step(self, node, rnd):
-            return NO_SENDS, False, None
+            return NO_SENDS, False
 
     with pytest.raises(ProtocolStuck):
         run(_graph("path", 2), Limbo())
@@ -110,7 +111,7 @@ def test_never_halting_with_no_mail_is_stuck():
 def test_quiescence_mode_accepts_silence():
     class Limbo(Protocol):
         def step(self, node, rnd):
-            return NO_SENDS, False, None
+            return NO_SENDS, False
 
     res = run(_graph("path", 2), Limbo(), ModeConfig(allow_quiescence=True))
     assert res.end_reason == "quiescent"
@@ -119,7 +120,7 @@ def test_quiescence_mode_accepts_silence():
 def test_max_rounds_timeout():
     class Chatty(Protocol):
         def step(self, node, rnd):
-            return [(w, ("x",), CAT_CONTROL) for w in node.neighbor_ids], False, None
+            return [(w, ("x",), CAT_CONTROL) for w in node.neighbor_ids], False
 
     with pytest.raises(SimTimeout):
         run(_graph("path", 2), Chatty(), ModeConfig(max_rounds=5))
@@ -129,9 +130,10 @@ def test_wake_fast_forward_counts_idle_rounds():
     class Sleeper(Protocol):
         def step(self, node, rnd):
             if rnd == 1:
-                return NO_SENDS, False, 100
-            assert rnd == 100
-            return NO_SENDS, True, None
+                node.schedule(100, "wake")
+                return NO_SENDS, False
+            assert rnd == 100 and node.due == ["wake"]
+            return NO_SENDS, True
 
     res = run(_graph("path", 1), Sleeper())
     assert res.metrics.rounds == 100
@@ -140,17 +142,39 @@ def test_wake_fast_forward_counts_idle_rounds():
 def test_past_wake_rejected():
     class BadWake(Protocol):
         def step(self, node, rnd):
-            return NO_SENDS, False, rnd
+            node.schedule(rnd - 1, "late")
+            return NO_SENDS, False
 
-    with pytest.raises(Exception):
+    with pytest.raises(SimError):
         run(_graph("path", 1), BadWake())
+
+
+def test_timers_order_live_due_and_halt_drops_them():
+    class Timers(Protocol):
+        def setup(self, node):
+            node.state["seen"] = []
+            node.schedule(3, "b")
+            node.schedule(2, "a")
+            node.schedule(3, "c")
+
+        def step(self, node, rnd):
+            for action in node.due:
+                node.state["seen"].append((rnd, action))
+                if action == "a":
+                    node.schedule(rnd, "a-now")
+                    node.schedule(50, "never")
+            return NO_SENDS, rnd == 3
+
+    res = run(_graph("path", 1), Timers())
+    assert res.contexts[1].state["seen"] == [(2, "a"), (2, "a-now"), (3, "b"), (3, "c")]
+    assert res.metrics.rounds == 3 and res.end_reason == "halted"
 
 
 def test_node_rng_streams_are_seed_and_id_deterministic():
     class Draw(Protocol):
         def step(self, node, rnd):
             node.state["x"] = node.rng.random()
-            return NO_SENDS, True, None
+            return NO_SENDS, True
 
     g = _graph("path", 3)
     a = run(g, Draw(), ModeConfig(rng_seed=5))
@@ -200,8 +224,8 @@ class DoubleAct(Protocol):
     def step(self, node, rnd):
         if rnd == 1 and len(node.neighbor_ids) > 1:
             sends = [(w, (GOSSIP_ACT, ()), CAT_GOSSIP) for w in node.neighbor_ids]
-            return sends, True, None
-        return NO_SENDS, True, None
+            return sends, True
+        return NO_SENDS, True
 
 
 class LeavesActCenter(Protocol):
@@ -211,12 +235,12 @@ class LeavesActCenter(Protocol):
     def step(self, node, rnd):
         if node.self_id == self.center:
             if rnd == 1:
-                return NO_SENDS, False, None
+                return NO_SENDS, False
             acts = [src for src, p in node.inbox if p[0] == GOSSIP_ACT]
-            return [(s, (GOSSIP_RSP, ()), CAT_GOSSIP) for s in acts], True, None
+            return [(s, (GOSSIP_RSP, ()), CAT_GOSSIP) for s in acts], True
         if rnd == 1:
-            return [(self.center, (GOSSIP_ACT, ()), CAT_GOSSIP)], False, None
-        return NO_SENDS, True, None
+            return [(self.center, (GOSSIP_ACT, ()), CAT_GOSSIP)], False
+        return NO_SENDS, True
 
 
 def test_double_activation_raises_inline():
