@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .clustercomm import source_route, split_routes
 from .covers import Cover, CoverParams, cover_construction
-from .netgraph import Graph
+from .netgraph import Graph, GraphError
 from .simengine import (
     CAT_CLUSTER_TREE,
     CAT_EXPLORATION,
@@ -111,10 +111,17 @@ def bfs_tree_to_json(tree: BFSTree) -> str:
 
 
 def bfs_tree_from_json(text: str) -> BFSTree:
-    blob = json.loads(text)
-    return BFSTree(root=blob["root"],
-                   parent={int(v): p for v, p in blob["parent_map"].items()},
-                   layer={int(v): l for v, l in blob["layers"].items()})
+    """Inverse of bfs_tree_to_json; GraphError if text is not such a tree."""
+    try:
+        blob = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphError(f"BFS tree is not valid JSON: {exc}") from exc
+    try:
+        return BFSTree(root=blob["root"],
+                       parent={int(v): p for v, p in blob["parent_map"].items()},
+                       layer={int(v): l for v, l in blob["layers"].items()})
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise GraphError(f"malformed BFS tree: {exc!r}") from exc
 
 
 def default_kappa(n: int) -> int:

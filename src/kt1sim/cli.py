@@ -68,10 +68,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _size_list(text: str) -> List[int]:
+    try:
+        sizes = [int(x) for x in text.split(",") if x]
+    except ValueError:
+        sizes = []
+    if not sizes:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}")
+    return sizes
+
+
 def _cmd_scale(args: argparse.Namespace) -> int:
-    ns = [int(x) for x in args.ns.split(",") if x]
     seeds = tuple(range(args.seeds))
-    table = scaling_study(args.family, ns, args.algo, seeds=seeds)
+    table = scaling_study(args.family, args.ns, args.algo, seeds=seeds)
     rows = table.csv_rows()
     for r in rows:
         print(f"n={r['n']} D={r['diam']} rounds={r['median_rounds']} "
@@ -116,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc = sub.add_parser("scale", help="scaling study across sizes")
     p_sc.add_argument("--family", required=True, choices=FAMILIES)
     p_sc.add_argument("--algo", required=True, choices=ALGOS)
-    p_sc.add_argument("--ns", required=True,
+    p_sc.add_argument("--ns", required=True, type=_size_list,
                       help="comma-separated ascending sizes, e.g. 128,256,512")
     p_sc.add_argument("--seeds", type=int, default=3,
                       help="seeds per size (default 3)")

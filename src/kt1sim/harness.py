@@ -412,7 +412,11 @@ def _graph_spec(family: str, n: int, seed: int) -> GraphGenSpec:
 def scaling_study(family: str, n_list: Sequence[int], algo: str,
                   seeds: Sequence[int] = (0, 1, 2)) -> ScalingTable:
     """Median rounds/messages per size plus normalized ratios; flags any
-    ratio growing by more than 2x from the smallest to the largest n."""
+    ratio growing by more than 2x from the smallest to the largest n.
+
+    Each row's diameter ``diam`` (the round ratio's normaliser) is measured
+    on the first seed's graph only.
+    """
     if list(n_list) != sorted(set(n_list)):
         raise HarnessError("n_list must be ascending and duplicate-free")
     if not seeds:

@@ -246,6 +246,27 @@ def test_cli_verify_rejects_wrong_tree(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", ["not json", '{"root": 1, "parent_map": {}}'])
+def test_cli_verify_malformed_tree_exit_2(tmp_path, capsys, text):
+    gpath = tmp_path / "g.edges"
+    cli.main(["gen", "--family", "path", "--n", "4", "--out", str(gpath)])
+    capsys.readouterr()
+    tpath = tmp_path / "tree.json"
+    tpath.write_text(text)
+    assert cli.main(["verify", "--graph", str(gpath),
+                     "--tree", str(tpath)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("sizes", ["16,x", ","])
+def test_cli_scale_bad_sizes_usage_error(capsys, sizes):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scale", "--family", "path", "--algo", "bfs_spanner",
+                  "--ns", sizes])
+    assert exc.value.code == 2
+    assert "argument --ns" in capsys.readouterr().err
+
+
 def test_cli_run_config(tmp_path, capsys):
     cfg = {"graph": {"family": "path", "n": 4}, "algo": "bfs_spanner",
            "trials": 1}

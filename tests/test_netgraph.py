@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,3 +184,57 @@ def test_diameter_matches_all_roots_sweep():
     g = generate_graph(_spec("erdos_renyi", 48, p=0.12, seed=2))
     want = max(max(oracle_bfs(g, r).dist.values()) for r in g.nodes)
     assert diameter(g) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    n=st.integers(min_value=1, max_value=64),
+    seed=st.integers(min_value=0, max_value=2**32),
+    scheme=st.sampled_from(("sequential", "random_permutation")),
+)
+def test_diameter_matches_all_roots_sweep_every_family(family, n, seed, scheme):
+    if family == "cycle":
+        n = max(n, 3)
+    p = er_connectivity_safe_p(n) if family == "erdos_renyi" else None
+    g = generate_graph(_spec(family, n, seed=seed, id_scheme=scheme, p=p))
+    want = max(oracle_bfs(g, r).eccentricity() for r in g.nodes)
+    assert diameter(g) == want
+
+
+@pytest.mark.parametrize("family,n", [
+    ("erdos_renyi", 1024),
+    ("grid", 1024),
+    ("path", 1000),
+    ("cycle", 600),
+    ("balanced_binary_tree", 1023),
+    ("star", 600),
+])
+def test_diameter_matches_dense_all_pairs(family, n):
+    # Independent route: scipy's all-pairs shortest paths on an n x n matrix.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    p = er_connectivity_safe_p(n) if family == "erdos_renyi" else None
+    g = generate_graph(_spec(family, n, seed=1, id_scheme="random_permutation", p=p))
+    pos = {v: i for i, v in enumerate(g.nodes)}
+    rows = [pos[v] for v in g.nodes for _ in g.adjacency[v]]
+    cols = [pos[u] for v in g.nodes for u in g.adjacency[v]]
+    mat = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    want = int(shortest_path(mat, unweighted=True, directed=False).max())
+    assert diameter(g) == want
+
+
+def test_scaling_study_loads_neither_numpy_nor_scipy():
+    code = (
+        "import sys\n"
+        "from kt1sim.harness import scaling_study\n"
+        "scaling_study('erdos_renyi', [600], 'flood_baseline', seeds=(0,))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('numpy', 'scipy')))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
