@@ -3,12 +3,15 @@
 A cluster is a set of nodes holding a rooted spanning tree of itself.  The
 primitives here are the workhorses of every protocol in the package:
 
-* broadcast / convergecast over a known tree, at exactly |C|-1 messages and
-  depth rounds each;
+* the tree wave (TreeWaveProtocol): convergecast up a rooted tree, solve at
+  the root, broadcast the answer down, at exactly |C|-1 messages and depth
+  rounds per direction.  broadcast (down only), convergecast (up only), the
+  augmented-tree protocol, and gossipspanner's spanner BFS and global solves
+  are small subclasses of it;
 * minimal outgoing edge sets: one edge per outer-boundary node, optionally
   the lexicographically least such edge;
-* augmented cluster trees: the tree plus one chosen edge to every boundary
-  node, with the boundary endpoints informed;
+* augmented cluster trees: one tree wave that picks one edge to every
+  boundary node, plus one notification to each boundary endpoint;
 * depth-bounded BFS exploration growing a cluster one layer per window.
 
 The exploration machinery is reactive: upward reports coalesce at each hop,
@@ -52,6 +55,15 @@ class ClusterError(SimError):
     """Malformed cluster tree or misuse of a cluster primitive."""
 
 
+def tree_children(root: int, parent: Mapping[int, int]) -> Dict[int, List[int]]:
+    """Ascending child lists of every node of the rooted tree (root, parent)."""
+    children: Dict[int, List[int]] = {v: [] for v in parent}
+    children[root] = []
+    for v in sorted(parent):
+        children[parent[v]].append(v)
+    return children
+
+
 @dataclass(frozen=True)
 class ClusterTree:
     """Rooted spanning tree of a cluster; parent maps every non-root member
@@ -89,12 +101,7 @@ class ClusterTree:
         )
 
     def children(self) -> Dict[int, List[int]]:
-        ch: Dict[int, List[int]] = {v: [] for v in self.members}
-        for v, p in self.parent.items():
-            ch[p].append(v)
-        for lst in ch.values():
-            lst.sort()
-        return ch
+        return tree_children(self.root, self.parent)
 
     def validate(self, g: Graph) -> None:
         for v, p in self.parent.items():
@@ -198,31 +205,101 @@ def split_routes(entries: Iterable[Tuple]) -> Tuple[List[Tuple], RouteBatches]:
 
 
 # ---------------------------------------------------------------------------
-# Broadcast / convergecast at exact cost |C|-1 messages, depth rounds.
+# The tree wave: convergecast up a rooted tree, solve at the root, broadcast
+# the answer down.  Every global step in the package is one of these.
 # ---------------------------------------------------------------------------
 
-class _BroadcastProtocol(Protocol):
-    name = "broadcast"
+class TreeWaveProtocol(Protocol):
+    """Convergecast-then-broadcast over the rooted tree (root, parent).
 
-    def __init__(self, tree: ClusterTree, payload: Any):
-        self.tree = tree
-        self.children = tree.children()
-        self.payload = payload
+    A member sends ("up", value) to its parent once every child has
+    reported, value being gather(node) folded with the children's values in
+    ascending child id by combine.  The root turns its value into a payload
+    with solve; every member forwards ("dn", payload) to its children in id
+    order, calls deliver (whose sends follow) and halts.  Nodes outside the
+    tree run step_outside.  Subclasses that drop a phase clear UP (the root
+    solves from None in round 1) or DOWN (a member halts once it has
+    reported).  The default gather/combine collect (id, neighbor list)
+    pairs, i.e. the topology of the tree, at the root.
+    """
+
+    name = "tree_wave"
+    UP = True
+    DOWN = True
+
+    def __init__(self, root: int, parent: Mapping[int, int]):
+        self.root = root
+        self.parent = parent
+        self.children = tree_children(root, parent)
+
+    def gather(self, node: NodeContext) -> Any:
+        return [(node.self_id, node.neighbor_ids)]
+
+    def combine(self, value: Any, child_value: Any) -> Any:
+        value.extend(child_value)  # value is this node's own fresh list
+        return value
+
+    def solve(self, node: NodeContext, value: Any) -> Any:
+        return value
+
+    def deliver(self, node: NodeContext, payload: Any) -> List:
+        node.output = payload
+        return []
+
+    def step_outside(self, node: NodeContext, rnd: int):
+        return NO_SENDS, True
+
+    def setup(self, node: NodeContext) -> None:
+        node.state["acc"] = {}
 
     def step(self, node: NodeContext, rnd: int):
         v = node.self_id
-        if v not in self.tree.members:
-            return NO_SENDS, True
-        if v == self.tree.root and rnd == 1:
-            node.output = self.payload
-            sends = [(c, self.payload, CAT_CLUSTER_TREE) for c in self.children[v]]
-            return sends, True
-        if node.inbox:
-            payload = node.inbox[0][1]
-            node.output = payload
-            sends = [(c, payload, CAT_CLUSTER_TREE) for c in self.children[v]]
-            return sends, True
-        return NO_SENDS, False
+        children = self.children.get(v)
+        if children is None:
+            return self.step_outside(node, rnd)
+        return self.wave(node, children, self.parent.get(v))
+
+    def wave(self, node: NodeContext, children: List[int], parent: Optional[int],
+             ready: bool = True):
+        """One step of a member with the given children (ascending ids) and
+        parent (None at the root); while not ready it holds its report."""
+        st = node.state
+        acc = st["acc"]
+        for src, payload in node.inbox:
+            if payload[0] == "up":
+                acc[src] = payload[1]
+            elif payload[0] == "dn":
+                return self._down(node, children, payload[1])
+        if not self.UP:
+            if parent is None and ready:
+                return self._down(node, children, self.solve(node, None))
+            return NO_SENDS, False
+        if st.get("reported") or not ready or len(acc) < len(children):
+            return NO_SENDS, False
+        value = self.gather(node)
+        for c in children:
+            value = self.combine(value, acc[c])
+        if parent is None:
+            return self._down(node, children, self.solve(node, value))
+        st["reported"] = True
+        return [(parent, ("up", value), CAT_CLUSTER_TREE)], not self.DOWN
+
+    def _down(self, node: NodeContext, children: List[int], payload: Any):
+        sends = [(c, ("dn", payload), CAT_CLUSTER_TREE) for c in children] if self.DOWN else []
+        sends.extend(self.deliver(node, payload))
+        return sends, True
+
+
+class _BroadcastProtocol(TreeWaveProtocol):
+    name = "broadcast"
+    UP = False
+
+    def __init__(self, tree: ClusterTree, payload: Any):
+        super().__init__(tree.root, tree.parent)
+        self.payload = payload
+
+    def solve(self, node: NodeContext, value: Any) -> Any:
+        return self.payload
 
 
 @dataclass
@@ -242,37 +319,17 @@ def broadcast(g: Graph, tree: ClusterTree, payload: Any) -> TreeOpResult:
     return TreeOpResult(payload, delivered, _op_rounds(res.metrics), res.metrics)
 
 
-class _ConvergecastProtocol(Protocol):
+class _ConvergecastProtocol(TreeWaveProtocol):
     name = "convergecast"
+    DOWN = False
 
     def __init__(self, tree: ClusterTree, payloads: Mapping[int, Any], combine):
-        self.tree = tree
-        self.children = tree.children()
+        super().__init__(tree.root, tree.parent)
         self.payloads = payloads
-        self.combine = combine
+        self.combine = combine  # the caller's fold stands in for the method
 
-    def setup(self, node: NodeContext) -> None:
-        v = node.self_id
-        if v in self.tree.members:
-            node.state["acc"] = {}
-
-    def step(self, node: NodeContext, rnd: int):
-        v = node.self_id
-        if v not in self.tree.members:
-            return NO_SENDS, True
-        ch = self.children[v]
-        acc = node.state["acc"]
-        for src, payload in node.inbox:
-            acc[src] = payload
-        if len(acc) < len(ch):
-            return NO_SENDS, False
-        value = self.payloads[v]
-        for c in sorted(acc):
-            value = self.combine(value, acc[c])
-        if v == self.tree.root:
-            node.output = value
-            return NO_SENDS, True
-        return [(self.tree.parent[v], value, CAT_CLUSTER_TREE)], True
+    def gather(self, node: NodeContext) -> Any:
+        return self.payloads[node.self_id]
 
 
 def convergecast(g: Graph, tree: ClusterTree, payloads: Mapping[int, Any], combine) -> TreeOpResult:
@@ -288,59 +345,34 @@ def convergecast(g: Graph, tree: ClusterTree, payloads: Mapping[int, Any], combi
 
 
 # ---------------------------------------------------------------------------
-# Augmented cluster tree: learn the boundary and pick one edge per outside
-# node; convergecast up, broadcast the choice down, poke each boundary node.
+# Augmented cluster tree: one tree wave collects the members' neighbor lists,
+# the root picks one edge per outside node, and each member pokes the
+# boundary nodes of its chosen edges.
 # ---------------------------------------------------------------------------
 
-class _AugmentProtocol(Protocol):
+class _AugmentProtocol(TreeWaveProtocol):
     name = "augment"
 
     def __init__(self, tree: ClusterTree, lexicographic: bool = True):
-        self.tree = tree
-        self.children = tree.children()
+        super().__init__(tree.root, tree.parent)
         self.lexicographic = lexicographic
 
-    def setup(self, node: NodeContext) -> None:
-        if node.self_id in self.tree.members:
-            node.state["acc"] = {}
-            node.state["phase"] = "up"
+    def solve(self, node: NodeContext, value: Any) -> Tuple[Edge, ...]:
+        members = self.children.keys()
+        return minimal_outgoing_edge_set(members, dict(value), self.lexicographic).edges
 
-    def step(self, node: NodeContext, rnd: int):
+    def deliver(self, node: NodeContext, edges: Tuple[Edge, ...]) -> List:
         v = node.self_id
-        st = node.state
-        if v not in self.tree.members:
-            # Possibly a boundary node: a notification may still arrive.
-            if node.inbox:
-                node.output = sorted(payload for _, payload in node.inbox)
-                return NO_SENDS, True
-            return NO_SENDS, False
-        ch = self.children[v]
-        if st["phase"] == "up":
-            acc = st["acc"]
-            for src, payload in node.inbox:
-                acc[src] = payload
-            if len(acc) < len(ch):
-                return NO_SENDS, False
-            info = [(v, node.neighbor_ids)]
-            for c in sorted(acc):
-                info.extend(acc[c])
-            st["phase"] = "down"
-            if v == self.tree.root:
-                oes = minimal_outgoing_edge_set(
-                    self.tree.members, dict(info), self.lexicographic
-                )
-                return self._down(node, oes.edges)
-            return [(self.tree.parent[v], tuple(info), CAT_CLUSTER_TREE)], False
-        # phase "down": the sorted chosen edges arrive from the parent.
-        return self._down(node, node.inbox[0][1])
-
-    def _down(self, node: NodeContext, edges: Tuple[Edge, ...]):
-        v = node.self_id
-        sends = [(c, edges, CAT_CLUSTER_TREE) for c in self.children[v]]
         mine = tuple(e for e in edges if e[0] == v)
-        sends.extend((e[1], e, CAT_CLUSTER_TREE) for e in mine)
         node.output = mine
-        return sends, True
+        return [(e[1], e, CAT_CLUSTER_TREE) for e in mine]
+
+    def step_outside(self, node: NodeContext, rnd: int):
+        # Possibly a boundary node: a notification may still arrive.
+        if node.inbox:
+            node.output = sorted(payload for _, payload in node.inbox)
+            return NO_SENDS, True
+        return NO_SENDS, False
 
 
 @dataclass

@@ -28,11 +28,13 @@ The spanner H is the union of all activated links.  Known-rumor flow
 implies every graph edge's endpoints are connected inside H, so H spans
 and is connected, with at most one new edge per node per iteration.
 
-BFS on G from s: flood over H-edges only (first arrival picks the parent,
-ties to the smallest sender id; exactly 2|E(H)| messages), convergecast
-everyone's neighbor list up the flood tree, let s compute the exact BFS
-tree of G locally (parent = smallest id in the previous layer), and
-broadcast the result back down.
+BFS on G from s is a flood plus one tree wave (clustercomm.TreeWaveProtocol).
+The flood runs over H-edges only (first arrival picks the parent, ties to
+the smallest sender id; exactly 2|E(H)| messages) and builds the flood tree.
+The wave then carries everyone's neighbor list up that tree, s computes the
+exact BFS tree of G locally (parent = smallest id in the previous layer),
+and the wave broadcasts the result back down.  Global problems are one tree
+wave over an established BFS tree in the same way.
 
 Leader election on H: all nodes start as candidates; phase j broadcasts
 surviving candidate ids to H-distance 2^j with forward-on-improvement
@@ -53,7 +55,6 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from .netgraph import Graph, canonical_edge
 from .simengine import (
-    CAT_CLUSTER_TREE,
     CAT_CONTROL,
     CAT_EXPLORATION,
     CAT_GOSSIP,
@@ -68,6 +69,7 @@ from .simengine import (
     run,
 )
 from .bfscover import BFSTree
+from .clustercomm import TreeWaveProtocol, _op_rounds
 
 Edge = Tuple[int, int]
 
@@ -311,6 +313,17 @@ def extract_spanner(g: Graph, gossip: GossipResult) -> Spanner:
                    incident=dict(gossip.incident))
 
 
+def _spanner_of(g: Graph, spanner: Optional[Spanner],
+                gossip: Optional[GossipResult]) -> Tuple[Spanner, Optional[GossipResult]]:
+    """The spanner to route over: the given one, else the one extracted from
+    the given gossip run, else one from a fresh gossip run."""
+    if spanner is None:
+        if gossip is None:
+            gossip = gossip_local_broadcast(g)
+        spanner = extract_spanner(g, gossip)
+    return spanner, gossip
+
+
 def spanner_stretch_violations(g: Graph, spanner: Spanner,
                                bound: Optional[int] = None) -> List[Edge]:
     """G-edges whose endpoints are farther apart than the bound inside H
@@ -377,47 +390,32 @@ def _bfs_of_topology(root: int, nbrs: Dict[int, Tuple[int, ...]]):
     return parent, layer
 
 
-class _FloodCollectProtocol(Protocol):
-    """Flood on H, convergecast topology to the root, broadcast the tree."""
+class _FloodCollectProtocol(TreeWaveProtocol):
+    """Flood on H to build the flood tree, then one tree wave over it: the
+    topology goes up, the root's exact BFS tree of G comes down."""
 
     name = "spanner_bfs"
 
     def __init__(self, root: int, incident: Dict[int, Tuple[int, ...]]):
-        self.root = root
+        super().__init__(root, {})
         self.incident = incident
 
     def setup(self, node: NodeContext) -> None:
-        st = node.state
-        st["joined"] = node.self_id == self.root
-        st["hparent"] = None
-        st["children"] = []
-        st["subs"] = []
-        st["ready"] = False
-        st["sent_up"] = False
-        node.output = None
+        super().setup(node)
+        node.state.update(hparent=None, children=[], ready=False)
 
     def _hn(self, v: int) -> Tuple[int, ...]:
         return self.incident.get(v, ())
 
-    def _try_up(self, node: NodeContext) -> List:
-        st = node.state
+    def solve(self, node: NodeContext, value: Any):
+        return _bfs_of_topology(self.root, dict(value))
+
+    def deliver(self, node: NodeContext, payload) -> List:
+        parent_map, layer_map = payload
         v = node.self_id
-        if st["sent_up"] or not st["ready"] or len(st["subs"]) < len(st["children"]):
-            return []
-        st["sent_up"] = True
-        topo = [(v, node.neighbor_ids)]
-        for chunk in st["subs"]:
-            topo.extend(chunk)
-        if v == self.root:
-            parent, layer = _bfs_of_topology(self.root, dict(topo))
-            result = (parent, layer)
-            node.output = {"layer": 0, "parent": None,
-                           "hparent": None, "n_seen": len(topo)}
-            sends = [(c, ("res", result), CAT_CLUSTER_TREE)
-                     for c in sorted(st["children"])]
-            st["halt"] = True
-            return sends
-        return [(st["hparent"], ("sub", tuple(topo)), CAT_CLUSTER_TREE)]
+        node.output = {"layer": layer_map[v], "parent": parent_map.get(v),
+                       "hparent": node.state["hparent"], "n_seen": len(layer_map)}
+        return []
 
     def step(self, node: NodeContext, rnd: int):
         st = node.state
@@ -435,21 +433,13 @@ class _FloodCollectProtocol(Protocol):
             if kind == "fl":
                 flood_srcs.append((src, payload[1]))
             elif kind == "ch":
+                # Every child joins, and so answers, in the same round; the
+                # engine's sender-sorted inbox keeps this list ascending.
                 st["children"].append(src)
-            elif kind == "sub":
-                st["subs"].append(payload[1])
-            elif kind == "res":
-                parent_map, layer_map = payload[1]
-                node.output = {"layer": layer_map[v], "parent": parent_map.get(v),
-                               "hparent": st["hparent"], "n_seen": len(layer_map)}
-                for c in sorted(st["children"]):
-                    sends.append((c, payload, CAT_CLUSTER_TREE))
-                return sends, True
-            else:
+            elif kind not in ("up", "dn"):
                 raise SpannerError(f"unknown payload kind {kind!r} in spanner BFS")
 
-        if flood_srcs and not st["joined"]:
-            st["joined"] = True
+        if flood_srcs and st["hparent"] is None and v != self.root:
             st["hparent"] = min(s for s, _ in flood_srcs)
             depth = flood_srcs[0][1]
             for w in self._hn(v):
@@ -457,27 +447,25 @@ class _FloodCollectProtocol(Protocol):
                     sends.append((w, ("ch",), CAT_EXPLORATION))
                 else:
                     sends.append((w, ("fl", depth + 1), CAT_EXPLORATION))
+            # Children answer the flood one round after it leaves this node.
             node.schedule(rnd + 2, ("leafcheck",))
 
-        for action in node.due:
-            if action[0] == "leafcheck":
-                st["ready"] = True
-
-        sends.extend(self._try_up(node))
-        return sends, bool(st.get("halt"))
+        if node.due:
+            st["ready"] = True  # only joined nodes hold a leafcheck
+        wave_sends, halt = self.wave(node, st["children"], st["hparent"], st["ready"])
+        return sends + wave_sends, halt
 
 
 def deterministic_bfs(g: Graph, root: int,
                       spanner: Optional[Spanner] = None,
                       gossip: Optional[GossipResult] = None) -> DetBFSResult:
     """Exact BFS tree of G from root using only spanner edges plus local
-    computation at the root; builds the spanner first when none is given
-    (metrics then include the gossip phase)."""
+    computation at the root.  Without a spanner it is extracted from gossip,
+    which is run first when not given; metrics include the gossip phase
+    whenever there is one."""
     if root not in g.adjacency:
         raise SpannerError(f"root {root} not in graph")
-    if spanner is None:
-        gossip = gossip_local_broadcast(g)
-        spanner = extract_spanner(g, gossip)
+    spanner, gossip = _spanner_of(g, spanner, gossip)
     proto = _FloodCollectProtocol(root, spanner.incident)
     res = run(g, proto, ModeConfig(max_rounds=8 * g.n + 20))
     parent: Dict[int, int] = {}
@@ -634,9 +622,7 @@ def deterministic_leader_election(g: Graph,
                                   spanner: Optional[Spanner] = None,
                                   gossip: Optional[GossipResult] = None) -> DetElectionResult:
     """All nodes agree on the maximum id; spanner traffic only."""
-    if spanner is None:
-        gossip = gossip_local_broadcast(g)
-        spanner = extract_spanner(g, gossip)
+    spanner, gossip = _spanner_of(g, spanner, gossip)
     proto = _ElectProtocol(spanner.incident, g.n)
     res = run(g, proto, ModeConfig(max_rounds=proto.starts[-1] + 8 * g.n + 20))
     leader_at = {}
@@ -676,65 +662,36 @@ def _kruskal_mst(nodes: Iterable[int], edges: Iterable[Edge]) -> Tuple[Edge, ...
     return tuple(out)
 
 
-class _GlobalSolveProtocol(Protocol):
+_GLOBAL_PROBLEMS = {
+    "mst": _kruskal_mst,
+    "topology": lambda nodes, edges: tuple(sorted(edges)),
+}
+
+
+class _GlobalSolveProtocol(TreeWaveProtocol):
+    """One tree wave over the BFS tree: the topology goes up, the root
+    solves the problem, the solution comes down."""
+
     name = "solve_global"
 
     def __init__(self, tree: BFSTree, problem: str):
-        self.tree = tree
+        if problem not in _GLOBAL_PROBLEMS:
+            raise SpannerError(f"unknown global problem {problem!r}")
+        super().__init__(tree.root, tree.parent)
         self.problem = problem
-        self.children: Dict[int, List[int]] = {v: [] for v in tree.layer}
-        for v, p in tree.parent.items():
-            self.children[p].append(v)
 
-    def setup(self, node: NodeContext) -> None:
-        node.state["subs"] = []
-        node.output = None
-
-    def step(self, node: NodeContext, rnd: int):
-        st = node.state
-        v = node.self_id
-        ch = self.children[v]
-        sends: List = []
-
-        for src, payload in node.inbox:
-            kind = payload[0]
-            if kind == "up":
-                st["subs"].append(payload[1])
-            elif kind == "dn":
-                solution = payload[1]
-                node.output = self._local_view(v, solution)
-                for c in sorted(ch):
-                    sends.append((c, payload, CAT_CLUSTER_TREE))
-                return sends, True
-            else:
-                raise SpannerError(f"unknown payload kind {kind!r} in solve_global")
-
-        if node.output is None and len(st["subs"]) == len(ch) and not st.get("sent"):
-            st["sent"] = True
-            topo = [(v, node.neighbor_ids)]
-            for chunk in st["subs"]:
-                topo.extend(chunk)
-            if v == self.tree.root:
-                solution = self._solve(dict(topo))
-                node.output = self._local_view(v, solution)
-                node.state["solution"] = solution
-                for c in sorted(ch):
-                    sends.append((c, ("dn", solution), CAT_CLUSTER_TREE))
-                return sends, True
-            sends.append((self.tree.parent[v], ("up", tuple(topo)), CAT_CLUSTER_TREE))
-        return sends, False
-
-    def _solve(self, topo: Dict[int, Tuple[int, ...]]):
+    def solve(self, node: NodeContext, value: Any):
+        topo = dict(value)
         edges = [(u, w) for u, ns in topo.items() for w in ns if u < w]
-        if self.problem == "mst":
-            return _kruskal_mst(topo.keys(), edges)
-        if self.problem == "topology":
-            return tuple(sorted(edges))
-        raise SpannerError(f"unknown global problem {self.problem!r}")
+        solution = _GLOBAL_PROBLEMS[self.problem](topo.keys(), edges)
+        node.state["solution"] = solution
+        return solution
 
-    def _local_view(self, v: int, solution) -> Dict[str, Any]:
-        mine = tuple(e for e in solution if v in e)
-        return {"incident": mine, "total": len(solution)}
+    def deliver(self, node: NodeContext, solution) -> List:
+        v = node.self_id
+        node.output = {"incident": tuple(e for e in solution if v in e),
+                       "total": len(solution)}
+        return []
 
 
 @dataclass
@@ -752,12 +709,11 @@ def solve_global(g: Graph, tree: BFSTree, problem: str = "mst") -> GlobalSolveRe
     tree.validate(g)
     proto = _GlobalSolveProtocol(tree, problem)
     res = run(g, proto, ModeConfig(max_rounds=4 * g.n + 20))
-    root_ctx = res.contexts[tree.root]
-    solution = tuple(root_ctx.state["solution"])
+    solution = tuple(res.contexts[tree.root].state["solution"])
     per_node = {v: res.outputs[v] for v in g.nodes}
     return GlobalSolveResult(problem=problem, solution=solution,
                              per_node=per_node, metrics=res.metrics,
-                             rounds=max(0, res.metrics.rounds - 1))
+                             rounds=_op_rounds(res.metrics))
 
 
 def det_bfs_to_json(result: DetBFSResult) -> str:

@@ -56,6 +56,9 @@ from kt1sim.netgraph import (
 )
 from kt1sim.simengine import ModeConfig, gossip_check, run, run_digest
 
+# Minutes of work: `pytest -m "not slow"` leaves the whole gate out.
+pytestmark = pytest.mark.slow
+
 SPARSITY_CONST = 1.0      # frozen; see test_covers.py
 ELECTION_CONST = 4        # frozen; see test_gossipspanner.py
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kt1sim.bfscover import BFSTree
 from kt1sim.clustercomm import (
     ClusterError,
     ClusterTree,
@@ -13,6 +14,7 @@ from kt1sim.clustercomm import (
     convergecast,
     minimal_outgoing_edge_set,
 )
+from kt1sim.gossipspanner import solve_global
 from kt1sim.netgraph import (
     Graph,
     GraphGenSpec,
@@ -127,6 +129,50 @@ def test_convergecast_missing_payload_raises():
     t = ClusterTree.from_parent_map(1, {2: 1, 3: 2})
     with pytest.raises(ClusterError):
         convergecast(g, t, {1: 1, 2: 2}, lambda a, b: a + b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=48),
+    seed=st.integers(min_value=0, max_value=10_000),
+    rootpick=st.integers(min_value=0, max_value=10_000),
+    h=st.integers(min_value=1, max_value=3),
+)
+def test_tree_wave_costs_exact(n, seed, rootpick, h):
+    """Every tree wave costs exactly what its docstring claims, on the BFS
+    tree of a random connected graph from a random root."""
+    g = _graph("erdos_renyi", n, p=er_connectivity_safe_p(n), seed=seed,
+               id_scheme="random_permutation")
+    nodes = sorted(g.nodes)
+    root = nodes[rootpick % len(nodes)]
+    dist = oracle_bfs(g, root).dist
+    parent = {v: min(u for u in g.adjacency[v] if dist[u] == dist[v] - 1)
+              for v in g.nodes if v != root}
+    tree = ClusterTree.from_parent_map(root, parent)
+    depth = tree.depth
+
+    r = broadcast(g, tree, "x")
+    assert (r.metrics.messages_total, r.rounds) == (n - 1, depth)
+    assert set(r.delivered.values()) == {"x"}
+    r = convergecast(g, tree, {v: 1 for v in g.nodes}, lambda a, b: a + b)
+    assert (r.metrics.messages_total, r.rounds) == (n - 1, depth)
+    assert r.value == n
+
+    r = solve_global(g, BFSTree(root=root, parent=parent, layer=dist), "topology")
+    assert (r.metrics.messages_total, r.rounds) == (2 * (n - 1), 2 * depth)
+    assert r.solution == tuple(sorted(g.edges()))
+
+    ball = ClusterTree.from_parent_map(
+        root, {v: p for v, p in parent.items() if dist[v] <= h})
+    boundary = {v for v in g.nodes if dist[v] == h + 1}
+    r = compute_augmented_tree(g, ball)
+    c = len(ball.members)
+    assert r.metrics.messages_total == 2 * (c - 1) + len(boundary)
+    # Boundary nodes hang off the deepest layer, so their notifications
+    # land one round after the broadcast ends.
+    assert r.rounds == 2 * ball.depth + (1 if boundary else 0) <= 2 * ball.depth + 1
+    assert r.augmented.extension.boundary == boundary
+    assert set(r.boundary_notified) == boundary
 
 
 # --- minimal outgoing edge set --------------------------------------------

@@ -8,6 +8,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kt1sim import gossipspanner
 from kt1sim.gossipspanner import (
     SpannerError,
     deterministic_bfs,
@@ -210,6 +211,24 @@ def test_bfs_reuses_given_spanner():
     assert res.tree.layer == oracle_bfs(g, min(g.nodes)).dist
 
 
+def test_explicit_gossip_is_reused(monkeypatch):
+    g = make_graph("erdos_renyi", 40, seed=3, p=0.15)
+    go = gossip_local_broadcast(g)
+
+    def no_second_gossip(*args, **kwargs):
+        raise AssertionError("gossip ran again although a result was given")
+
+    monkeypatch.setattr(gossipspanner, "gossip_local_broadcast", no_second_gossip)
+    bfs = deterministic_bfs(g, min(g.nodes), gossip=go)
+    le = deterministic_leader_election(g, gossip=go)
+    for res in (bfs, le):
+        assert res.gossip is go
+        assert res.spanner.edges == extract_spanner(g, go).edges
+        assert res.metrics.messages_by_category["gossip"] == go.metrics.messages_total
+    assert bfs.tree.layer == oracle_bfs(g, min(g.nodes)).dist
+    assert le.unanimous
+
+
 def test_bfs_bad_root():
     with pytest.raises(SpannerError):
         deterministic_bfs(make_graph("path", 3), 44)
@@ -298,11 +317,14 @@ def test_topology_dump():
         assert res.per_node[v]["total"] == 3
 
 
-def test_unknown_problem_rejected():
+def test_unknown_problem_rejected(monkeypatch):
     g = make_graph("path", 3)
     tree = deterministic_bfs(g, 1).tree
+    engine_runs = []
+    monkeypatch.setattr(gossipspanner, "run", lambda *a, **k: engine_runs.append(a))
     with pytest.raises(SpannerError):
         solve_global(g, tree, "chromatic")
+    assert engine_runs == []
 
 
 @settings(max_examples=15, deadline=None)
