@@ -48,9 +48,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .clustercomm import source_route, split_routes
+# bfs_tree_from_json and bfs_tree_to_json are re-exported from here.
+from .clustercomm import (ClusterError, RootedTree, bfs_tree_from_json, bfs_tree_to_json,
+                          source_route, split_routes)
 from .covers import Cover, CoverParams, cover_construction
-from .netgraph import Graph, GraphError
+from .netgraph import Graph
 from .simengine import (
     CAT_CLUSTER_TREE,
     CAT_EXPLORATION,
@@ -76,52 +78,6 @@ CANDIDATE_LOG_FACTOR = 8.0  # expected candidates ~ 8 ln n
 
 class BFSError(SimError):
     """BFS preprocessing or growth failed (cover defect or protocol bug)."""
-
-
-@dataclass(frozen=True)
-class BFSTree:
-    root: int
-    parent: Dict[int, int]
-    layer: Dict[int, int]
-
-    def validate(self, g: Graph) -> None:
-        if self.layer.get(self.root) != 0:
-            raise BFSError("root must sit on layer 0")
-        if set(self.layer) != set(g.adjacency):
-            raise BFSError("BFS tree does not span the graph")
-        if set(self.parent) != set(self.layer) - {self.root}:
-            raise BFSError("parent map must name exactly the non-root nodes")
-        for v, p in self.parent.items():
-            if not g.has_edge(v, p):
-                raise BFSError(f"tree edge ({v},{p}) not in graph")
-            if self.layer[v] != self.layer[p] + 1:
-                raise BFSError(f"layer mismatch along ({v},{p})")
-
-    def depth(self) -> int:
-        return max(self.layer.values())
-
-
-def bfs_tree_to_json(tree: BFSTree) -> str:
-    return json.dumps(
-        {"root": tree.root,
-         "parent_map": {str(v): p for v, p in sorted(tree.parent.items())},
-         "layers": {str(v): l for v, l in sorted(tree.layer.items())}},
-        sort_keys=True,
-    )
-
-
-def bfs_tree_from_json(text: str) -> BFSTree:
-    """Inverse of bfs_tree_to_json; GraphError if text is not such a tree."""
-    try:
-        blob = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"BFS tree is not valid JSON: {exc}") from exc
-    try:
-        return BFSTree(root=blob["root"],
-                       parent={int(v): p for v, p in blob["parent_map"].items()},
-                       layer={int(v): l for v, l in blob["layers"].items()})
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise GraphError(f"malformed BFS tree: {exc!r}") from exc
 
 
 def default_kappa(n: int) -> int:
@@ -219,7 +175,7 @@ class _HomeSetupProtocol(Protocol):
                 if home == v:
                     st["registrants"].add(v)
                 else:
-                    d = self._tree(home).depths[v]
+                    d = self._tree(home).layer[v]
                     flush_at = self.H + 2 + (self.H - d)
                     st["flush_due"][home] = flush_at
                     node.schedule(flush_at, ("reg_flush", home))
@@ -338,7 +294,7 @@ class _BFSPhaseProtocol(Protocol):
             if root == v:
                 node.schedule(phase_start + self.H, ("self_ping", root, want))
                 continue
-            d = self._tree(root).depths[v]
+            d = self._tree(root).layer[v]
             at = phase_start + (self.H - d)
             node.state["flush_due"][root] = at
             node.schedule(at, ("ping_flush", root, want))
@@ -463,7 +419,7 @@ class _BFSPhaseProtocol(Protocol):
         if targets:
             # Fixed send slot at the end of stage 2, uniform across all
             # requesters regardless of when their aggregate arrived.
-            phase_start = rnd - self.H - (self._tree(self.pre.home[v]).depths[v]
+            phase_start = rnd - self.H - (self._tree(self.pre.home[v]).layer[v]
                                           if self.pre.home[v] != v else 0)
             send_at = phase_start + 2 * self.H + 2
             node.schedule(send_at, ("explore", tuple(targets), my_layer + 1))
@@ -471,11 +427,10 @@ class _BFSPhaseProtocol(Protocol):
 
 @dataclass
 class BFSResult:
-    tree: BFSTree
+    tree: RootedTree
     metrics: RunMetrics
     rounds: int
     pre: Preprocessed
-    phase_window: int
     grow_receipts: Dict[int, int] = field(default_factory=dict)
 
     @property
@@ -483,7 +438,7 @@ class BFSResult:
         return self.pre.cover
 
 
-def _run_phases(g: Graph, root: int, pre: Preprocessed) -> Tuple[BFSTree, RunMetrics, Dict[int, int]]:
+def _run_phases(g: Graph, root: int, pre: Preprocessed) -> Tuple[RootedTree, RunMetrics, Dict[int, int]]:
     proto = _BFSPhaseProtocol(root, pre)
     limit = (g.n + 2) * proto.window + 10
     res = run(g, proto, ModeConfig(allow_quiescence=True, max_rounds=limit))
@@ -500,7 +455,7 @@ def _run_phases(g: Graph, root: int, pre: Preprocessed) -> Tuple[BFSTree, RunMet
             raise BFSError(f"BFS from {root} never reached node {v}")
         parent[v] = out["parent"]
         layer[v] = out["layer"]
-    return BFSTree(root=root, parent=parent, layer=layer), res.metrics, receipts
+    return RootedTree(root=root, parent=parent, layer=layer), res.metrics, receipts
 
 
 def bfs_construction(g: Graph, root: int, seed: int = 0,
@@ -516,10 +471,10 @@ def bfs_construction(g: Graph, root: int, seed: int = 0,
     if pre is None:
         pre = preprocess(g, seed, kappa)
     tree, pm, receipts = _run_phases(g, root, pre)
-    tree.validate(g)
+    tree.validate_spanning(g)
     metrics = pre.metrics.merged_with(pm)
     return BFSResult(tree=tree, metrics=metrics, rounds=metrics.rounds, pre=pre,
-                     phase_window=2 * pre.H + 4, grow_receipts=receipts)
+                     grow_receipts=receipts)
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +536,8 @@ def randomized_leader_election(g: Graph, seed: int = 0,
     for c in cands:
         tree, pm, _ = _run_phases(g, c, pre)
         try:
-            tree.validate(g)
-        except BFSError:
+            tree.validate_spanning(g)
+        except ClusterError:
             ok = False
         phase_metrics = pm if phase_metrics is None else \
             phase_metrics.merged_with(pm, parallel=True)

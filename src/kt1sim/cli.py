@@ -4,11 +4,10 @@ verify serialized BFS trees, and produce scaling tables."""
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
-from .bfscover import bfs_tree_from_json
+from .clustercomm import ClusterError, bfs_tree_from_json
 from .harness import (
     ALGOS,
     ExperimentConfig,
@@ -55,8 +54,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.tree, "r", encoding="utf-8") as fh:
         tree = bfs_tree_from_json(fh.read())
     try:
-        tree.validate(g)
-    except Exception as exc:
+        tree.validate_spanning(g)
+    except ClusterError as exc:
         print(f"FAIL: tree invalid: {exc}")
         return 1
     want = oracle_bfs(g, tree.root).dist
@@ -64,7 +63,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         bad = sum(1 for v in want if tree.layer.get(v) != want[v])
         print(f"FAIL: {bad} nodes on wrong layers")
         return 1
-    print(f"pass: exact BFS tree from root {tree.root} (depth {tree.depth()})")
+    print(f"pass: exact BFS tree from root {tree.root} (depth {tree.depth})")
     return 0
 
 

@@ -1,6 +1,8 @@
-"""Cluster trees and the message-frugal primitives built on them.
+"""Rooted trees and the message-frugal primitives built on them.
 
-A cluster is a set of nodes holding a rooted spanning tree of itself.  The
+RootedTree is the one tree type of the package: a cover cluster (a set of
+nodes holding a rooted spanning tree of itself) and a BFS tree of the whole
+graph are both RootedTrees, and share one validator and one JSON form.  The
 primitives here are the workhorses of every protocol in the package:
 
 * the tree wave (TreeWaveProtocol): convergecast up a rooted tree, solve at
@@ -27,10 +29,11 @@ a send-free run counts 0.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .netgraph import Graph
+from .netgraph import Graph, GraphError
 from .simengine import (
     CAT_CLUSTER_TREE,
     CAT_EXPLORATION,
@@ -52,7 +55,7 @@ K_JOIN = 12    # the one exploration message a joining node ever receives
 
 
 class ClusterError(SimError):
-    """Malformed cluster tree or misuse of a cluster primitive."""
+    """Malformed rooted tree or misuse of a cluster primitive."""
 
 
 def tree_children(root: int, parent: Mapping[int, int]) -> Dict[int, List[int]]:
@@ -65,53 +68,87 @@ def tree_children(root: int, parent: Mapping[int, int]) -> Dict[int, List[int]]:
 
 
 @dataclass(frozen=True)
-class ClusterTree:
-    """Rooted spanning tree of a cluster; parent maps every non-root member
-    to its tree parent."""
+class RootedTree:
+    """Rooted tree on the nodes of layer: parent maps every non-root member
+    to its tree parent and layer gives each member's depth below the root.
+    members and depth are derived once, at construction."""
 
     root: int
     parent: Dict[int, int]
-    members: frozenset
-    depths: Dict[int, int]
-    depth: int
+    layer: Dict[int, int]
+    members: frozenset = field(init=False, repr=False, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", frozenset(self.layer))
+        object.__setattr__(self, "depth", max(self.layer.values(), default=0))
 
     @staticmethod
-    def from_parent_map(root: int, parent: Mapping[int, int]) -> "ClusterTree":
-        members = set(parent) | {root}
+    def from_parent_map(root: int, parent: Mapping[int, int]) -> "RootedTree":
+        """The tree (root, parent) with layers derived; ClusterError if the
+        root has a parent or some parent chain never reaches the root."""
         if root in parent:
             raise ClusterError("root must not have a parent")
-        depths = {root: 0}
+        layer = {root: 0}
         for v in parent:
             chain = []
             x = v
-            while x not in depths:
+            while x not in layer:
                 chain.append(x)
                 x = parent.get(x)
-                if x is None or len(chain) > len(members):
+                if x is None or len(chain) > len(parent):
                     raise ClusterError(f"parent chain from {v} never reaches root {root}")
-            base = depths[x]
+            base = layer[x]
             for i, y in enumerate(reversed(chain), start=1):
-                depths[y] = base + i
-        return ClusterTree(
-            root=root,
-            parent=dict(parent),
-            members=frozenset(members),
-            depths=depths,
-            depth=max(depths.values()),
-        )
+                layer[y] = base + i
+        return RootedTree(root=root, parent=dict(parent), layer=layer)
 
     def children(self) -> Dict[int, List[int]]:
         return tree_children(self.root, self.parent)
 
     def validate(self, g: Graph) -> None:
+        """ClusterError unless this is a tree of graph edges whose layers
+        are depths below the root."""
+        if self.layer.get(self.root) != 0:
+            raise ClusterError("root must sit on layer 0")
+        if set(self.parent) != self.members - {self.root}:
+            raise ClusterError("parent map must name exactly the non-root members")
+        if self.members - g.adjacency.keys():
+            raise ClusterError("tree names nodes outside the graph")
         for v, p in self.parent.items():
             if not g.has_edge(v, p):
                 raise ClusterError(f"tree edge ({v},{p}) is not a graph edge")
-        if self.members - set(g.adjacency):
-            raise ClusterError("cluster tree names nodes outside the graph")
+            if self.layer[v] - 1 != self.layer.get(p):
+                raise ClusterError(f"layer mismatch along ({v},{p})")
 
-    def size(self) -> int:
-        return len(self.members)
+    def validate_spanning(self, g: Graph) -> None:
+        """validate, and ClusterError unless every node of g is a member."""
+        self.validate(g)
+        if len(self.members) != g.n:
+            raise ClusterError("tree does not span the graph")
+
+
+def bfs_tree_to_json(tree: RootedTree) -> str:
+    return json.dumps(
+        {"root": tree.root,
+         "parent_map": {str(v): p for v, p in sorted(tree.parent.items())},
+         "layers": {str(v): l for v, l in sorted(tree.layer.items())}},
+        sort_keys=True,
+    )
+
+
+def bfs_tree_from_json(text: str) -> RootedTree:
+    """Inverse of bfs_tree_to_json; GraphError if text is not such a tree."""
+    try:  # json.JSONDecodeError is a ValueError
+        blob = json.loads(text)
+        root = blob["root"]
+        parent = {int(v): p for v, p in blob["parent_map"].items()}
+        layer = {int(v): l for v, l in blob["layers"].items()}
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise GraphError(f"malformed BFS tree: {exc!r}") from exc
+    if not all(type(x) is int for x in (root, *parent.values(), *layer.values())):
+        raise GraphError("malformed BFS tree: ids and layers must be integers")
+    return RootedTree(root=root, parent=parent, layer=layer)
 
 
 @dataclass(frozen=True)
@@ -127,7 +164,7 @@ class OutgoingEdgeSet:
 
 @dataclass(frozen=True)
 class AugmentedClusterTree:
-    base: ClusterTree
+    base: RootedTree
     extension: OutgoingEdgeSet
 
 
@@ -294,7 +331,7 @@ class _BroadcastProtocol(TreeWaveProtocol):
     name = "broadcast"
     UP = False
 
-    def __init__(self, tree: ClusterTree, payload: Any):
+    def __init__(self, tree: RootedTree, payload: Any):
         super().__init__(tree.root, tree.parent)
         self.payload = payload
 
@@ -310,7 +347,7 @@ class TreeOpResult:
     metrics: RunMetrics
 
 
-def broadcast(g: Graph, tree: ClusterTree, payload: Any) -> TreeOpResult:
+def broadcast(g: Graph, tree: RootedTree, payload: Any) -> TreeOpResult:
     """Deliver payload from the tree root to every member: |C|-1 messages,
     depth rounds."""
     tree.validate(g)
@@ -323,7 +360,7 @@ class _ConvergecastProtocol(TreeWaveProtocol):
     name = "convergecast"
     DOWN = False
 
-    def __init__(self, tree: ClusterTree, payloads: Mapping[int, Any], combine):
+    def __init__(self, tree: RootedTree, payloads: Mapping[int, Any], combine):
         super().__init__(tree.root, tree.parent)
         self.payloads = payloads
         self.combine = combine  # the caller's fold stands in for the method
@@ -332,7 +369,7 @@ class _ConvergecastProtocol(TreeWaveProtocol):
         return self.payloads[node.self_id]
 
 
-def convergecast(g: Graph, tree: ClusterTree, payloads: Mapping[int, Any], combine) -> TreeOpResult:
+def convergecast(g: Graph, tree: RootedTree, payloads: Mapping[int, Any], combine) -> TreeOpResult:
     """Fold member payloads up to the root with the associative combine:
     |C|-1 messages, depth rounds.  Leaves fire immediately; an inner node
     sends only once every child has reported."""
@@ -353,7 +390,7 @@ def convergecast(g: Graph, tree: ClusterTree, payloads: Mapping[int, Any], combi
 class _AugmentProtocol(TreeWaveProtocol):
     name = "augment"
 
-    def __init__(self, tree: ClusterTree, lexicographic: bool = True):
+    def __init__(self, tree: RootedTree, lexicographic: bool = True):
         super().__init__(tree.root, tree.parent)
         self.lexicographic = lexicographic
 
@@ -383,7 +420,7 @@ class AugmentResult:
     metrics: RunMetrics
 
 
-def compute_augmented_tree(g: Graph, tree: ClusterTree, lexicographic: bool = True) -> AugmentResult:
+def compute_augmented_tree(g: Graph, tree: RootedTree, lexicographic: bool = True) -> AugmentResult:
     """Build the augmented tree in 2*depth+1 rounds with 2(|C|-1)+|B|
     messages; every boundary node hears about exactly one extension edge."""
     tree.validate(g)
@@ -467,14 +504,8 @@ class ClusterState:
                 del self.best[w]
         self.last_layer = j
 
-    def tree(self) -> ClusterTree:
-        return ClusterTree(
-            root=self.root,
-            parent=dict(self.parent),
-            members=frozenset(self.members),
-            depths=dict(self.depth),
-            depth=max(self.depth.values()),
-        )
+    def tree(self) -> RootedTree:
+        return RootedTree(root=self.root, parent=dict(self.parent), layer=dict(self.depth))
 
 
 class ExplorationProtocol(Protocol):
@@ -615,7 +646,7 @@ class ExplorationProtocol(Protocol):
 
 @dataclass
 class ExplorationResult:
-    tree: ClusterTree
+    tree: RootedTree
     rounds: int
     metrics: RunMetrics
     join_receipts: Dict[int, int] = field(default_factory=dict)
@@ -646,7 +677,7 @@ def bfs_exploration(g: Graph, root: int, h: int) -> ExplorationResult:
     for v in tree.members:
         if v != root:
             mem = res.outputs[v]["mem"].get(root)
-            if mem is None or mem != (tree.parent[v], tree.depths[v]):
+            if mem is None or mem != (tree.parent[v], tree.layer[v]):
                 raise ClusterError(f"root ledger and member record disagree at {v}")
     return ExplorationResult(
         tree=tree,

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .clustercomm import ClusterState, ClusterTree, ExplorationProtocol
+from .clustercomm import ClusterState, ExplorationProtocol, RootedTree
 from .netgraph import Graph, oracle_ball
 from .simengine import ModeConfig, NodeContext, RunMetrics, SimError, run
 
@@ -81,7 +81,7 @@ def phase_probability(kappa: int, n: int, i: int) -> float:
 
 @dataclass
 class Cover:
-    clusters: Tuple[ClusterTree, ...]
+    clusters: Tuple[RootedTree, ...]
     membership: Dict[int, Tuple[int, ...]]  # node -> indices into clusters
     params: CoverParams
     root_index: Dict[int, int] = field(default_factory=dict)
@@ -91,7 +91,7 @@ class Cover:
     metrics: Optional[RunMetrics] = None
     rounds: int = 0
 
-    def clusters_of(self, v: int) -> Tuple[ClusterTree, ...]:
+    def clusters_of(self, v: int) -> Tuple[RootedTree, ...]:
         return tuple(self.clusters[i] for i in self.membership.get(v, ()))
 
 
@@ -164,7 +164,7 @@ def cover_construction(g: Graph, params: CoverParams) -> Cover:
             states[v] = cs
     roots.sort()
 
-    clusters: List[ClusterTree] = []
+    clusters: List[RootedTree] = []
     root_index: Dict[int, int] = {}
     root_knowledge: Dict[int, Dict[int, Tuple[int, ...]]] = {}
     phase_of: Dict[int, int] = {}
@@ -264,14 +264,19 @@ def cover_to_json(cover: Cover) -> str:
 
 
 def cover_from_json(text: str) -> Cover:
-    doc = json.loads(text)
-    params = CoverParams(**doc["params"])
+    """Inverse of cover_to_json; CoverError if text is not such a cover."""
+    try:
+        doc = json.loads(text)
+        params = CoverParams(**doc["params"])
+        entries = [(e["root"], {int(v): p for v, p in e["parent_map"].items()}, e["depth"])
+                   for e in doc["clusters"]]
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise CoverError(f"malformed cover: {exc!r}") from exc
     clusters = []
     root_index = {}
-    for entry in doc["clusters"]:
-        parent = {int(v): p for v, p in entry["parent_map"].items()}
-        tree = ClusterTree.from_parent_map(entry["root"], parent)
-        if tree.depth != entry["depth"]:
+    for root, parent, depth in entries:
+        tree = RootedTree.from_parent_map(root, parent)
+        if tree.depth != depth:
             raise CoverError("serialized depth disagrees with parent map")
         root_index[tree.root] = len(clusters)
         clusters.append(tree)

@@ -68,8 +68,7 @@ from .simengine import (
     SimError,
     run,
 )
-from .bfscover import BFSTree
-from .clustercomm import TreeWaveProtocol, _op_rounds
+from .clustercomm import RootedTree, TreeWaveProtocol, _op_rounds, bfs_tree_to_json
 
 Edge = Tuple[int, int]
 
@@ -362,7 +361,7 @@ def spanner_stretch_violations(g: Graph, spanner: Spanner,
 
 @dataclass
 class DetBFSResult:
-    tree: BFSTree
+    tree: RootedTree
     flood_parent: Dict[int, int]
     spanner: Spanner
     gossip: Optional[GossipResult]
@@ -414,7 +413,7 @@ class _FloodCollectProtocol(TreeWaveProtocol):
         parent_map, layer_map = payload
         v = node.self_id
         node.output = {"layer": layer_map[v], "parent": parent_map.get(v),
-                       "hparent": node.state["hparent"], "n_seen": len(layer_map)}
+                       "hparent": node.state["hparent"]}
         return []
 
     def step(self, node: NodeContext, rnd: int):
@@ -479,8 +478,8 @@ def deterministic_bfs(g: Graph, root: int,
         if v != root:
             parent[v] = out["parent"]
             flood_parent[v] = out["hparent"]
-    tree = BFSTree(root=root, parent=parent, layer=layer)
-    tree.validate(g)
+    tree = RootedTree(root=root, parent=parent, layer=layer)
+    tree.validate_spanning(g)
     metrics = res.metrics if gossip is None else gossip.metrics.merged_with(res.metrics)
     return DetBFSResult(tree=tree, flood_parent=flood_parent, spanner=spanner,
                         gossip=gossip, metrics=metrics, rounds=metrics.rounds)
@@ -674,7 +673,7 @@ class _GlobalSolveProtocol(TreeWaveProtocol):
 
     name = "solve_global"
 
-    def __init__(self, tree: BFSTree, problem: str):
+    def __init__(self, tree: RootedTree, problem: str):
         if problem not in _GLOBAL_PROBLEMS:
             raise SpannerError(f"unknown global problem {problem!r}")
         super().__init__(tree.root, tree.parent)
@@ -703,10 +702,10 @@ class GlobalSolveResult:
     rounds: int
 
 
-def solve_global(g: Graph, tree: BFSTree, problem: str = "mst") -> GlobalSolveResult:
+def solve_global(g: Graph, tree: RootedTree, problem: str = "mst") -> GlobalSolveResult:
     """Convergecast the topology up the BFS tree, solve at the root,
     broadcast the answer: at most n-1 messages each way, 2*depth rounds."""
-    tree.validate(g)
+    tree.validate_spanning(g)
     proto = _GlobalSolveProtocol(tree, problem)
     res = run(g, proto, ModeConfig(max_rounds=4 * g.n + 20))
     solution = tuple(res.contexts[tree.root].state["solution"])
@@ -717,7 +716,6 @@ def solve_global(g: Graph, tree: BFSTree, problem: str = "mst") -> GlobalSolveRe
 
 
 def det_bfs_to_json(result: DetBFSResult) -> str:
-    from .bfscover import bfs_tree_to_json
     return bfs_tree_to_json(result.tree)
 
 

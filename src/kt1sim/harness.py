@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import bfscover, covers, gossipspanner
-from .bfscover import BFSTree
+from .clustercomm import RootedTree
 from .netgraph import (
     Graph,
     GraphGenSpec,
@@ -209,7 +209,7 @@ class _FloodProtocol(Protocol):
         return [], node.output is not None
 
 
-def flood_baseline_bfs(g: Graph, root: int) -> Tuple[BFSTree, RunMetrics]:
+def flood_baseline_bfs(g: Graph, root: int) -> Tuple[RootedTree, RunMetrics]:
     """Reference point: BFS by flooding over every edge (about 2m messages)."""
     if root not in g.adjacency:
         raise HarnessError(f"root {root} not in graph")
@@ -222,8 +222,8 @@ def flood_baseline_bfs(g: Graph, root: int) -> Tuple[BFSTree, RunMetrics]:
         layer[v] = out["layer"]
         if v != root:
             parent[v] = out["parent"]
-    tree = BFSTree(root=root, parent=parent, layer=layer)
-    tree.validate(g)
+    tree = RootedTree(root=root, parent=parent, layer=layer)
+    tree.validate_spanning(g)
     return tree, res.metrics
 
 

@@ -396,11 +396,14 @@ def read_edge_list(path: str) -> Graph:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise GraphError(f"{path}: missing 'n m' header")
-    n, m = int(tokens[0]), int(tokens[1])
-    body = tokens[2:]
+    try:
+        n, m, *body = map(int, tokens)
+    except ValueError as exc:
+        raise GraphError(f"{path}: {exc}") from exc
     if len(body) != 2 * m:
-        raise GraphError(f"{path}: expected {m} edges, found {len(body) // 2}")
-    edges = [(int(body[i]), int(body[i + 1])) for i in range(0, len(body), 2)]
+        raise GraphError(f"{path}: expected {2 * m} edge endpoints after the header, "
+                         f"found {len(body)}")
+    edges = list(zip(body[::2], body[1::2]))
     nodes = set()
     for u, v in edges:
         nodes.add(u)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from kt1sim.bfscover import (
     BFSError,
-    BFSTree,
     bfs_construction,
     bfs_tree_from_json,
     bfs_tree_to_json,
@@ -16,6 +15,7 @@ from kt1sim.bfscover import (
     preprocess,
     randomized_leader_election,
 )
+from kt1sim.clustercomm import ClusterError, RootedTree
 from kt1sim.netgraph import Graph, GraphGenSpec, generate_graph, oracle_bfs
 
 
@@ -33,7 +33,7 @@ def assert_exact(g, res, root):
 
 
 # ---------------------------------------------------------------------------
-# BFSTree type
+# BFS trees
 
 
 def test_default_kappa():
@@ -45,22 +45,24 @@ def test_default_kappa():
 
 def test_tree_validate_good_and_bad():
     g = make_graph("path", 3)
-    good = BFSTree(root=1, parent={2: 1, 3: 2}, layer={1: 0, 2: 1, 3: 2})
-    good.validate(g)
-    with pytest.raises(BFSError):
-        BFSTree(root=1, parent={2: 1}, layer={1: 0, 2: 1}).validate(g)  # missing 3
-    with pytest.raises(BFSError):
-        BFSTree(root=1, parent={2: 1, 3: 1}, layer={1: 0, 2: 1, 3: 2}).validate(g)  # (1,3) not an edge
-    with pytest.raises(BFSError):
-        BFSTree(root=1, parent={2: 1, 3: 2}, layer={1: 0, 2: 1, 3: 3}).validate(g)  # wrong layer
+    good = RootedTree(root=1, parent={2: 1, 3: 2}, layer={1: 0, 2: 1, 3: 2})
+    good.validate_spanning(g)
+    with pytest.raises(ClusterError):
+        RootedTree(root=1, parent={2: 1}, layer={1: 0, 2: 1}).validate_spanning(g)  # missing 3
+    with pytest.raises(ClusterError):
+        RootedTree(root=1, parent={2: 1, 3: 1}, layer={1: 0, 2: 1, 3: 2}).validate_spanning(g)  # (1,3) not an edge
+    with pytest.raises(ClusterError):
+        RootedTree(root=1, parent={2: 1, 3: 2}, layer={1: 0, 2: 1, 3: 3}).validate_spanning(g)  # wrong layer
     path4 = make_graph("path", 4)
-    with pytest.raises(BFSError):
-        BFSTree(root=1, parent={}, layer={1: 0, 2: 1, 3: 2, 4: 3}).validate(path4)  # no parents
+    with pytest.raises(ClusterError):
+        RootedTree(root=1, parent={}, layer={1: 0, 2: 1, 3: 2, 4: 3}).validate_spanning(path4)  # no parents
 
 
 def test_tree_json_roundtrip():
-    tree = BFSTree(root=7, parent={3: 7, 5: 3}, layer={7: 0, 3: 1, 5: 2})
-    back = bfs_tree_from_json(bfs_tree_to_json(tree))
+    tree = RootedTree(root=7, parent={3: 7, 5: 3}, layer={7: 0, 3: 1, 5: 2})
+    text = bfs_tree_to_json(tree)
+    assert text == '{"layers": {"3": 1, "5": 2, "7": 0}, "parent_map": {"3": 7, "5": 3}, "root": 7}'
+    back = bfs_tree_from_json(text)
     assert back.root == 7 and back.parent == tree.parent and back.layer == tree.layer
 
 
@@ -80,7 +82,7 @@ def test_star_from_center():
     res = bfs_construction(g, 1)
     assert res.tree.layer == {v: (0 if v == 1 else 1) for v in g.nodes}
     assert all(p == 1 for p in res.tree.parent.values())
-    assert res.tree.depth() == 1
+    assert res.tree.depth == 1
 
 
 def test_er512_exact_and_one_join():

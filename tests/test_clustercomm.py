@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kt1sim.bfscover import BFSTree
 from kt1sim.clustercomm import (
     ClusterError,
-    ClusterTree,
+    RootedTree,
     bfs_exploration,
     broadcast,
     compute_augmented_tree,
@@ -38,41 +37,50 @@ def _path_tree(g, members, root):
         cands = [u for u in g.adjacency[v] if u in members
                  and oracle_bfs(g, root).dist[u] == oracle_bfs(g, root).dist[v] - 1]
         parent[v] = min(cands)
-    return ClusterTree.from_parent_map(root, parent)
+    return RootedTree.from_parent_map(root, parent)
 
 
-# --- ClusterTree -----------------------------------------------------------
+# --- RootedTree ------------------------------------------------------------
 
 def test_from_parent_map_depths():
-    t = ClusterTree.from_parent_map(1, {2: 1, 3: 2, 4: 2})
+    t = RootedTree.from_parent_map(1, {2: 1, 3: 2, 4: 2})
     assert t.depth == 2
-    assert t.depths == {1: 0, 2: 1, 3: 2, 4: 2}
+    assert t.layer == {1: 0, 2: 1, 3: 2, 4: 2}
     assert t.members == frozenset({1, 2, 3, 4})
     assert t.children()[2] == [3, 4]
 
 
 def test_from_parent_map_rejects_cycle():
     with pytest.raises(ClusterError):
-        ClusterTree.from_parent_map(1, {2: 3, 3: 2})
+        RootedTree.from_parent_map(1, {2: 3, 3: 2})
 
 
 def test_from_parent_map_rejects_rooted_root():
     with pytest.raises(ClusterError):
-        ClusterTree.from_parent_map(1, {1: 2, 2: 1})
+        RootedTree.from_parent_map(1, {1: 2, 2: 1})
 
 
 def test_validate_needs_graph_edges():
     g = _graph("path", 4)
-    bad = ClusterTree.from_parent_map(1, {3: 1})
+    bad = RootedTree.from_parent_map(1, {3: 1})
     with pytest.raises(ClusterError):
         bad.validate(g)
+
+
+def test_cluster_tree_validates_but_does_not_span():
+    g = _graph("path", 4)
+    t = RootedTree.from_parent_map(1, {2: 1, 3: 2})
+    t.validate(g)
+    with pytest.raises(ClusterError, match="span"):
+        t.validate_spanning(g)
+    RootedTree.from_parent_map(1, {2: 1, 3: 2, 4: 3}).validate_spanning(g)
 
 
 # --- broadcast / convergecast ---------------------------------------------
 
 def test_broadcast_singleton():
     g = _graph("path", 1)
-    t = ClusterTree.from_parent_map(1, {})
+    t = RootedTree.from_parent_map(1, {})
     r = broadcast(g, t, "hello")
     assert r.rounds == 0 and r.metrics.messages_total == 0
     assert r.delivered == {1: "hello"}
@@ -80,7 +88,7 @@ def test_broadcast_singleton():
 
 def test_broadcast_path4_three_rounds_three_messages():
     g = _graph("path", 4)
-    t = ClusterTree.from_parent_map(1, {2: 1, 3: 2, 4: 3})
+    t = RootedTree.from_parent_map(1, {2: 1, 3: 2, 4: 3})
     r = broadcast(g, t, ("payload",))
     assert r.rounds == 3
     assert r.metrics.messages_total == 3
@@ -89,28 +97,28 @@ def test_broadcast_path4_three_rounds_three_messages():
 
 def test_broadcast_star5_one_round_four_messages():
     g = _graph("star", 5)
-    t = ClusterTree.from_parent_map(1, {v: 1 for v in (2, 3, 4, 5)})
+    t = RootedTree.from_parent_map(1, {v: 1 for v in (2, 3, 4, 5)})
     r = broadcast(g, t, 7)
     assert r.rounds == 1 and r.metrics.messages_total == 4
 
 
 def test_broadcast_messages_by_category():
     g = _graph("star", 5)
-    t = ClusterTree.from_parent_map(1, {v: 1 for v in (2, 3, 4, 5)})
+    t = RootedTree.from_parent_map(1, {v: 1 for v in (2, 3, 4, 5)})
     r = broadcast(g, t, 7)
     assert r.metrics.messages_by_category["cluster_tree"] == 4
 
 
 def test_convergecast_singleton():
     g = _graph("path", 1)
-    t = ClusterTree.from_parent_map(1, {})
+    t = RootedTree.from_parent_map(1, {})
     r = convergecast(g, t, {1: {1}}, lambda a, b: a | b)
     assert r.value == {1} and r.metrics.messages_total == 0
 
 
 def test_convergecast_path4_union():
     g = _graph("path", 4)
-    t = ClusterTree.from_parent_map(1, {2: 1, 3: 2, 4: 3})
+    t = RootedTree.from_parent_map(1, {2: 1, 3: 2, 4: 3})
     r = convergecast(g, t, {v: {v} for v in t.members}, lambda a, b: a | b)
     assert r.value == {1, 2, 3, 4}
     assert r.rounds == 3 and r.metrics.messages_total == 3
@@ -118,7 +126,7 @@ def test_convergecast_path4_union():
 
 def test_convergecast_balanced_binary_7():
     g = _graph("balanced_binary_tree", 7)
-    t = ClusterTree.from_parent_map(1, {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3})
+    t = RootedTree.from_parent_map(1, {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3})
     r = convergecast(g, t, {v: 1 for v in t.members}, lambda a, b: a + b)
     assert r.value == 7
     assert r.rounds == 2 and r.metrics.messages_total == 6
@@ -126,7 +134,7 @@ def test_convergecast_balanced_binary_7():
 
 def test_convergecast_missing_payload_raises():
     g = _graph("path", 3)
-    t = ClusterTree.from_parent_map(1, {2: 1, 3: 2})
+    t = RootedTree.from_parent_map(1, {2: 1, 3: 2})
     with pytest.raises(ClusterError):
         convergecast(g, t, {1: 1, 2: 2}, lambda a, b: a + b)
 
@@ -148,7 +156,7 @@ def test_tree_wave_costs_exact(n, seed, rootpick, h):
     dist = oracle_bfs(g, root).dist
     parent = {v: min(u for u in g.adjacency[v] if dist[u] == dist[v] - 1)
               for v in g.nodes if v != root}
-    tree = ClusterTree.from_parent_map(root, parent)
+    tree = RootedTree.from_parent_map(root, parent)
     depth = tree.depth
 
     r = broadcast(g, tree, "x")
@@ -158,11 +166,11 @@ def test_tree_wave_costs_exact(n, seed, rootpick, h):
     assert (r.metrics.messages_total, r.rounds) == (n - 1, depth)
     assert r.value == n
 
-    r = solve_global(g, BFSTree(root=root, parent=parent, layer=dist), "topology")
+    r = solve_global(g, tree, "topology")
     assert (r.metrics.messages_total, r.rounds) == (2 * (n - 1), 2 * depth)
     assert r.solution == tuple(sorted(g.edges()))
 
-    ball = ClusterTree.from_parent_map(
+    ball = RootedTree.from_parent_map(
         root, {v: p for v, p in parent.items() if dist[v] <= h})
     boundary = {v for v in g.nodes if dist[v] == h + 1}
     r = compute_augmented_tree(g, ball)
@@ -212,7 +220,7 @@ def test_oes_one_edge_per_boundary_node():
 
 def test_augment_singleton_in_triangle():
     g = _graph("complete", 3)
-    t = ClusterTree.from_parent_map(1, {})
+    t = RootedTree.from_parent_map(1, {})
     r = compute_augmented_tree(g, t)
     assert set(r.augmented.extension.edges) == {(1, 2), (1, 3)}
     assert sorted(r.boundary_notified) == [2, 3]
@@ -221,7 +229,7 @@ def test_augment_singleton_in_triangle():
 
 def test_augment_whole_graph_empty_extension():
     g = _graph("complete", 3)
-    t = ClusterTree.from_parent_map(1, {2: 1, 3: 1})
+    t = RootedTree.from_parent_map(1, {2: 1, 3: 1})
     r = compute_augmented_tree(g, t)
     assert r.augmented.extension.edges == ()
     assert r.boundary_notified == {}
@@ -230,7 +238,7 @@ def test_augment_whole_graph_empty_extension():
 
 def test_augment_pair_on_path4():
     g = _graph("path", 4)
-    t = ClusterTree.from_parent_map(1, {2: 1})
+    t = RootedTree.from_parent_map(1, {2: 1})
     r = compute_augmented_tree(g, t)
     assert r.augmented.extension.edges == ((2, 3),)
     assert list(r.boundary_notified) == [3]
@@ -268,7 +276,7 @@ def test_exploration_path5_h2():
     g = _graph("path", 5)
     r = bfs_exploration(g, 1, 2)
     assert r.tree.members == frozenset({1, 2, 3})
-    assert r.tree.depths == {1: 0, 2: 1, 3: 2}
+    assert r.tree.layer == {1: 0, 2: 1, 3: 2}
     assert r.metrics.messages_total == 4
     assert r.rounds == 10
     assert r.rounds <= 4 * 2 * 2
@@ -278,7 +286,7 @@ def test_exploration_k4_h1():
     g = _graph("complete", 4)
     r = bfs_exploration(g, 1, 1)
     assert r.tree.members == frozenset({1, 2, 3, 4})
-    assert all(r.tree.depths[v] == 1 for v in (2, 3, 4))
+    assert all(r.tree.layer[v] == 1 for v in (2, 3, 4))
     assert all(r.join_receipts[v] == 1 for v in (2, 3, 4))
     assert r.rounds <= 4
 
@@ -306,7 +314,7 @@ def test_exploration_matches_truncated_oracle(n, seed, h):
     dist = oracle_bfs(g, root).dist
     assert r.tree.members == oracle_ball(g, root, h)
     for v in r.tree.members:
-        assert r.tree.depths[v] == dist[v]
+        assert r.tree.layer[v] == dist[v]
     # one-join property and declared budgets
     assert all(c == 1 for c in r.join_receipts.values())
     c = len(r.tree.members)

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kt1sim.clustercomm import ClusterTree
+from kt1sim.clustercomm import RootedTree
 from kt1sim.covers import (
     Cover,
     CoverError,
@@ -42,16 +42,9 @@ def ball_tree(g, root, radius):
     """Min-id-parent BFS tree of the radius-ball around root (oracle-built)."""
     dist = oracle_bfs(g, root).dist
     members = {v for v, d in dist.items() if d <= radius}
-    parent = {root: root}
-    depths = {root: 0}
-    for v in sorted(members):
-        if v == root:
-            continue
-        parent[v] = min(u for u in g.neighbors(v) if u in members and dist[u] == dist[v] - 1)
-        depths[v] = dist[v]
-    depth = max(depths.values())
-    return ClusterTree(root=root, parent=parent, members=frozenset(members),
-                       depths=depths, depth=depth)
+    parent = {v: min(u for u in g.neighbors(v) if u in members and dist[u] == dist[v] - 1)
+              for v in sorted(members) if v != root}
+    return RootedTree.from_parent_map(root, parent)
 
 
 def manual_cover(g, trees, params):
@@ -221,11 +214,9 @@ def test_verify_flags_missing_node():
         if victim not in t.members:
             pruned.append(t)
             continue
-        members = t.members - {victim}
         parent = {v: p for v, p in t.parent.items() if v != victim}
-        depths = {v: d for v, d in t.depths.items() if v != victim}
-        pruned.append(ClusterTree(root=t.root, parent=parent, members=frozenset(members),
-                                  depths=depths, depth=max(depths.values())))
+        layer = {v: d for v, d in t.layer.items() if v != victim}
+        pruned.append(RootedTree(root=t.root, parent=parent, layer=layer))
     cov = manual_cover(g, pruned, params)
     rep = verify_cover(cov, g)
     assert not rep.neighborhood_ok
@@ -255,6 +246,14 @@ def test_cover_json_depth_mismatch_rejected():
     blob["clusters"][0]["depth"] = 99
     with pytest.raises(CoverError):
         cover_from_json(json.dumps(blob))
+
+
+@pytest.mark.parametrize("text", ["not json", '{"params": {"kappa": 1, "W": 1}}',
+                                  '{"params": {"kappa": 1, "W": 1},'
+                                  ' "clusters": [{"root": 1, "parent_map": {}}]}'])
+def test_cover_json_malformed_rejected(text):
+    with pytest.raises(CoverError):
+        cover_from_json(text)
 
 
 def test_report_to_json():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kt1sim import gossipspanner
+from kt1sim.clustercomm import ClusterError, RootedTree
 from kt1sim.gossipspanner import (
     SpannerError,
     deterministic_bfs,
@@ -304,7 +305,7 @@ def test_grid_mst_matches_networkx():
     assert sorted(canonical_edge(*e) for e in res.solution) == list(oracle_mst(g))
     n = g.n
     assert res.metrics.messages_total <= 2 * (n - 1)
-    assert res.rounds <= 2 * tree.depth()
+    assert res.rounds <= 2 * tree.depth
 
 
 def test_topology_dump():
@@ -324,6 +325,15 @@ def test_unknown_problem_rejected(monkeypatch):
     monkeypatch.setattr(gossipspanner, "run", lambda *a, **k: engine_runs.append(a))
     with pytest.raises(SpannerError):
         solve_global(g, tree, "chromatic")
+    assert engine_runs == []
+
+
+def test_non_spanning_tree_rejected(monkeypatch):
+    g = make_graph("path", 3)
+    engine_runs = []
+    monkeypatch.setattr(gossipspanner, "run", lambda *a, **k: engine_runs.append(a))
+    with pytest.raises(ClusterError):
+        solve_global(g, RootedTree.from_parent_map(1, {2: 1}))
     assert engine_runs == []
 
 

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from kt1sim.bfscover import bfs_tree_to_json
+from kt1sim.clustercomm import RootedTree, bfs_tree_to_json
 from kt1sim.harness import (
     ALGOS,
     ExperimentConfig,
@@ -236,9 +236,8 @@ def test_cli_verify_rejects_wrong_tree(tmp_path, capsys):
     gpath = tmp_path / "g.edges"
     cli.main(["gen", "--family", "path", "--n", "4", "--out", str(gpath)])
     capsys.readouterr()
-    from kt1sim.bfscover import BFSTree
-    bad = BFSTree(root=1, parent={2: 1, 3: 2, 4: 3},
-                  layer={1: 0, 2: 1, 3: 2, 4: 9})
+    bad = RootedTree(root=1, parent={2: 1, 3: 2, 4: 3},
+                     layer={1: 0, 2: 1, 3: 2, 4: 9})
     tpath = tmp_path / "tree.json"
     tpath.write_text(bfs_tree_to_json(bad))
     assert cli.main(["verify", "--graph", str(gpath),
@@ -246,7 +245,8 @@ def test_cli_verify_rejects_wrong_tree(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("text", ["not json", '{"root": 1, "parent_map": {}}'])
+@pytest.mark.parametrize("text", ["not json", '{"root": 1, "parent_map": {}}',
+                                  '{"root": [1], "parent_map": {}, "layers": {}}'])
 def test_cli_verify_malformed_tree_exit_2(tmp_path, capsys, text):
     gpath = tmp_path / "g.edges"
     cli.main(["gen", "--family", "path", "--n", "4", "--out", str(gpath)])
@@ -256,6 +256,19 @@ def test_cli_verify_malformed_tree_exit_2(tmp_path, capsys, text):
     assert cli.main(["verify", "--graph", str(gpath),
                      "--tree", str(tpath)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text, says", [("a b\n", "'a'"), ("2 1\n1 x\n", "'x'"),
+                                        ("3 2\n1 2\n2 3 4\n", "found 5")])
+def test_cli_verify_malformed_graph_exit_2(tmp_path, capsys, text, says):
+    gpath = tmp_path / "g.edges"
+    gpath.write_text(text)
+    tpath = tmp_path / "tree.json"
+    tpath.write_text(bfs_tree_to_json(RootedTree(root=1, parent={}, layer={1: 0})))
+    assert cli.main(["verify", "--graph", str(gpath),
+                     "--tree", str(tpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(gpath) in err and says in err
 
 
 @pytest.mark.parametrize("sizes", ["16,x", ","])
