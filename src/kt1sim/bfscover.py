@@ -23,9 +23,10 @@ cover tree): frontier nodes push one coalesced report/request wave up the
 relevant cover trees (offset H - depth keeps every hop a single merged
 message), roots answer requesters with a source-routed aggregate (their
 static member topology plus the live joined set), and each frontier node
-locally picks, for every unjoined neighbor w, the lexicographically first
-edge from a joined node to w — sending the one exploration message only if
-it owns that edge.  Every registrant's 2-ball is inside its home cluster
+locally picks, for every unjoined neighbor w, the edge from the joined
+neighbor of w of least id (equivalently, the lexicographically first edge
+from a joined node to w) — sending the one exploration message only if it
+owns that edge.  Every registrant's 2-ball is inside its home cluster
 and inside that cluster's report set, so all frontier nodes examining the
 same w see the same fresh candidate set and elect the same winner: each
 node joins the BFS through exactly one exploration message, at its true
@@ -97,18 +98,15 @@ class _HomeSetupProtocol(Protocol):
         self.kids = {t.root: t.children() for t in cover.clusters}
         # Each root's local computation: members whose whole 2-ball stays
         # inside the cluster (possible because the root knows every
-        # member's neighbor list from the cover construction).
+        # member's neighbor list from the cover construction).  A holds the
+        # members whose 1-ball is inside; a member's 2-ball is inside
+        # exactly when all its neighbors are in A.
         self.cov2: Dict[int, frozenset] = {}
         for tree in cover.clusters:
             know = cover.root_knowledge[tree.root]
             inside = tree.members
-            covered = []
-            for w in know:
-                nbrs = know[w]
-                if all(u in inside for u in nbrs) and \
-                   all(x in inside for u in nbrs for x in know[u]):
-                    covered.append(w)
-            self.cov2[tree.root] = frozenset(covered)
+            A = {w for w, nbrs in know.items() if inside.issuperset(nbrs)}
+            self.cov2[tree.root] = frozenset(w for w in A if A.issuperset(know[w]))
 
     def _tree(self, root: int):
         return self.cover.clusters[self.cover.root_index[root]]
@@ -194,12 +192,12 @@ class _HomeSetupProtocol(Protocol):
         """Root tells the union of registrants' 2-balls to report joins."""
         v = node.self_id
         know = self.cover.root_knowledge[v]
-        relevant: Set[int] = set()
+        ball1: Set[int] = set(node.state["registrants"])
         for r in node.state["registrants"]:
-            relevant.add(r)
-            for u in know[r]:
-                relevant.add(u)
-                relevant.update(know[u])
+            ball1.update(know[r])
+        relevant = set(ball1)
+        for u in ball1:
+            relevant.update(know[u])
         if v in relevant:
             node.output["report_to"].append(v)
         targets = [(w,) for w in sorted(relevant) if w != v]
@@ -394,8 +392,11 @@ class _BFSPhaseProtocol(Protocol):
     # Frontier-side -------------------------------------------------------
     def _consume_aggregate(self, node: NodeContext, rnd: int, agg) -> None:
         """Decide which unjoined neighbors this node must explore: it owns
-        neighbor w exactly when (v,w) is the lexicographically first edge
-        from a joined node to w.  All frontier neighbors of w see the same
+        neighbor w exactly when v is the joined neighbor of w of least id
+        (equivalently, (v,w) is the lexicographically first edge from a
+        joined node to w: for fixed w the pair (min(x,w), max(x,w)) grows
+        with x).  topo[w] is w's sorted neighbor list, so the owner is its
+        first joined entry.  All frontier neighbors of w see the same
         candidate set, so the winner is unique."""
         topo, joined = agg
         v = node.self_id
@@ -408,13 +409,7 @@ class _BFSPhaseProtocol(Protocol):
                 raise BFSError(
                     f"home cluster of {v} lacks neighbor {w}: 2-ball not covered"
                 )
-            best = None
-            for x in topo[w]:
-                if x in joined:
-                    key = (x, w) if x < w else (w, x)
-                    if best is None or key < best[0]:
-                        best = (key, x)
-            if best is not None and best[1] == v:
+            if next((x for x in topo[w] if x in joined), None) == v:
                 targets.append(w)
         if targets:
             # Fixed send slot at the end of stage 2, uniform across all

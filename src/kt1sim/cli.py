@@ -28,9 +28,16 @@ from .netgraph import (
 )
 
 
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise HarnessError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = ExperimentConfig.from_json(fh.read())
+    cfg = ExperimentConfig.from_json(_read_text(args.config))
     record = run_experiment(cfg)
     for t in record.trials:
         verdict = "pass" if t.ok else f"FAIL ({t.diagnostics})"
@@ -51,8 +58,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = read_edge_list(args.graph)
-    with open(args.tree, "r", encoding="utf-8") as fh:
-        tree = bfs_tree_from_json(fh.read())
+    tree = bfs_tree_from_json(_read_text(args.tree))
     try:
         tree.validate_spanning(g)
     except ClusterError as exc:

@@ -10,8 +10,10 @@ primitives here are the workhorses of every protocol in the package:
   rounds per direction.  broadcast (down only), convergecast (up only), the
   augmented-tree protocol, and gossipspanner's spanner BFS and global solves
   are small subclasses of it;
-* minimal outgoing edge sets: one edge per outer-boundary node, optionally
-  the lexicographically least such edge;
+* minimal outgoing edge sets: one edge per outer-boundary node, from its
+  inside neighbor of least id (equivalently, the lexicographically first
+  such edge: for a fixed outside node w the pair (min(u,w), max(u,w)) grows
+  with u);
 * augmented cluster trees: one tree wave that picks one edge to every
   boundary node, plus one notification to each boundary endpoint;
 * depth-bounded BFS exploration growing a cluster one layer per window.
@@ -171,29 +173,17 @@ class AugmentedClusterTree:
 def minimal_outgoing_edge_set(
     members: Iterable[int],
     nbr_of: Mapping[int, Iterable[int]],
-    lexicographic: bool = True,
 ) -> OutgoingEdgeSet:
-    """Pick exactly one incident edge for every node just outside members.
-
-    With lexicographic=True the edge to boundary node w minimizes the pair
-    (min(u,w), max(u,w)) in standard pair order; otherwise the inside
-    endpoint of least id is used (any minimal set is valid, this one is
-    simply deterministic).
-    """
+    """Pick exactly one incident edge for every node just outside members:
+    the edge to boundary node w comes from w's inside neighbor of least id,
+    which is also the lexicographically first pair (min(u,w), max(u,w))."""
     mem = set(members)
-    best: Dict[int, Tuple[Tuple[int, int], int]] = {}
+    best: Dict[int, int] = {}
     for u in mem:
         for w in nbr_of[u]:
-            if w in mem:
-                continue
-            key = (u, w) if u < w else (w, u)
-            if not lexicographic:
-                key = (u, u)
-            cur = best.get(w)
-            if cur is None or key < cur[0]:
-                best[w] = (key, u)
-    edges = tuple(sorted((u, w) for w, (_, u) in best.items()))
-    return OutgoingEdgeSet(edges=edges)
+            if w not in mem and (w not in best or u < best[w]):
+                best[w] = u
+    return OutgoingEdgeSet(edges=tuple(sorted((u, w) for w, u in best.items())))
 
 
 def _op_rounds(metrics: RunMetrics) -> int:
@@ -390,13 +380,9 @@ def convergecast(g: Graph, tree: RootedTree, payloads: Mapping[int, Any], combin
 class _AugmentProtocol(TreeWaveProtocol):
     name = "augment"
 
-    def __init__(self, tree: RootedTree, lexicographic: bool = True):
-        super().__init__(tree.root, tree.parent)
-        self.lexicographic = lexicographic
-
     def solve(self, node: NodeContext, value: Any) -> Tuple[Edge, ...]:
         members = self.children.keys()
-        return minimal_outgoing_edge_set(members, dict(value), self.lexicographic).edges
+        return minimal_outgoing_edge_set(members, dict(value)).edges
 
     def deliver(self, node: NodeContext, edges: Tuple[Edge, ...]) -> List:
         v = node.self_id
@@ -420,11 +406,11 @@ class AugmentResult:
     metrics: RunMetrics
 
 
-def compute_augmented_tree(g: Graph, tree: RootedTree, lexicographic: bool = True) -> AugmentResult:
+def compute_augmented_tree(g: Graph, tree: RootedTree) -> AugmentResult:
     """Build the augmented tree in 2*depth+1 rounds with 2(|C|-1)+|B|
     messages; every boundary node hears about exactly one extension edge."""
     tree.validate(g)
-    res = run(g, _AugmentProtocol(tree, lexicographic), ModeConfig(allow_quiescence=True))
+    res = run(g, _AugmentProtocol(tree.root, tree.parent), ModeConfig(allow_quiescence=True))
     # Reconstruct the chosen extension from member outputs.
     edges: List[Edge] = []
     for v in tree.members:
@@ -450,7 +436,9 @@ def compute_augmented_tree(g: Graph, tree: RootedTree, lexicographic: bool = Tru
 class ClusterState:
     """Root-side ledger of one growing cluster.  The root learns every
     member's neighbor list through the upward reports, so it can compute
-    outgoing edge sets and source routes without further queries."""
+    outgoing edge sets and source routes without further queries.  best
+    maps each outside neighbor w to its inside neighbor of least id, the
+    endpoint of the lexicographically first edge to w."""
 
     __slots__ = (
         "root", "h", "members", "parent", "depth", "best",
@@ -463,7 +451,7 @@ class ClusterState:
         self.members: Dict[int, Optional[Tuple[int, ...]]] = {root: nbrs}
         self.parent: Dict[int, int] = {}
         self.depth: Dict[int, int] = {root: 0}
-        self.best: Dict[int, Tuple[Tuple[int, int], int]] = {}
+        self.best: Dict[int, int] = {}
         self.done = False
         self.join_extra = join_extra
         self.last_layer = 0
@@ -473,12 +461,8 @@ class ClusterState:
         members = self.members
         best = self.best
         for w in nbrs:
-            if w in members:
-                continue
-            key = (u, w) if u < w else (w, u)
-            cur = best.get(w)
-            if cur is None or key < cur[0]:
-                best[w] = (key, u)
+            if w not in members and (w not in best or u < best[w]):
+                best[w] = u
 
     def absorb_reports(self, items: Iterable[Tuple[int, Tuple[int, ...]]]) -> None:
         for vid, nbrs in items:
@@ -489,7 +473,7 @@ class ClusterState:
     def assignments(self) -> Dict[int, List[int]]:
         """Minimal outgoing edge set, grouped by inside endpoint."""
         out: Dict[int, List[int]] = {}
-        for w, (_, u) in self.best.items():
+        for w, u in self.best.items():
             out.setdefault(u, []).append(w)
         for ws in out.values():
             ws.sort()
@@ -518,7 +502,9 @@ class ExplorationProtocol(Protocol):
     exploration message over each assigned edge, all in the same round.
     Every reached node therefore receives exactly one exploration message
     per cluster, and ties between simultaneous candidate edges are settled
-    at the root by the lexicographic (min, max) pair rule.
+    at the root by the least-id rule: w is explored from its inside neighbor
+    of least id (equivalently, over the lexicographically first (min, max)
+    pair).
 
     Subclasses decide who activates a cluster and when (see the cover
     builder); this base class starts a single root in round 1.

@@ -59,6 +59,8 @@ class Graph:
         n = len(adj)
         id_cap = n * n * n
         edge_count = 0
+        # Neighbor sets, built on first lookup, keep the symmetry check O(m).
+        nbr_sets: Dict[int, frozenset] = {}
         for v, nbrs in adj.items():
             if not isinstance(v, int) or v < 1 or v > id_cap:
                 raise GraphError(f"node id {v!r} outside [1, n^3] for n={n}")
@@ -69,7 +71,10 @@ class Graph:
                     raise GraphError(f"self loop at {v}")
                 if u not in adj:
                     raise GraphError(f"edge ({v},{u}) points outside the node set")
-                if v not in adj[u]:
+                back = nbr_sets.get(u)
+                if back is None:
+                    back = nbr_sets[u] = frozenset(adj[u])
+                if v not in back:
                     raise GraphError(f"asymmetric edge ({v},{u})")
             edge_count += len(nbrs)
         object.__setattr__(self, "n", n)
@@ -393,7 +398,10 @@ def write_edge_list(g: Graph, path: str) -> None:
 
 def read_edge_list(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
+        try:
+            tokens = fh.read().split()
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"{path}: not UTF-8 text: {exc}") from exc
     if len(tokens) < 2:
         raise GraphError(f"{path}: missing 'n m' header")
     try:

@@ -6,8 +6,9 @@ sends.  A message sent in round t is therefore readable at the start of round
 t+1, never earlier.  Message size is unbounded; complexity is measured in
 message COUNT (by category) and in rounds.
 
-Nodes are stepped in ascending id order and inboxes are sorted by sender id,
-so a run is a pure function of (graph, protocol, config).  Timers are the
+Nodes are stepped in ascending id order, so every inbox lists its mail in
+ascending sender order (one sender's messages in send order) and a run is a
+pure function of (graph, protocol, config).  Timers are the
 engine's too: node.schedule(r, action) hands the action back in node.due when
 the node is stepped in round r.  Rounds in which no node has mail and no node
 has a timer are skipped in O(1) while still counting toward the round total:
@@ -249,8 +250,9 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
     trace: Optional[List[Envelope]] = [] if config.record_trace else None
     hasher = hashlib.blake2b(digest_size=16) if config.trace_digest else None
 
-    # In-flight mail sent last processed round: (src, dst, payload, cat).
-    pending: List[Tuple[int, int, Any, int]] = []
+    # In-flight mail sent last processed round, per addressee: (src,
+    # payload) in ascending sender order, since senders step in id order.
+    pending: Dict[int, List[Tuple[int, Any]]] = {}
 
     rnd = 0
     last_active = 0
@@ -278,10 +280,8 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
         rnd = clock.now = next_rnd
 
         # Deliver.
-        inboxes: Dict[int, List[Tuple[int, Any]]] = {}
-        for src, dst, payload, cat in pending:
-            inboxes.setdefault(dst, []).append((src, payload))
-        pending = []
+        inboxes = pending
+        pending = {}
 
         # Collect due timers.
         due: Dict[int, List[Any]] = {}
@@ -303,8 +303,6 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
         for v in sorted(active):
             node = nodes[v]
             mail = inboxes.get(v)
-            if mail is not None and len(mail) > 1:
-                mail.sort(key=_sender_key)
             node.inbox = mail if mail is not None else []
             acts = due.get(v)
             node.due = acts if acts is not None else []
@@ -317,7 +315,11 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
                             f"round {rnd}: node {v} sent to non-neighbor {dst}"
                         )
                     counts[cat] += 1
-                    pending.append((v, dst, payload, cat))
+                    box = pending.get(dst)
+                    if box is None:
+                        pending[dst] = [(v, payload)]
+                    else:
+                        box.append((v, payload))
                     if gossip_mode and cat == CAT_GOSSIP and isinstance(payload, tuple) \
                             and payload and payload[0] == GOSSIP_ACT:
                         gossip_acts.setdefault(v, []).append((v, dst))
@@ -348,10 +350,6 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
         digest=hasher.hexdigest() if hasher is not None else None,
         contexts=nodes,
     )
-
-
-def _sender_key(item: Tuple[int, Any]) -> int:
-    return item[0]
 
 
 @dataclass

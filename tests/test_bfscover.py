@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from kt1sim.bfscover import (
     BFSError,
+    _HomeSetupProtocol,
     bfs_construction,
     bfs_tree_from_json,
     bfs_tree_to_json,
@@ -16,7 +17,9 @@ from kt1sim.bfscover import (
     randomized_leader_election,
 )
 from kt1sim.clustercomm import ClusterError, RootedTree
-from kt1sim.netgraph import Graph, GraphGenSpec, generate_graph, oracle_bfs
+from kt1sim.covers import CoverParams, cover_construction
+from kt1sim.netgraph import (Graph, GraphGenSpec, er_connectivity_safe_p, generate_graph,
+                             oracle_ball, oracle_bfs)
 
 
 def make_graph(family, n, seed=0, p=None, id_scheme="sequential"):
@@ -139,6 +142,20 @@ def test_exactness_property(seed, rootpick):
     root = nodes[rootpick % len(nodes)]
     res = bfs_construction(g, root, seed=seed)
     assert_exact(g, res, root)
+
+
+@settings(max_examples=15, deadline=None)
+@given(family=st.sampled_from(["erdos_renyi", "grid", "complete"]),
+       n=st.integers(2, 40), seed=st.integers(0, 10**6))
+def test_home_setup_cov2_matches_oracle_balls(family, n, seed):
+    p = er_connectivity_safe_p(n) if family == "erdos_renyi" else None
+    g = make_graph(family, n, seed=seed % 50, p=p, id_scheme="random_permutation")
+    cover = cover_construction(g, CoverParams(kappa=2, W=2, seed=seed))
+    H = max(t.depth for t in cover.clusters)
+    cov2 = _HomeSetupProtocol(cover, H).cov2
+    for tree in cover.clusters:
+        want = {w for w in tree.members if oracle_ball(g, w, 2) <= tree.members}
+        assert cov2[tree.root] == want
 
 
 # ---------------------------------------------------------------------------

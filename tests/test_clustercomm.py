@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from kt1sim.clustercomm import (
     ClusterError,
+    ClusterState,
     RootedTree,
     bfs_exploration,
     broadcast,
@@ -201,8 +202,49 @@ def test_oes_pair_on_path():
 def test_oes_lexicographic_pick():
     # boundary node 9 reachable from members 2 and 5: (2,9) < (5,9).
     nbr = {2: (5, 9), 5: (2, 9), 9: (2, 5)}
-    oes = minimal_outgoing_edge_set(frozenset({2, 5}), nbr, lexicographic=True)
+    oes = minimal_outgoing_edge_set(frozenset({2, 5}), nbr)
     assert oes.edges == ((2, 9),)
+
+
+def _lexicographic_choice(members, nbr_of):
+    """The inside endpoint of the lexicographically first (min, max) edge
+    to every outside neighbor of members."""
+    best = {}
+    for u in members:
+        for w in nbr_of[u]:
+            if w in members:
+                continue
+            key = (min(u, w), max(u, w))
+            if w not in best or key < best[w][0]:
+                best[w] = (key, u)
+    return {w: u for w, (_, u) in best.items()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=2, max_value=40),
+       seed=st.integers(min_value=0, max_value=10_000),
+       data=st.data())
+def test_least_id_edge_is_lexicographically_first(n, seed, data):
+    g = _graph("erdos_renyi", n, p=er_connectivity_safe_p(n), seed=seed,
+               id_scheme="random_permutation")
+    nodes = list(g.nodes)
+    members = frozenset(data.draw(st.sets(st.sampled_from(nodes), min_size=1)))
+    oes = minimal_outgoing_edge_set(members, g.adjacency)
+    want = _lexicographic_choice(members, g.adjacency)
+    assert sorted(oes.edges) == sorted((u, w) for w, u in want.items())
+
+    # The exploration ledger, grown layer by layer from a root.
+    root = data.draw(st.sampled_from(nodes))
+    cs = ClusterState(root, g.adjacency[root], h=n)
+    j = 1
+    while cs.best:
+        assign = cs.assignments()
+        want = _lexicographic_choice(cs.members, g.adjacency)
+        assert {w: u for u, ws in assign.items() for w in ws} == want
+        cs.register_joins(assign, j)
+        cs.absorb_reports([(w, g.adjacency[w]) for ws in assign.values() for w in ws])
+        j += 1
+    assert cs.members.keys() == set(g.nodes)
 
 
 def test_oes_one_edge_per_boundary_node():

@@ -271,6 +271,25 @@ def test_cli_verify_malformed_graph_exit_2(tmp_path, capsys, text, says):
     assert err.startswith("error: ") and str(gpath) in err and says in err
 
 
+@pytest.mark.parametrize("which", ["graph", "tree", "config"])
+def test_cli_non_utf8_input_exit_2(tmp_path, capsys, which):
+    gpath = tmp_path / "g.edges"
+    cli.main(["gen", "--family", "path", "--n", "4", "--out", str(gpath)])
+    tpath = tmp_path / "tree.json"
+    tpath.write_text(bfs_tree_to_json(RootedTree(root=1, parent={}, layer={1: 0})))
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00")
+    capsys.readouterr()
+    if which == "config":
+        argv = ["run", "--config", str(bad)]
+    else:
+        paths = {"graph": str(gpath), "tree": str(tpath), which: str(bad)}
+        argv = ["verify", "--graph", paths["graph"], "--tree", paths["tree"]]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and "UTF-8" in err
+
+
 @pytest.mark.parametrize("sizes", ["16,x", ","])
 def test_cli_scale_bad_sizes_usage_error(capsys, sizes):
     with pytest.raises(SystemExit) as exc:

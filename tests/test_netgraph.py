@@ -74,8 +74,20 @@ def test_bad_specs_rejected():
 
 
 def test_graph_rejects_asymmetric_adjacency():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^asymmetric edge \(1,2\)$"):
         Graph(adjacency={1: (2,), 2: ()})
+
+
+@pytest.mark.parametrize("adj, says", [
+    ({1: (2, 3), 2: (1,), 3: ()}, "asymmetric edge (1,3)"),
+    ({2: (1, 3), 1: (2,), 3: (1,)}, "asymmetric edge (2,3)"),
+    ({1: (2, 3), 2: (1,), 3: (1, 3)}, "self loop at 3"),
+    ({1: (2, 9), 2: (1,), 3: ()}, "edge (1,9) points outside the node set"),
+])
+def test_graph_reports_first_adjacency_defect(adj, says):
+    with pytest.raises(GraphError) as exc:
+        Graph(adjacency=adj)
+    assert str(exc.value) == says
 
 
 def test_oracle_bfs_path():
