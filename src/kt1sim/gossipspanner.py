@@ -10,19 +10,28 @@ lowest-id missing neighbor as l_i of its ordered list E_v, then the slots
 sweep the accumulated links in the fixed pattern l_i..l_1, l_1..l_i, then
 both again — so the opening reverse sweep performs the new link's first
 exchange — with slot positions aligned globally so both endpoints agree
-on the timetable.  An activation
-is a two-round handshake (activate, respond) carrying only the portion of
-the sender's append-ordered rumor list the other side has not seen yet
-(per-link watermarks), so a rumor crosses a link at most once per
-direction; a response reflects only knowledge from strictly earlier
-rounds, so a rumor advances at most one link per slot.  Every node runs
-every iteration's full sweep schedule — the
-in-iteration pipelining of rumors along link chains is what keeps
-spanner-path lengths within one iteration's slot budget — and the
+on the timetable.  An activation is a two-round handshake (activate,
+respond) carrying only the rumors the sender has not yet sent over that
+link, so a rumor crosses a link at most once per direction; a response
+reflects only knowledge from strictly earlier rounds, so a rumor advances
+at most one link per slot.  Every node runs every iteration's full sweep
+schedule — the in-iteration pipelining of rumors along link chains is what
+keeps spanner-path lengths within one iteration's slot budget — and the
 simulator stops scheduling iterations at the first boundary where no node
 anywhere is still missing a rumor.  A hard iteration cap of
 4*ceil(log2 n)+4 turns a non-terminating run into a flagged failure
 instead of a hang.
+
+A node's rumor set is one int bitset K_v, and R_v is its neighbor mask
+minus K_v.  Each link keeps a watermark, the mask last sent over it; a
+message carries the delta K_v & ~watermark and is absorbed with one OR.
+Two simulator-side representations stand behind the bitsets, neither of
+them node knowledge: the id -> bit table shared by all nodes of a run
+(bit i is the i-th smallest id, so the lowest set bit of R_v is its
+lowest-id missing neighbor), and the id -> rumor lookup that turns a set
+of origins back into rumors.  A rumor's content is a pure function of its
+origin id, so a payload names origins only; message counts and rounds are
+what they would be if the contents travelled along.
 
 The spanner H is the union of all activated links.  Known-rumor flow
 implies every graph edge's endpoints are connected inside H, so H spans
@@ -109,51 +118,34 @@ class _GossipProtocol(Protocol):
         # after the last possible delivery of the previous iteration, so
         # every node sees the same value.)
         self.pending = 0
+        # Simulator-side tables, filled by setup in ascending id order:
+        # id -> bit index, and bit index -> rumor (origin, neighbor list).
+        self.bit: Dict[int, int] = {}
+        self.rumors: List[Tuple[int, Tuple[int, ...]]] = []
 
     def setup(self, node: NodeContext) -> None:
-        st = node.state
         v = node.self_id
-        st["known"] = [(v, node.neighbor_ids)]
-        st["seen"] = {v}
-        st["R"] = set(node.neighbor_ids)
+        if self.rumors and v <= self.rumors[-1][0]:
+            raise SpannerError(f"gossip setup of node {v} after node "
+                               f"{self.rumors[-1][0]}: ids must ascend")
+        st = node.state
+        self.bit[v] = len(self.rumors)
+        st["K"] = 1 << len(self.rumors)
+        self.rumors.append((v, node.neighbor_ids))
+        st["R"] = None  # the neighbor mask needs every bit: built in step
         st["E"] = []
         st["wm"] = {}
         st["incident"] = set()
         st["last_act"] = None
+        st["last_rwork"] = 0
         node.schedule(1, ("iter", 1))
-        if st["R"]:
+        if node.neighbor_ids:
             self.pending += 1
-        node.output = {"e": (), "incident": (), "R": (), "known": st["known"],
-                       "last_iter": 0, "last_rwork": 0}
 
-    def _delta(self, node: NodeContext, partner: int,
-               upto: Optional[int] = None) -> Tuple:
-        """Unsent slice of the append-ordered rumor list for one link.
-
-        Responses pass `upto` = the list length at the start of the round:
-        a rumor then advances at most one link per activation slot, which
-        is what the final-iteration path-length argument needs."""
-        st = node.state
-        known = st["known"]
-        end = len(known) if upto is None else upto
-        sent = st["wm"].get(partner, 0)
-        if sent >= end:
-            return ()
-        st["wm"][partner] = end
-        return tuple(known[sent:end])
-
-    def _absorb(self, node: NodeContext, src: int, delta: Tuple) -> None:
-        st = node.state
-        seen = st["seen"]
-        had_work = bool(st["R"])
-        for rumor in delta:
-            if rumor[0] not in seen:
-                seen.add(rumor[0])
-                st["known"].append(rumor)
-                st["R"].discard(rumor[0])
-        st["incident"].add(src)
-        if had_work and not st["R"]:
-            self.pending -= 1
+    def rumors_of(self, mask: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+        """The rumors of a bitset, in ascending origin order."""
+        rumors = self.rumors
+        return tuple(rumors[i] for i, b in enumerate(bin(mask)[:1:-1]) if b == "1")
 
     def _sweep_plan(self, i: int, nlinks: int) -> List[Tuple[int, int]]:
         """(slot, link index) pairs for the 4i sweep slots of iteration i."""
@@ -167,56 +159,67 @@ class _GossipProtocol(Protocol):
 
     def step(self, node: NodeContext, rnd: int):
         st = node.state
+        R = st["R"]
+        if R is None:
+            R = 0
+            for w in node.neighbor_ids:
+                R |= 1 << self.bit[w]
+        pre = K = st["K"]
+        incident = st["incident"]
         sends: List = []
         acts_in = []
 
-        pre_round = len(st["known"])
-        for src, payload in node.inbox:
-            kind, delta = payload
-            self._absorb(node, src, delta)
+        for src, (kind, delta) in node.inbox:
+            K |= delta
+            incident.add(src)
             if kind == GOSSIP_ACT:
                 acts_in.append(src)
             elif kind != GOSSIP_RSP:
                 raise SpannerError(f"unknown gossip payload kind {kind!r}")
+        if K != pre:
+            st["K"] = K
+            if R:
+                R &= ~K
+                if not R:
+                    self.pending -= 1
+        st["R"] = R
         # Responses reflect only what was known before this round's mail.
         # A mutual same-slot activation needs no reply.
+        wm = st["wm"]
         last = st["last_act"]
         for src in acts_in:
             if last is not None and last == (src, rnd - 1):
                 continue
-            sends.append((src, (GOSSIP_RSP, self._delta(node, src, pre_round)),
-                          CAT_GOSSIP))
+            sends.append((src, (GOSSIP_RSP, pre & ~wm.get(src, 0)), CAT_GOSSIP))
+            wm[src] = pre
 
         for action in node.due:
             if action[0] == "iter":
                 _, i = action
                 if i > self.cap or self.pending == 0:
                     continue
-                node.output["last_iter"] = i
-                if st["R"]:
+                E = st["E"]
+                if R:
                     # The appended link is first exchanged by the opening
                     # reverse sweep below, not by a separate activation.
-                    node.output["last_rwork"] = i
-                    target = min(st["R"])
-                    st["E"].append(target)
-                    st["incident"].add(target)
+                    st["last_rwork"] = i
+                    target = self.rumors[(R & -R).bit_length() - 1][0]
+                    E.append(target)
+                    incident.add(target)
                 # Slot 1 is this round: that sweep joins node.due and runs
                 # right after this action.
-                for slot, idx in self._sweep_plan(i, len(st["E"])):
-                    node.schedule(rnd + 2 * (slot - 1), ("sweep", st["E"][idx - 1]))
+                for slot, idx in self._sweep_plan(i, len(E)):
+                    node.schedule(rnd + 2 * (slot - 1), ("sweep", E[idx - 1]))
                 if i + 1 <= self.cap:
                     node.schedule(self.starts[i + 1], ("iter", i + 1))
             elif action[0] == "sweep":
                 _, partner = action
                 st["last_act"] = (partner, rnd)
-                sends.append((partner, (GOSSIP_ACT, self._delta(node, partner)),
+                sends.append((partner, (GOSSIP_ACT, K & ~wm.get(partner, 0)),
                               CAT_GOSSIP))
+                wm[partner] = K
             else:
                 raise SpannerError(f"unknown scheduled action {action!r}")
-
-        node.output["e"] = tuple(st["E"])
-        node.output["incident"] = tuple(sorted(st["incident"]))
-        node.output["R"] = tuple(sorted(st["R"]))
         return sends, False
 
 
@@ -228,6 +231,7 @@ class GossipResult:
     cap_violated: bool
     activated: Dict[int, Tuple[int, ...]]   # v -> partners in activation order
     incident: Dict[int, Tuple[int, ...]]    # v -> all H-partners v observed
+    # v -> the rumors (origin, neighbors) v holds, in ascending origin order
     known: Dict[int, Tuple[Tuple[int, Tuple[int, ...]], ...]]
     metrics: RunMetrics
     rounds: int
@@ -244,15 +248,20 @@ def gossip_local_broadcast(g: Graph, record_trace: bool = False) -> GossipResult
     activated = {}
     incident = {}
     known = {}
+    decoded: Dict[int, Tuple] = {}  # a complete run leaves one mask
     iterations = 0
     complete = True
     for v in g.nodes:
-        out = res.outputs[v]
-        activated[v] = out["e"]
-        incident[v] = out["incident"]
-        known[v] = tuple(out["known"])
-        iterations = max(iterations, out["last_rwork"])
-        complete = complete and not out["R"]
+        st = res.contexts[v].state
+        activated[v] = tuple(st["E"])
+        incident[v] = tuple(sorted(st["incident"]))
+        mask = st["K"]
+        rumors = decoded.get(mask)
+        if rumors is None:
+            rumors = decoded[mask] = proto.rumors_of(mask)
+        known[v] = rumors
+        iterations = max(iterations, st["last_rwork"])
+        complete = complete and not st["R"]
     return GossipResult(iterations=iterations, complete=complete, cap=proto.cap,
                         cap_violated=not complete, activated=activated,
                         incident=incident, known=known, metrics=res.metrics,
@@ -608,8 +617,8 @@ class _ElectProtocol(Protocol):
 
 @dataclass
 class DetElectionResult:
-    leader: int
-    unanimous: bool
+    leader: Optional[int]   # the id every node decided; None if they differ
+    unanimous: bool         # every node decided the maximum id
     leader_at: Dict[int, int]
     spanner: Spanner
     gossip: Optional[GossipResult]
@@ -630,10 +639,10 @@ def deterministic_leader_election(g: Graph,
         if out is None:
             raise SpannerError(f"node {v} finished without a leader")
         leader_at[v] = out["leader"]
-    true_max = max(g.nodes)
-    unanimous = all(l == true_max for l in leader_at.values())
+    decided = set(leader_at.values())
+    leader = decided.pop() if len(decided) == 1 else None
     metrics = res.metrics if gossip is None else gossip.metrics.merged_with(res.metrics)
-    return DetElectionResult(leader=true_max, unanimous=unanimous,
+    return DetElectionResult(leader=leader, unanimous=leader == max(g.nodes),
                              leader_at=leader_at, spanner=spanner, gossip=gossip,
                              metrics=metrics, rounds=metrics.rounds)
 

@@ -212,7 +212,11 @@ class RunResult:
 
 def _canon(obj: Any) -> bytes:
     """Canonical byte form for trace digests; container order is forced so
-    equal payloads hash equally regardless of construction order."""
+    equal payloads hash equally regardless of construction order.  Ints
+    wider than 63 bits (gossip rumor bitsets) are written in hex: decimal
+    conversion is quadratic and refused past 4300 digits."""
+    if isinstance(obj, int) and obj.bit_length() > 63:
+        return b"x" + format(obj, "x").encode()
     if obj is None or isinstance(obj, (bool, int, str)):
         return repr(obj).encode()
     if isinstance(obj, (tuple, list)):

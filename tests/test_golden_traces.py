@@ -9,7 +9,11 @@ message, in the same order and in the same round.
 
 Regenerate the recording, after a deliberate change of behaviour only, with
 
-    PYTHONPATH=src python tests/test_golden_traces.py > tests/golden_traces.json
+    PYTHONPATH=src python tests/test_golden_traces.py > tests/golden_traces.json.new
+    mv tests/golden_traces.json.new tests/golden_traces.json
+
+The re-recording prints to stderr each entry that differs from the
+committed recording, and whether only its digests moved.
 """
 
 from __future__ import annotations
@@ -100,8 +104,42 @@ def test_every_engine_run_matches_golden_trace(monkeypatch):
         assert got[key] == want[key], key
 
 
+def moved_entries(old: Dict[str, List[List]], new: Dict[str, List[List]]) -> List[str]:
+    """One line per key whose runs differ, saying whether only digests moved."""
+    lines = []
+    for key in sorted(set(old) | set(new)):
+        if key not in old or key not in new:
+            lines.append(f"{key}: {'added' if key in new else 'removed'}")
+        elif old[key] != new[key]:
+            pairs = list(zip(old[key], new[key]))
+            if len(old[key]) == len(new[key]) and all(
+                    a[:1] + a[2:] == b[:1] + b[2:] for a, b in pairs):
+                moved = sorted({a[0] for a, b in pairs if a != b})
+                lines.append(f"{key}: only digests moved ({', '.join(moved)})")
+            else:
+                lines.append(f"{key}: runs changed")
+    return lines
+
+
+def test_moved_entries_names_each_changed_key():
+    old = {"a": [["p", "d1", 3, 4]], "b": [["p", "d1", 3, 4], ["q", "d2", 1, 1]],
+           "c": [["p", "d1", 3, 4]], "gone": []}
+    new = {"a": [["p", "d1", 3, 4]], "b": [["p", "d1", 3, 4], ["q", "d9", 1, 1]],
+           "c": [["p", "d1", 3, 5]], "fresh": []}
+    assert moved_entries(old, new) == [
+        "b: only digests moved (q)", "c: runs changed",
+        "fresh: added", "gone: removed"]
+
+
 if __name__ == "__main__":
     golden = collect(setattr)
+    text = GOLDEN.read_text() if GOLDEN.is_file() else ""
+    if text.strip():
+        for line in moved_entries(json.loads(text), golden):
+            print(line, file=sys.stderr)
+    else:
+        print(f"{GOLDEN.name} is missing or empty; nothing to compare",
+              file=sys.stderr)
     print("{\n" + ",\n".join(
         f" {json.dumps(key)}: [\n" + ",\n".join(f"  {json.dumps(r)}" for r in runs) + "\n ]"
         for key, runs in golden.items()) + "\n}")

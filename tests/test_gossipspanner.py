@@ -277,6 +277,23 @@ def test_election_grid_unanimous():
     assert res.unanimous and res.leader == max(g.nodes)
 
 
+def test_election_reports_what_the_nodes_decided(monkeypatch):
+    g = make_graph("path", 5)
+    sp = build_spanner(g)
+    real_run = gossipspanner.run
+
+    def one_node_picks_3(graph, proto, cfg=None):
+        res = real_run(graph, proto, cfg)
+        res.outputs[1] = {"leader": 3}
+        return res
+
+    monkeypatch.setattr(gossipspanner, "run", one_node_picks_3)
+    res = deterministic_leader_election(g, spanner=sp)
+    assert res.leader_at[1] == 3 and res.leader_at[2] == 5
+    assert res.leader is None
+    assert not res.unanimous
+
+
 # ---------------------------------------------------------------------------
 # global solve over a BFS tree
 

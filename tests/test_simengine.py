@@ -21,6 +21,7 @@ from kt1sim.simengine import (
     RunMetrics,
     SimError,
     SimTimeout,
+    _canon,
     gossip_check,
     run,
     run_digest,
@@ -198,6 +199,17 @@ def test_trace_digest_repeatable_and_seed_sensitive():
     d2 = run_digest(g, lambda: Flood(1))
     d3 = run_digest(g, lambda: Flood(2))
     assert d1 == d2 != d3 and len(d1) == 32
+
+
+def test_canon_small_ints_decimal_wide_ints_hex():
+    assert _canon(12345) == b"12345"
+    assert _canon(-(1 << 63) + 1) == repr(-(1 << 63) + 1).encode()
+    assert _canon((1 << 63) - 1) == b"9223372036854775807"
+    assert _canon(1 << 63) == b"x8000000000000000"
+    # past Python's 4300-digit limit on int-to-decimal conversion
+    wide = _canon(1 << 20000)
+    assert wide == b"x1" + b"0" * 5000
+    assert _canon((GOSSIP_ACT, 1 << 20000)) == b"('act'," + wide + b")"
 
 
 def test_trace_recording_matches_counts():
