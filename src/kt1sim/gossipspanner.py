@@ -62,7 +62,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from .netgraph import Graph, canonical_edge
+from .netgraph import Graph, canonical_edge, multi_source_bfs
 from .simengine import (
     CAT_CONTROL,
     CAT_EXPLORATION,
@@ -122,6 +122,7 @@ class _GossipProtocol(Protocol):
         # id -> bit index, and bit index -> rumor (origin, neighbor list).
         self.bit: Dict[int, int] = {}
         self.rumors: List[Tuple[int, Tuple[int, ...]]] = []
+        self.plans: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
 
     def setup(self, node: NodeContext) -> None:
         v = node.self_id
@@ -148,13 +149,16 @@ class _GossipProtocol(Protocol):
         return tuple(rumors[i] for i, b in enumerate(bin(mask)[:1:-1]) if b == "1")
 
     def _sweep_plan(self, i: int, nlinks: int) -> List[Tuple[int, int]]:
-        """(slot, link index) pairs for the 4i sweep slots of iteration i."""
-        rev = list(range(i, 0, -1))
-        fwd = list(range(1, i + 1))
-        plan = []
-        for slot, idx in enumerate(rev + fwd + rev + fwd, start=1):
-            if idx <= nlinks:
-                plan.append((slot, idx))
+        """(slot, link index) pairs for the 4i sweep slots of iteration i,
+        built once per (i, links that fit in the sweep) and shared."""
+        key = (i, min(nlinks, i))
+        plan = self.plans.get(key)
+        if plan is None:
+            rev = list(range(i, 0, -1))
+            fwd = list(range(1, i + 1))
+            plan = self.plans[key] = [
+                (slot, idx) for slot, idx in enumerate(rev + fwd + rev + fwd, start=1)
+                if idx <= nlinks]
         return plan
 
     def step(self, node: NodeContext, rnd: int):
@@ -334,34 +338,29 @@ def _spanner_of(g: Graph, spanner: Optional[Spanner],
 
 def spanner_stretch_violations(g: Graph, spanner: Spanner,
                                bound: Optional[int] = None) -> List[Edge]:
-    """G-edges whose endpoints are farther apart than the bound inside H
-    (default bound 4*iterations).  Uses sparse all-sources BFS in chunks."""
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
+    """G-edges (u, w), u < w, whose endpoints are farther apart than the
+    bound inside H (default bound 4*iterations), in ascending order.
 
+    One bit-parallel BFS over H from every node at once, cut after `bound`
+    rounds (`netgraph.multi_source_bfs`), leaves each node's H-ball of that
+    radius as a bitset over the nodes in ascending id order; an edge
+    violates the bound exactly when w's bit is missing from u's ball.
+    """
     limit = bound if bound is not None else 4 * max(spanner.iterations, 1)
+    if limit < 0:
+        raise SpannerError(f"stretch bound {limit} is negative")
     order = sorted(g.adjacency)
-    pos = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    if n <= 1:
-        return []
-    rows, cols = [], []
+    h: Dict[int, List[int]] = {v: [] for v in order}
     for u, w in spanner.edges:
-        rows += [pos[u], pos[w]]
-        cols += [pos[w], pos[u]]
-    h = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    bad: List[Edge] = []
-    chunk = 256
-    for lo in range(0, n, chunk):
-        idx = list(range(lo, min(lo + chunk, n)))
-        dist = shortest_path(h, method="D", unweighted=True, indices=idx)
-        for row, i in zip(dist, idx):
-            u = order[i]
-            for w in g.adjacency[u]:
-                if u < w and row[pos[w]] > limit:
-                    bad.append((u, w))
-    return sorted(bad)
+        if u not in h or w not in h:
+            raise SpannerError(f"spanner edge ({u},{w}) has an endpoint outside the graph")
+        h[u].append(w)
+        h[w].append(u)
+    ball, _ = multi_source_bfs(h, order, max_rounds=limit)
+    pos = {v: i for i, v in enumerate(order)}
+    # u ascends and each neighbor list is sorted, so the list comes out sorted.
+    return [(u, w) for u in order for w in g.adjacency[u]
+            if u < w and not ball[u] >> pos[w] & 1]
 
 
 # ---------------------------------------------------------------------------

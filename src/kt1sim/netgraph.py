@@ -313,9 +313,10 @@ def diameter(g: Graph) -> int:
     far.  Any two nodes within distance i of u are at most 2i apart, so the
     walk goes down u's BFS levels from the deepest one, raising lb to the
     largest eccentricity in each level, until lb >= 2i.  A level's largest
-    eccentricity comes from one bit-parallel multi-source BFS
-    (`_max_eccentricity`).  Low-diameter graphs and grids stop after a level
-    or two.  The known worst case is vertex-transitive graphs such as
+    eccentricity is the last round of one bit-parallel BFS from all its
+    nodes at once (`multi_source_bfs`, which also answers the spanner
+    stretch check).  Low-diameter graphs and grids stop after a level or
+    two.  The known worst case is vertex-transitive graphs such as
     cycles: every level has the largest eccentricity, so about n/4 levels
     are searched, each for about n/2 rounds (about 0.2 s for n=600 and
     0.5 s for n=1000 on a 2-core Xeon, Python 3.11).  No pipeline or
@@ -332,7 +333,7 @@ def diameter(g: Graph) -> int:
     for i in range(len(levels) - 1, 0, -1):
         if lb >= 2 * i:
             break
-        lb = max(lb, _max_eccentricity(g.adjacency, levels[i]))
+        lb = max(lb, multi_source_bfs(g.adjacency, levels[i])[1])
     return lb
 
 
@@ -355,21 +356,23 @@ def _four_sweep_centre(g: Graph) -> Tuple[int, int]:
     return centre, lb
 
 
-def _max_eccentricity(adj: Dict[int, Tuple[int, ...]],
-                      sources: List[int]) -> int:
-    """Largest eccentricity among distinct sources, by one BFS for them all.
+def multi_source_bfs(adj: Dict[int, Iterable[int]], sources: List[int],
+                     max_rounds: Optional[int] = None) -> Tuple[Dict[int, int], int]:
+    """One bit-parallel BFS from distinct sources: (reached, last round).
 
-    Bit k of reached[v] says source k has reached v.  Each round only the
-    nodes that gained bits in the previous round offer those bits to their
-    neighbours, and the last round in which any node gains a bit is the
-    answer.
+    Bit k of reached[v] says sources[k] reached v within the rounds run.
+    Each round only the nodes that gained bits in the previous round offer
+    those bits to their neighbours.  The BFS stops once a round brings no
+    gain or after max_rounds rounds, and the last round in which any node
+    gained a bit is returned with the masks; run to the end, that round is
+    the largest eccentricity among the sources.
     """
     reached = dict.fromkeys(adj, 0)
     gained = {}
     for k, s in enumerate(sources):
         reached[s] = gained[s] = 1 << k
     rnd = 0
-    while True:
+    while gained and (max_rounds is None or rnd < max_rounds):
         offered: Dict[int, int] = {}
         for v, bits in gained.items():
             for w in adj[v]:
@@ -380,9 +383,9 @@ def _max_eccentricity(adj: Dict[int, Tuple[int, ...]],
             if bits:
                 gained[w] = bits
                 reached[w] |= bits
-        if not gained:
-            return rnd
-        rnd += 1
+        if gained:
+            rnd += 1
+    return reached, rnd
 
 
 # ---------------------------------------------------------------------------

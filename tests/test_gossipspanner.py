@@ -4,6 +4,10 @@ spanner-based deterministic BFS / election / global-solve pipeline."""
 import dataclasses
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +31,7 @@ from kt1sim.netgraph import (
     Graph,
     GraphGenSpec,
     canonical_edge,
+    er_connectivity_safe_p,
     generate_graph,
     oracle_bfs,
 )
@@ -172,6 +177,88 @@ def test_spanner_invariants_random(seed):
     sp = extract_spanner(g, res)
     assert sp.size <= g.n * max(res.iterations, 1)
     assert spanner_stretch_violations(g, sp) == []
+
+
+def _scipy_stretch_violations(g, spanner, bound):
+    """Independent route: H-distances from scipy's all-pairs shortest paths."""
+    import numpy as np
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    limit = bound if bound is not None else 4 * max(spanner.iterations, 1)
+    pos = {v: i for i, v in enumerate(g.nodes)}
+    rows = [pos[x] for e in spanner.edges for x in e]
+    cols = [pos[x] for u, w in spanner.edges for x in (w, u)]
+    h = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(g.n, g.n))
+    dist = shortest_path(h, unweighted=True, directed=False)
+    return sorted((u, w) for u, w in g.edges() if dist[pos[u], pos[w]] > limit)
+
+
+def _pruned(sp, seed, share):
+    rng = random.Random(seed)
+    return dataclasses.replace(sp, edges=frozenset(
+        e for e in sorted(sp.edges) if rng.random() >= share))
+
+
+@pytest.mark.parametrize("family,n,seed", [
+    ("erdos_renyi", 200, 0), ("erdos_renyi", 300, 1), ("grid", 256, 0)])
+def test_stretch_violations_match_scipy(family, n, seed):
+    g = make_graph(family, n, seed=seed, id_scheme="random_permutation",
+                   p=er_connectivity_safe_p(n) if family == "erdos_renyi" else None)
+    sp = build_spanner(g)
+    spanners = [sp, _pruned(sp, seed, 0.05), _pruned(sp, seed, 0.3)]
+    # The heavily pruned H is disconnected: some edge is stretched beyond n.
+    assert _scipy_stretch_violations(g, spanners[2], g.n)
+    found = 0
+    for h in spanners:
+        for bound in (None, 0, 1, 2, 3):
+            got = spanner_stretch_violations(g, h, bound)
+            assert got == _scipy_stretch_violations(g, h, bound)
+            found += len(got)
+    assert found > 0
+
+
+def test_stretch_of_the_edge_a_path_leaves_out_of_a_cycle():
+    g = make_graph("cycle", 6)
+    path = gossipspanner.Spanner(edges=frozenset(g.edges()) - {(1, 6)}, iterations=1,
+                                 incident={})
+    assert spanner_stretch_violations(g, path, 4) == [(1, 6)]
+    assert spanner_stretch_violations(g, path, 5) == []
+    assert spanner_stretch_violations(g, path) == [(1, 6)]  # default bound 4
+    assert spanner_stretch_violations(g, path, 0) == g.edges()
+
+
+def test_stretch_check_rejects_a_negative_bound():
+    g = make_graph("path", 3)
+    with pytest.raises(SpannerError, match="negative"):
+        spanner_stretch_violations(g, build_spanner(g), -1)
+
+
+def test_stretch_check_rejects_a_spanner_edge_outside_the_graph():
+    g = make_graph("path", 3)
+    sp = build_spanner(g)
+    bad = dataclasses.replace(sp, edges=sp.edges | {(3, 9)})
+    with pytest.raises(SpannerError, match="outside the graph"):
+        spanner_stretch_violations(g, bad)
+
+
+def test_spanner_pipelines_load_neither_numpy_nor_scipy():
+    code = (
+        "import sys\n"
+        "from kt1sim import harness\n"
+        "for algo in ('spanner_only', 'bfs_spanner', 'le_det', 'global_mst'):\n"
+        "    cfg = harness.ExperimentConfig(\n"
+        "        graph=harness._graph_spec('erdos_renyi', 100, 0), algo=algo,\n"
+        "        trials=1, seeds=(0,))\n"
+        "    assert all(t.ok for t in harness.run_experiment(cfg).trials), algo\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('numpy', 'scipy')))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
