@@ -424,7 +424,6 @@ class _BFSPhaseProtocol(Protocol):
 class BFSResult:
     tree: RootedTree
     metrics: RunMetrics
-    rounds: int
     pre: Preprocessed
     grow_receipts: Dict[int, int] = field(default_factory=dict)
 
@@ -468,8 +467,7 @@ def bfs_construction(g: Graph, root: int, seed: int = 0,
     tree, pm, receipts = _run_phases(g, root, pre)
     tree.validate_spanning(g)
     metrics = pre.metrics.merged_with(pm)
-    return BFSResult(tree=tree, metrics=metrics, rounds=metrics.rounds, pre=pre,
-                     grow_receipts=receipts)
+    return BFSResult(tree=tree, metrics=metrics, pre=pre, grow_receipts=receipts)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +482,6 @@ class ElectionResult:
     candidates: Tuple[int, ...]
     leader_at: Dict[int, int]
     metrics: RunMetrics
-    rounds: int
     failure: Optional[str] = None
 
 
@@ -497,7 +494,6 @@ def election_to_json(res: ElectionResult) -> str:
 
 
 def randomized_leader_election(g: Graph, seed: int = 0,
-                               n_estimate: Optional[int] = None,
                                candidates: Optional[Sequence[int]] = None,
                                kappa: Optional[int] = None) -> ElectionResult:
     """Elect the max-id BFS candidate.
@@ -508,9 +504,8 @@ def randomized_leader_election(g: Graph, seed: int = 0,
     executions are disjoint in state, so the round count is preprocessing
     plus the slowest candidate while messages add up).
     """
-    n_est = n_estimate if n_estimate is not None else g.n
     if candidates is None:
-        p = min(1.0, CANDIDATE_LOG_FACTOR * math.log(max(n_est, 2)) / n_est)
+        p = min(1.0, CANDIDATE_LOG_FACTOR * math.log(max(g.n, 2)) / g.n)
         rng = random.Random((seed * 0x9E3779B97F4A7C15 + 0xC2B2AE35) & (2 ** 64 - 1))
         cands = tuple(v for v in g.nodes if rng.random() < p)
     else:
@@ -521,7 +516,7 @@ def randomized_leader_election(g: Graph, seed: int = 0,
     if not cands:
         return ElectionResult(success=False, leader=None, unanimous=False,
                               candidates=(), leader_at={}, metrics=RunMetrics(),
-                              rounds=0, failure="no candidate sampled")
+                              failure="no candidate sampled")
 
     pre = preprocess(g, seed, kappa)
     metrics = pre.metrics
@@ -544,4 +539,4 @@ def randomized_leader_election(g: Graph, seed: int = 0,
     unanimous = ok and all(b == leader for b in best_seen.values())
     return ElectionResult(success=True, leader=leader, unanimous=unanimous,
                           candidates=cands, leader_at=dict(best_seen),
-                          metrics=metrics, rounds=metrics.rounds)
+                          metrics=metrics)

@@ -7,7 +7,7 @@ primitives here are the workhorses of every protocol in the package:
 
 * the tree wave (TreeWaveProtocol): convergecast up a rooted tree, solve at
   the root, broadcast the answer down, at exactly |C|-1 messages and depth
-  rounds per direction.  broadcast (down only), convergecast (up only), the
+  hops per direction.  broadcast (down only), convergecast (up only), the
   augmented-tree protocol, and gossipspanner's spanner BFS and global solves
   are small subclasses of it;
 * minimal outgoing edge sets: one edge per outer-boundary node, from its
@@ -23,10 +23,6 @@ downward instructions are source-routed batches computed at the root (which
 tracks the full tree), and the only clock the participants share is "a node
 that joins in round t reports in round t+2".  Rounds fit the fixed per-layer
 window of 2j+3 used by the growth schedule.
-
-Round counts reported by the op wrappers exclude the final delivery lag, so
-a run whose last event is a receipt in engine round R counts R-1 rounds and
-a send-free run counts 0.
 """
 
 from __future__ import annotations
@@ -186,10 +182,6 @@ def minimal_outgoing_edge_set(
     return OutgoingEdgeSet(edges=tuple(sorted((u, w) for w, u in best.items())))
 
 
-def _op_rounds(metrics: RunMetrics) -> int:
-    return max(0, metrics.rounds - 1)
-
-
 # ---------------------------------------------------------------------------
 # Source routing: a root that knows its whole tree sends one batch per first
 # hop; each batch entry is (path, idx, *data), path the tree path from the
@@ -333,17 +325,16 @@ class _BroadcastProtocol(TreeWaveProtocol):
 class TreeOpResult:
     value: Any
     delivered: Dict[int, Any]
-    rounds: int
     metrics: RunMetrics
 
 
 def broadcast(g: Graph, tree: RootedTree, payload: Any) -> TreeOpResult:
     """Deliver payload from the tree root to every member: |C|-1 messages,
-    depth rounds."""
+    depth+1 rounds (the last one delivers)."""
     tree.validate(g)
     res = run(g, _BroadcastProtocol(tree, payload))
     delivered = {v: res.outputs[v] for v in tree.members}
-    return TreeOpResult(payload, delivered, _op_rounds(res.metrics), res.metrics)
+    return TreeOpResult(payload, delivered, res.metrics)
 
 
 class _ConvergecastProtocol(TreeWaveProtocol):
@@ -361,14 +352,14 @@ class _ConvergecastProtocol(TreeWaveProtocol):
 
 def convergecast(g: Graph, tree: RootedTree, payloads: Mapping[int, Any], combine) -> TreeOpResult:
     """Fold member payloads up to the root with the associative combine:
-    |C|-1 messages, depth rounds.  Leaves fire immediately; an inner node
+    |C|-1 messages, depth+1 rounds.  Leaves fire immediately; an inner node
     sends only once every child has reported."""
     tree.validate(g)
     missing = tree.members - set(payloads)
     if missing:
         raise ClusterError(f"convergecast payloads missing for {sorted(missing)[:5]}")
     res = run(g, _ConvergecastProtocol(tree, payloads, combine))
-    return TreeOpResult(res.outputs[tree.root], {}, _op_rounds(res.metrics), res.metrics)
+    return TreeOpResult(res.outputs[tree.root], {}, res.metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +393,11 @@ class _AugmentProtocol(TreeWaveProtocol):
 class AugmentResult:
     augmented: AugmentedClusterTree
     boundary_notified: Dict[int, List[Edge]]
-    rounds: int
     metrics: RunMetrics
 
 
 def compute_augmented_tree(g: Graph, tree: RootedTree) -> AugmentResult:
-    """Build the augmented tree in 2*depth+1 rounds with 2(|C|-1)+|B|
+    """Build the augmented tree in at most 2*depth+2 rounds with 2(|C|-1)+|B|
     messages; every boundary node hears about exactly one extension edge."""
     tree.validate(g)
     res = run(g, _AugmentProtocol(tree.root, tree.parent), ModeConfig(allow_quiescence=True))
@@ -424,7 +414,6 @@ def compute_augmented_tree(g: Graph, tree: RootedTree) -> AugmentResult:
     return AugmentResult(
         augmented=AugmentedClusterTree(base=tree, extension=oes),
         boundary_notified=notified,
-        rounds=_op_rounds(res.metrics),
         metrics=res.metrics,
     )
 
@@ -633,7 +622,6 @@ class ExplorationProtocol(Protocol):
 @dataclass
 class ExplorationResult:
     tree: RootedTree
-    rounds: int
     metrics: RunMetrics
     join_receipts: Dict[int, int] = field(default_factory=dict)
 
@@ -641,7 +629,7 @@ class ExplorationResult:
 def bfs_exploration(g: Graph, root: int, h: int) -> ExplorationResult:
     """Grow the depth-h BFS cluster around root.
 
-    Costs at most 4*|C|*h messages and 4*h*h rounds for the resulting
+    Costs at most 4*|C|*h messages and 4*h*h+1 rounds for the resulting
     cluster C; the returned tree contains exactly the nodes within h hops
     of root, each at its true BFS depth.
     """
@@ -667,7 +655,6 @@ def bfs_exploration(g: Graph, root: int, h: int) -> ExplorationResult:
                 raise ClusterError(f"root ledger and member record disagree at {v}")
     return ExplorationResult(
         tree=tree,
-        rounds=_op_rounds(res.metrics),
         metrics=res.metrics,
         join_receipts=receipts,
     )

@@ -89,7 +89,6 @@ class Cover:
     root_knowledge: Dict[int, Dict[int, Tuple[int, ...]]] = field(default_factory=dict)
     phase_of: Dict[int, int] = field(default_factory=dict)  # root -> phase
     metrics: Optional[RunMetrics] = None
-    rounds: int = 0
 
     def clusters_of(self, v: int) -> Tuple[RootedTree, ...]:
         return tuple(self.clusters[i] for i in self.membership.get(v, ()))
@@ -200,7 +199,6 @@ def cover_construction(g: Graph, params: CoverParams) -> Cover:
         root_knowledge=root_knowledge,
         phase_of=phase_of,
         metrics=res.metrics,
-        rounds=res.metrics.rounds,
     )
 
 

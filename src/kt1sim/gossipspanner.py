@@ -77,7 +77,7 @@ from .simengine import (
     SimError,
     run,
 )
-from .clustercomm import RootedTree, TreeWaveProtocol, _op_rounds, bfs_tree_to_json
+from .clustercomm import RootedTree, TreeWaveProtocol
 
 Edge = Tuple[int, int]
 
@@ -232,13 +232,11 @@ class GossipResult:
     iterations: int
     complete: bool
     cap: int
-    cap_violated: bool
     activated: Dict[int, Tuple[int, ...]]   # v -> partners in activation order
     incident: Dict[int, Tuple[int, ...]]    # v -> all H-partners v observed
     # v -> the rumors (origin, neighbors) v holds, in ascending origin order
     known: Dict[int, Tuple[Tuple[int, Tuple[int, ...]], ...]]
     metrics: RunMetrics
-    rounds: int
     raw: Optional[RunResult] = None
 
 
@@ -267,9 +265,8 @@ def gossip_local_broadcast(g: Graph, record_trace: bool = False) -> GossipResult
         iterations = max(iterations, st["last_rwork"])
         complete = complete and not st["R"]
     return GossipResult(iterations=iterations, complete=complete, cap=proto.cap,
-                        cap_violated=not complete, activated=activated,
-                        incident=incident, known=known, metrics=res.metrics,
-                        rounds=res.metrics.rounds, raw=res)
+                        activated=activated, incident=incident, known=known,
+                        metrics=res.metrics, raw=res)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +371,6 @@ class DetBFSResult:
     spanner: Spanner
     gossip: Optional[GossipResult]
     metrics: RunMetrics
-    rounds: int
 
 
 def _bfs_of_topology(root: int, nbrs: Dict[int, Tuple[int, ...]]):
@@ -490,7 +486,7 @@ def deterministic_bfs(g: Graph, root: int,
     tree.validate_spanning(g)
     metrics = res.metrics if gossip is None else gossip.metrics.merged_with(res.metrics)
     return DetBFSResult(tree=tree, flood_parent=flood_parent, spanner=spanner,
-                        gossip=gossip, metrics=metrics, rounds=metrics.rounds)
+                        gossip=gossip, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +618,6 @@ class DetElectionResult:
     spanner: Spanner
     gossip: Optional[GossipResult]
     metrics: RunMetrics
-    rounds: int
 
 
 def deterministic_leader_election(g: Graph,
@@ -643,7 +638,7 @@ def deterministic_leader_election(g: Graph,
     metrics = res.metrics if gossip is None else gossip.metrics.merged_with(res.metrics)
     return DetElectionResult(leader=leader, unanimous=leader == max(g.nodes),
                              leader_at=leader_at, spanner=spanner, gossip=gossip,
-                             metrics=metrics, rounds=metrics.rounds)
+                             metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -707,24 +702,18 @@ class GlobalSolveResult:
     solution: Tuple[Edge, ...]
     per_node: Dict[int, Dict[str, Any]]
     metrics: RunMetrics
-    rounds: int
 
 
 def solve_global(g: Graph, tree: RootedTree, problem: str = "mst") -> GlobalSolveResult:
     """Convergecast the topology up the BFS tree, solve at the root,
-    broadcast the answer: at most n-1 messages each way, 2*depth rounds."""
+    broadcast the answer: at most n-1 messages each way, 2*depth+1 rounds."""
     tree.validate_spanning(g)
     proto = _GlobalSolveProtocol(tree, problem)
     res = run(g, proto, ModeConfig(max_rounds=4 * g.n + 20))
     solution = tuple(res.contexts[tree.root].state["solution"])
     per_node = {v: res.outputs[v] for v in g.nodes}
     return GlobalSolveResult(problem=problem, solution=solution,
-                             per_node=per_node, metrics=res.metrics,
-                             rounds=_op_rounds(res.metrics))
-
-
-def det_bfs_to_json(result: DetBFSResult) -> str:
-    return bfs_tree_to_json(result.tree)
+                             per_node=per_node, metrics=res.metrics)
 
 
 def det_election_to_json(result: DetElectionResult) -> str:

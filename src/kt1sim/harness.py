@@ -2,6 +2,11 @@
 verification, a KT0-style flooding baseline, scaling studies, and
 JSON/CSV export.
 
+``PIPELINES`` is the one place an algorithm is declared: its trial runner
+and verdict, and the exponents that normalise its messages and rounds.
+``ALGOS``, the CLI choices, ``message_ratio`` and ``round_denominator`` all
+read it.
+
 Every trial is checked against the matching oracle (exact BFS layers,
 unanimity on the maximum id, cover properties, centralized MST); failures
 are recorded in the output with diagnostics rather than swallowed, and the
@@ -16,7 +21,7 @@ import math
 import os
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import bfscover, covers, gossipspanner
 from .clustercomm import RootedTree
@@ -40,20 +45,6 @@ from .simengine import (
 
 OUTDIR_ENV = "KT1SIM_OUTDIR"
 
-ALGOS = (
-    "bfs_cover",
-    "bfs_spanner",
-    "le_rand",
-    "le_det",
-    "cover_only",
-    "spanner_only",
-    "global_mst",
-    "flood_baseline",
-)
-
-# messages / (n * ceil(log2 n)^k) regression exponents per algorithm.
-MESSAGE_EXPONENT = {"bfs_cover": 3, "bfs_spanner": 2, "le_rand": 4, "le_det": 2}
-
 
 class HarnessError(ValueError):
     pass
@@ -64,21 +55,16 @@ def log2ceil(n: int) -> int:
 
 
 def message_ratio(algo: str, n: int, messages: int) -> Optional[float]:
-    k = MESSAGE_EXPONENT.get(algo)
-    if k is None:
-        return None
-    return messages / (n * log2ceil(n) ** k)
+    k = PIPELINES[algo].message_exponent
+    return None if k is None else messages / (n * log2ceil(n) ** k)
 
 
 def round_denominator(algo: str, n: int, diam: int) -> Optional[int]:
+    terms = PIPELINES[algo].round_terms
+    if terms is None:
+        return None
     l = log2ceil(n)
-    if algo in ("bfs_cover", "le_rand"):
-        return diam * l + l**3
-    if algo == "bfs_spanner":
-        return diam * l + l**2
-    if algo == "le_det":
-        return diam * l**2 + l**2
-    return None
+    return diam * l ** terms[0] + l ** terms[1]
 
 
 @dataclass(frozen=True)
@@ -90,12 +76,18 @@ class ExperimentConfig:
     output_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.algo not in ALGOS:
+        if self.algo not in ALGOS:  # a tuple, so an unhashable algo is just unknown
             raise HarnessError(f"unknown algo {self.algo!r}")
-        if self.trials < 1:
-            raise HarnessError("trials must be >= 1")
-        if self.seeds is not None and len(self.seeds) != self.trials:
-            raise HarnessError("trials must equal len(seeds) when seeds are given")
+        if type(self.trials) is not int or self.trials < 1:
+            raise HarnessError(f"trials must be an int >= 1, got {self.trials!r}")
+        if self.seeds is not None:
+            if len(self.seeds) != self.trials:
+                raise HarnessError("trials must equal len(seeds) when seeds are given")
+            for s in self.seeds:
+                if type(s) is not int:
+                    raise HarnessError(f"seeds must be ints, got {s!r}")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise HarnessError(f"output_path must be a string, got {self.output_path!r}")
 
     @property
     def trial_seeds(self) -> Tuple[int, ...]:
@@ -246,96 +238,121 @@ def oracle_mst(g: Graph) -> Tuple[Tuple[int, int], ...]:
 
 
 # ---------------------------------------------------------------------------
-# Trial execution.
+# Pipelines.  A runner looks up the traced library functions (bfscover.*,
+# gossipspanner.*, flood_baseline_bfs, oracle_bfs, oracle_mst) as module
+# attributes at call time, so a wrapper bound to one of them sees every call.
 # ---------------------------------------------------------------------------
 
+# (metrics, diagnostics, extra); empty diagnostics mean the trial verified.
+Trial = Tuple[RunMetrics, str, Dict[str, Any]]
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """One harness algorithm: its verified trial and its cost normalisers."""
+
+    trial: Callable[[Graph, int, int], Trial]  # (g, root, seed) -> Trial
+    message_exponent: Optional[int] = None  # k: messages / (n * L^k), L = log2ceil(n)
+    round_terms: Optional[Tuple[int, int]] = None  # (a, b): rounds / (D * L^a + L^b)
+
+
+def _verdict(*checks: Tuple[bool, str]) -> str:
+    """The message of the first failed check, or "" when all pass."""
+    return next((msg for failed, msg in checks if failed), "")
+
+
+def _layer_check(g: Graph, tree: RootedTree) -> str:
+    return _verdict((tree.layer != oracle_bfs(g, tree.root).dist,
+                     "layer map differs from oracle_bfs"))
+
+
+def _bfs_cover(g: Graph, root: int, seed: int) -> Trial:
+    res = bfscover.bfs_construction(g, root, seed=seed)
+    return res.metrics, _layer_check(g, res.tree), {
+        "root": root, "kappa": res.cover.params.kappa, "clusters": len(res.cover.clusters)}
+
+
+def _bfs_spanner(g: Graph, root: int, seed: int) -> Trial:
+    res = gossipspanner.deterministic_bfs(g, root)
+    return res.metrics, _layer_check(g, res.tree), {
+        "root": root, "spanner_edges": res.spanner.size, "iterations": res.spanner.iterations}
+
+
+def _le_rand(g: Graph, root: int, seed: int) -> Trial:
+    res = bfscover.randomized_leader_election(g, seed=seed)
+    diag = _verdict((not res.success, res.failure or "election failed"),
+                    (not res.unanimous, "nodes disagree on the leader"),
+                    (res.leader != max(res.candidates, default=None),
+                     "leader is not the maximum candidate"))
+    return res.metrics, diag, {"leader": res.leader, "candidates": len(res.candidates)}
+
+
+def _le_det(g: Graph, root: int, seed: int) -> Trial:
+    res = gossipspanner.deterministic_leader_election(g)
+    diag = _verdict((not res.unanimous, "nodes disagree on the maximum id"))
+    return res.metrics, diag, {"leader": res.leader, "spanner_edges": res.spanner.size}
+
+
+def _cover_only(g: Graph, root: int, seed: int) -> Trial:
+    params = covers.CoverParams(kappa=bfscover.default_kappa(g.n), W=2, seed=seed)
+    cover = covers.cover_construction(g, params)
+    report = covers.verify_cover(cover, g)
+    diag = _verdict((report.max_depth > params.max_tree_depth,
+                     f"cluster depth {report.max_depth} over bound"),
+                    (not report.neighborhood_ok, f"{len(report.uncovered)} nodes not W-covered"))
+    return cover.metrics, diag, {"clusters": len(cover.clusters), "kappa": params.kappa,
+                                 "max_depth": report.max_depth,
+                                 "max_membership": report.max_membership}
+
+
+def _spanner_only(g: Graph, root: int, seed: int) -> Trial:
+    gossip = gossipspanner.gossip_local_broadcast(g)
+    spanner = gossipspanner.extract_spanner(g, gossip)
+    bad = gossipspanner.spanner_stretch_violations(g, spanner)
+    diag = _verdict((not gossip.complete, "gossip left missing rumors"),
+                    (gossip.iterations > gossip.cap, "iteration budget exceeded"),
+                    (spanner.size > 2 * g.n * log2ceil(g.n),
+                     f"spanner too dense ({spanner.size} edges)"),
+                    (bool(bad), f"{len(bad)} stretched edges"))
+    return gossip.metrics, diag, {"iterations": gossip.iterations, "spanner_edges": spanner.size}
+
+
+def _global_mst(g: Graph, root: int, seed: int) -> Trial:
+    bfs = gossipspanner.deterministic_bfs(g, root)
+    solved = gossipspanner.solve_global(g, bfs.tree, problem="mst")
+    mst = tuple(sorted(canonical_edge(u, w) for u, w in solved.solution))
+    sent = solved.metrics.messages_total
+    diag = _verdict((mst != oracle_mst(g), "MST differs from centralized oracle"),
+                    (sent > 2 * (g.n - 1), f"{sent} messages over 2(n-1)"))
+    return solved.metrics, diag, {"mst_edges": len(solved.solution),
+                                  "bfs_messages": bfs.metrics.messages_total}
+
+
+def _flood_baseline(g: Graph, root: int, seed: int) -> Trial:
+    tree, metrics = flood_baseline_bfs(g, root)
+    return metrics, _layer_check(g, tree), {"root": root, "two_m": 2 * g.m}
+
+
+# The one place an algorithm is declared; its order is the order of ALGOS.
+PIPELINES: Dict[str, Pipeline] = {
+    "bfs_cover": Pipeline(_bfs_cover, message_exponent=3, round_terms=(1, 3)),
+    "bfs_spanner": Pipeline(_bfs_spanner, message_exponent=2, round_terms=(1, 2)),
+    "le_rand": Pipeline(_le_rand, message_exponent=4, round_terms=(1, 3)),
+    "le_det": Pipeline(_le_det, message_exponent=2, round_terms=(2, 2)),
+    "cover_only": Pipeline(_cover_only),
+    "spanner_only": Pipeline(_spanner_only),
+    "global_mst": Pipeline(_global_mst),
+    "flood_baseline": Pipeline(_flood_baseline),
+}
+ALGOS = tuple(PIPELINES)
+
+
 def _run_trial(cfg: ExperimentConfig, g: Graph, seed: int) -> TrialOutcome:
-    algo = cfg.algo
-    n = g.n
-    root = min(g.nodes)
-    ok = True
-    diag = ""
-    extra: Dict[str, Any] = {}
-
-    if algo == "bfs_cover":
-        res = bfscover.bfs_construction(g, root, seed=seed)
-        metrics = res.metrics
-        if res.tree.layer != oracle_bfs(g, root).dist:
-            ok, diag = False, "layer map differs from oracle_bfs"
-        extra = {"root": root, "kappa": res.cover.params.kappa,
-                 "clusters": len(res.cover.clusters)}
-    elif algo == "bfs_spanner":
-        res = gossipspanner.deterministic_bfs(g, root)
-        metrics = res.metrics
-        if res.tree.layer != oracle_bfs(g, root).dist:
-            ok, diag = False, "layer map differs from oracle_bfs"
-        extra = {"root": root, "spanner_edges": res.spanner.size,
-                 "iterations": res.spanner.iterations}
-    elif algo == "le_rand":
-        res = bfscover.randomized_leader_election(g, seed=seed)
-        metrics = res.metrics
-        if not res.success:
-            ok, diag = False, res.failure or "election failed"
-        elif not res.unanimous:
-            ok, diag = False, "nodes disagree on the leader"
-        elif res.leader != max(res.candidates):
-            ok, diag = False, "leader is not the maximum candidate"
-        extra = {"leader": res.leader, "candidates": len(res.candidates)}
-    elif algo == "le_det":
-        res = gossipspanner.deterministic_leader_election(g)
-        metrics = res.metrics
-        if not res.unanimous:
-            ok, diag = False, "nodes disagree on the maximum id"
-        extra = {"leader": res.leader, "spanner_edges": res.spanner.size}
-    elif algo == "cover_only":
-        params = covers.CoverParams(kappa=bfscover.default_kappa(n), W=2, seed=seed)
-        cover = covers.cover_construction(g, params)
-        metrics = cover.metrics
-        report = covers.verify_cover(cover, g)
-        if report.max_depth > params.max_tree_depth:
-            ok, diag = False, f"cluster depth {report.max_depth} over bound"
-        elif not report.neighborhood_ok:
-            ok, diag = False, f"{len(report.uncovered)} nodes not W-covered"
-        extra = {"clusters": len(cover.clusters), "kappa": params.kappa,
-                 "max_depth": report.max_depth,
-                 "max_membership": report.max_membership}
-    elif algo == "spanner_only":
-        gossip = gossipspanner.gossip_local_broadcast(g)
-        metrics = gossip.metrics
-        spanner = gossipspanner.extract_spanner(g, gossip)
-        bad = gossipspanner.spanner_stretch_violations(g, spanner)
-        if not gossip.complete:
-            ok, diag = False, "gossip left missing rumors"
-        elif gossip.iterations > gossip.cap:
-            ok, diag = False, "iteration budget exceeded"
-        elif spanner.size > 2 * n * log2ceil(n):
-            ok, diag = False, f"spanner too dense ({spanner.size} edges)"
-        elif bad:
-            ok, diag = False, f"{len(bad)} stretched edges"
-        extra = {"iterations": gossip.iterations, "spanner_edges": spanner.size}
-    elif algo == "global_mst":
-        bfs = gossipspanner.deterministic_bfs(g, root)
-        solved = gossipspanner.solve_global(g, bfs.tree, problem="mst")
-        metrics = solved.metrics
-        want = oracle_mst(g)
-        if tuple(sorted(canonical_edge(u, w) for u, w in solved.solution)) != want:
-            ok, diag = False, "MST differs from centralized oracle"
-        elif metrics.messages_total > 2 * (n - 1):
-            ok, diag = False, f"{metrics.messages_total} messages over 2(n-1)"
-        extra = {"mst_edges": len(solved.solution),
-                 "bfs_messages": bfs.metrics.messages_total}
-    elif algo == "flood_baseline":
-        tree, metrics = flood_baseline_bfs(g, root)
-        if tree.layer != oracle_bfs(g, root).dist:
-            ok, diag = False, "layer map differs from oracle_bfs"
-        extra = {"root": root, "two_m": 2 * g.m}
-    else:  # pragma: no cover - guarded by ExperimentConfig
-        raise HarnessError(f"unknown algo {algo!r}")
-
-    return TrialOutcome(seed=seed, ok=ok, rounds=metrics.rounds,
+    metrics, diag, extra = PIPELINES[cfg.algo].trial(g, min(g.nodes), seed)
+    return TrialOutcome(seed=seed, ok=not diag, rounds=metrics.rounds,
                         messages=metrics.messages_total,
                         by_category=dict(metrics.messages_by_category),
-                        ratio=message_ratio(algo, n, metrics.messages_total),
+                        ratio=message_ratio(cfg.algo, g.n, metrics.messages_total),
                         diagnostics=diag, extra=extra)
 
 

@@ -104,7 +104,7 @@ class Envelope:
 
 @dataclass
 class RunMetrics:
-    rounds: int = 0
+    rounds: int = 0  # the last active round, so the final delivery counts
     messages_total: int = 0
     messages_by_category: Dict[str, int] = field(default_factory=dict)
 

@@ -131,7 +131,7 @@ def test_same_seed_same_run():
     b = bfs_construction(g, min(g.nodes), seed=12)
     assert a.tree == b.tree
     assert a.metrics.messages_total == b.metrics.messages_total
-    assert a.rounds == b.rounds
+    assert a.metrics.rounds == b.metrics.rounds
 
 
 @settings(max_examples=10, deadline=None)

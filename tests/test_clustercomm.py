@@ -83,7 +83,7 @@ def test_broadcast_singleton():
     g = _graph("path", 1)
     t = RootedTree.from_parent_map(1, {})
     r = broadcast(g, t, "hello")
-    assert r.rounds == 0 and r.metrics.messages_total == 0
+    assert r.metrics.rounds == 1 and r.metrics.messages_total == 0
     assert r.delivered == {1: "hello"}
 
 
@@ -91,7 +91,7 @@ def test_broadcast_path4_three_rounds_three_messages():
     g = _graph("path", 4)
     t = RootedTree.from_parent_map(1, {2: 1, 3: 2, 4: 3})
     r = broadcast(g, t, ("payload",))
-    assert r.rounds == 3
+    assert r.metrics.rounds == 4  # the fourth round delivers to node 4
     assert r.metrics.messages_total == 3
     assert all(v == ("payload",) for v in r.delivered.values())
 
@@ -100,7 +100,7 @@ def test_broadcast_star5_one_round_four_messages():
     g = _graph("star", 5)
     t = RootedTree.from_parent_map(1, {v: 1 for v in (2, 3, 4, 5)})
     r = broadcast(g, t, 7)
-    assert r.rounds == 1 and r.metrics.messages_total == 4
+    assert r.metrics.rounds == 2 and r.metrics.messages_total == 4
 
 
 def test_broadcast_messages_by_category():
@@ -122,7 +122,7 @@ def test_convergecast_path4_union():
     t = RootedTree.from_parent_map(1, {2: 1, 3: 2, 4: 3})
     r = convergecast(g, t, {v: {v} for v in t.members}, lambda a, b: a | b)
     assert r.value == {1, 2, 3, 4}
-    assert r.rounds == 3 and r.metrics.messages_total == 3
+    assert r.metrics.rounds == 4 and r.metrics.messages_total == 3
 
 
 def test_convergecast_balanced_binary_7():
@@ -130,7 +130,7 @@ def test_convergecast_balanced_binary_7():
     t = RootedTree.from_parent_map(1, {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3})
     r = convergecast(g, t, {v: 1 for v in t.members}, lambda a, b: a + b)
     assert r.value == 7
-    assert r.rounds == 2 and r.metrics.messages_total == 6
+    assert r.metrics.rounds == 3 and r.metrics.messages_total == 6
 
 
 def test_convergecast_missing_payload_raises():
@@ -161,14 +161,14 @@ def test_tree_wave_costs_exact(n, seed, rootpick, h):
     depth = tree.depth
 
     r = broadcast(g, tree, "x")
-    assert (r.metrics.messages_total, r.rounds) == (n - 1, depth)
+    assert (r.metrics.messages_total, r.metrics.rounds) == (n - 1, depth + 1)
     assert set(r.delivered.values()) == {"x"}
     r = convergecast(g, tree, {v: 1 for v in g.nodes}, lambda a, b: a + b)
-    assert (r.metrics.messages_total, r.rounds) == (n - 1, depth)
+    assert (r.metrics.messages_total, r.metrics.rounds) == (n - 1, depth + 1)
     assert r.value == n
 
     r = solve_global(g, tree, "topology")
-    assert (r.metrics.messages_total, r.rounds) == (2 * (n - 1), 2 * depth)
+    assert (r.metrics.messages_total, r.metrics.rounds) == (2 * (n - 1), 2 * depth + 1)
     assert r.solution == tuple(sorted(g.edges()))
 
     ball = RootedTree.from_parent_map(
@@ -179,7 +179,7 @@ def test_tree_wave_costs_exact(n, seed, rootpick, h):
     assert r.metrics.messages_total == 2 * (c - 1) + len(boundary)
     # Boundary nodes hang off the deepest layer, so their notifications
     # land one round after the broadcast ends.
-    assert r.rounds == 2 * ball.depth + (1 if boundary else 0) <= 2 * ball.depth + 1
+    assert r.metrics.rounds == 2 * ball.depth + 1 + (1 if boundary else 0) <= 2 * ball.depth + 2
     assert r.augmented.extension.boundary == boundary
     assert set(r.boundary_notified) == boundary
 
@@ -294,7 +294,7 @@ def test_augment_budget():
     c = len(t.members)
     b = len(r.augmented.extension.boundary)
     assert r.metrics.messages_total <= 2 * (c - 1) + b
-    assert r.rounds <= 2 * t.depth + 1
+    assert r.metrics.rounds <= 2 * t.depth + 2
 
 
 # --- bfs_exploration -------------------------------------------------------
@@ -320,8 +320,8 @@ def test_exploration_path5_h2():
     assert r.tree.members == frozenset({1, 2, 3})
     assert r.tree.layer == {1: 0, 2: 1, 3: 2}
     assert r.metrics.messages_total == 4
-    assert r.rounds == 10
-    assert r.rounds <= 4 * 2 * 2
+    assert r.metrics.rounds == 11
+    assert r.metrics.rounds <= 4 * 2 * 2 + 1
 
 
 def test_exploration_k4_h1():
@@ -330,7 +330,7 @@ def test_exploration_k4_h1():
     assert r.tree.members == frozenset({1, 2, 3, 4})
     assert all(r.tree.layer[v] == 1 for v in (2, 3, 4))
     assert all(r.join_receipts[v] == 1 for v in (2, 3, 4))
-    assert r.rounds <= 4
+    assert r.metrics.rounds <= 5
 
 
 def test_exploration_join_tie_breaks_lexicographically():
@@ -361,4 +361,4 @@ def test_exploration_matches_truncated_oracle(n, seed, h):
     assert all(c == 1 for c in r.join_receipts.values())
     c = len(r.tree.members)
     assert r.metrics.messages_total <= 4 * c * h
-    assert r.rounds <= 4 * h * h
+    assert r.metrics.rounds <= 4 * h * h + 1

@@ -61,7 +61,6 @@ def manual_cover(g, trees, params):
         root_knowledge={},
         phase_of={i: 1 for i in range(len(trees))},
         metrics=RunMetrics(),
-        rounds=0,
     )
 
 
@@ -145,7 +144,7 @@ def test_path5_every_node_sources():
     assert rep.max_membership == 5  # node 3 sits in everyone's 2-ball
     # regression: frozen from the first run of this configuration
     assert cov.metrics.messages_total == 40
-    assert cov.rounds == 15
+    assert cov.metrics.rounds == 15
 
 
 def test_er512_cover_quality():
@@ -276,7 +275,7 @@ def test_same_seed_same_cover():
     assert [t.root for t in a.clusters] == [t.root for t in b.clusters]
     assert [t.parent for t in a.clusters] == [t.parent for t in b.clusters]
     assert a.metrics.messages_total == b.metrics.messages_total
-    assert a.rounds == b.rounds
+    assert a.metrics.rounds == b.metrics.rounds
 
 
 @settings(max_examples=12, deadline=None)

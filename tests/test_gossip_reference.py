@@ -141,7 +141,7 @@ def _assert_same_run(g: Graph) -> None:
         {v: set(s["known"]) for v, s in states.items()}
     assert got.iterations == max(s["last_rwork"] for s in states.values())
     assert got.complete == (not any(s["R"] for s in states.values()))
-    assert got.rounds == want.metrics.rounds
+    assert got.metrics.rounds == want.metrics.rounds
     assert got.metrics.messages_by_category == want.metrics.messages_by_category
 
 
