@@ -16,6 +16,7 @@ record is self-contained enough to re-derive each verdict.
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 import math
 import os
@@ -220,21 +221,33 @@ def flood_baseline_bfs(g: Graph, root: int) -> Tuple[RootedTree, RunMetrics]:
 
 
 # ---------------------------------------------------------------------------
-# Centralized MST oracle (independent route: networkx).
+# Centralized MST oracle (independent route: Prim's algorithm, where the
+# library's global solve runs Kruskal's).
 # ---------------------------------------------------------------------------
 
 def oracle_mst(g: Graph) -> Tuple[Tuple[int, int], ...]:
-    """MST under the canonical lexicographic (min id, max id) weight rule."""
-    import networkx as nx
+    """MST under the canonical lexicographic (min id, max id) weight rule.
 
-    big = max(g.nodes) + 1
-    ng = nx.Graph()
-    ng.add_nodes_from(g.nodes)
-    for u, w in g.edges():
-        a, b = canonical_edge(u, w)
-        ng.add_edge(a, b, weight=a * big + b)
-    tree = nx.minimum_spanning_tree(ng, weight="weight")
-    return tuple(sorted(canonical_edge(u, w) for u, w in tree.edges))
+    Prim's algorithm from the least id over a heap of (canonical edge, far
+    end) entries.  The weights are distinct, so the tree is unique.  Returns
+    its canonical edges, sorted.
+    """
+    adj = g.adjacency
+    start = min(adj)
+    seen = {start}
+    heap = [(canonical_edge(start, w), w) for w in adj[start]]
+    heapq.heapify(heap)
+    tree = []
+    while heap:
+        edge, v = heapq.heappop(heap)
+        if v in seen:
+            continue
+        seen.add(v)
+        tree.append(edge)
+        for w in adj[v]:
+            if w not in seen:
+                heapq.heappush(heap, (canonical_edge(v, w), w))
+    return tuple(sorted(tree))
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,13 @@ class GraphGenSpec:
             raise GraphError(f"unknown family {self.family!r}")
         if self.id_scheme not in ID_SCHEMES:
             raise GraphError(f"unknown id scheme {self.id_scheme!r}")
+        # bool is an int subclass, hence the exact type checks.
+        if type(self.n) is not int:
+            raise GraphError(f"n must be an int, not {self.n!r}")
+        if type(self.seed) is not int:
+            raise GraphError(f"seed must be an int, not {self.seed!r}")
+        if self.p is not None and type(self.p) not in (int, float):
+            raise GraphError(f"p must be a number, not {self.p!r}")
         if self.n < 1:
             raise GraphError("n must be >= 1")
         if self.family == "erdos_renyi":

@@ -27,6 +27,8 @@ from kt1sim.gossipspanner import (
     _kruskal_mst,
 )
 from kt1sim.netgraph import (
+    FAMILIES,
+    ID_SCHEMES,
     Graph,
     GraphGenSpec,
     canonical_edge,
@@ -400,12 +402,61 @@ def test_tree_graph_mst_is_itself():
     assert sorted(res.solution) == sorted(g.edges())
 
 
+def _networkx_mst(g):
+    """Independent route: networkx's MST under the (min id, max id) weight."""
+    import networkx as nx
+
+    big = max(g.nodes) + 1
+    ng = nx.Graph()
+    ng.add_nodes_from(g.nodes)
+    for u, w in g.edges():
+        a, b = canonical_edge(u, w)
+        ng.add_edge(a, b, weight=a * big + b)
+    tree = nx.minimum_spanning_tree(ng, weight="weight")
+    return tuple(sorted(canonical_edge(u, w) for u, w in tree.edges))
+
+
+def _assert_msts_agree(g):
+    from kt1sim.harness import oracle_mst
+    want = _networkx_mst(g)
+    assert len(want) == g.n - 1
+    assert oracle_mst(g) == want
+    assert tuple(sorted(_kruskal_mst(g.nodes, g.edges()))) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(FAMILIES), n=st.integers(1, 64),
+       id_scheme=st.sampled_from(ID_SCHEMES), seed=st.integers(0, 1000))
+def test_mst_oracle_matches_networkx_and_kruskal(family, n, id_scheme, seed):
+    if family == "cycle":
+        n = max(n, 3)
+    p = er_connectivity_safe_p(n) if family == "erdos_renyi" else None
+    _assert_msts_agree(make_graph(family, n, seed=seed, p=p, id_scheme=id_scheme))
+
+
+def test_mst_oracle_explicit_cases():
+    from kt1sim.harness import oracle_mst
+    assert oracle_mst(make_graph("path", 1)) == ()
+    assert oracle_mst(make_graph("path", 2)) == ((1, 2),)
+    path = make_graph("path", 9, id_scheme="random_permutation", seed=5)
+    assert oracle_mst(path) == tuple(sorted(path.edges()))
+    # K_n: every node is adjacent to the least id, and those edges are the lightest.
+    kn = make_graph("complete", 12, id_scheme="random_permutation", seed=2)
+    low = min(kn.nodes)
+    assert oracle_mst(kn) == tuple((low, v) for v in kn.nodes if v != low)
+    er768 = make_graph("erdos_renyi", 768, id_scheme="random_permutation",
+                       p=er_connectivity_safe_p(768))
+    for g in (path, kn, er768):
+        _assert_msts_agree(g)
+
+
 def test_grid_mst_matches_networkx():
     from kt1sim.harness import oracle_mst
     g = make_graph("grid", 64, seed=1, id_scheme="random_permutation")
     tree = deterministic_bfs(g, min(g.nodes)).tree
     res = solve_global(g, tree, "mst")
     assert sorted(canonical_edge(*e) for e in res.solution) == list(oracle_mst(g))
+    assert oracle_mst(g) == _networkx_mst(g)
     n = g.n
     assert res.metrics.messages_total <= 2 * (n - 1)
     assert res.metrics.rounds <= 2 * tree.depth + 1
@@ -447,7 +498,7 @@ def test_kruskal_agrees_with_networkx(seed):
     g = make_graph("erdos_renyi", 32, seed=seed % 60, p=0.18,
                    id_scheme="random_permutation")
     ours = sorted(canonical_edge(*e) for e in _kruskal_mst(g.nodes, g.edges()))
-    assert ours == list(oracle_mst(g))
+    assert ours == list(oracle_mst(g)) == list(_networkx_mst(g))
 
 
 # ---------------------------------------------------------------------------

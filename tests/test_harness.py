@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -246,6 +248,27 @@ def test_scaling_rejects_no_seeds(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_pipelines_load_no_third_party_module():
+    """Every pipeline, its oracle verdict and a scaling study run on the
+    standard library alone; numpy, scipy and networkx stay test-only."""
+    code = (
+        "import sys\n"
+        "from kt1sim import harness\n"
+        "for algo in harness.PIPELINES:\n"
+        "    cfg = harness.ExperimentConfig(\n"
+        "        graph=harness._graph_spec('erdos_renyi', 48, 0), algo=algo)\n"
+        "    assert harness.run_experiment(cfg).all_ok, algo\n"
+        "harness.scaling_study('erdos_renyi', [32, 64], 'global_mst', seeds=(0,))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('numpy', 'scipy', 'networkx')))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -351,8 +374,15 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad", [{"trials": 2.5}, {"seeds": ["a"]}, {"seeds": [1.5]},
-                                 {"output_path": 7}],
-                         ids=["trials-float", "seed-str", "seed-float", "output_path-int"])
+                                 {"output_path": 7},
+                                 {"graph": {"family": "path", "n": 4.5}},
+                                 {"graph": {"family": "path", "n": True}},
+                                 {"graph": {"family": "path", "n": 4, "seed": 1.5}},
+                                 {"graph": {"family": "path", "n": 4, "seed": "a"}},
+                                 {"graph": {"family": "erdos_renyi", "n": 4, "p": True}}],
+                         ids=["trials-float", "seed-str", "seed-float", "output_path-int",
+                              "graph-n-float", "graph-n-bool", "graph-seed-float",
+                              "graph-seed-str", "graph-p-bool"])
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, bad):
     cpath = tmp_path / "cfg.json"
     cpath.write_text(json.dumps({"graph": {"family": "path", "n": 4},
