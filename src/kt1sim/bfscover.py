@@ -21,7 +21,7 @@ Preprocessing (once per cover, not per BFS phase):
 Each BFS phase then runs in a fixed window of 2H+4 rounds (H = deepest
 cover tree): frontier nodes push one coalesced report/request wave up the
 relevant cover trees (offset H - depth keeps every hop a single merged
-message), roots answer requesters with a source-routed aggregate (their
+message), roots answer requesters with a route-mapped aggregate (their
 static member topology plus the live joined set), and each frontier node
 locally picks, for every unjoined neighbor w, the edge from the joined
 neighbor of w of least id (equivalently, the lexicographically first edge
@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 # bfs_tree_from_json and bfs_tree_to_json are re-exported from here.
 from .clustercomm import (ClusterError, RootedTree, bfs_tree_from_json, bfs_tree_to_json,
-                          source_route, split_routes)
+                          route_map)
 from .covers import Cover, CoverParams, cover_construction
 from .netgraph import Graph
 from .simengine import (
@@ -67,9 +67,9 @@ from .simengine import (
 
 K_COV = 30   # home setup: root announces its 2-covered member set
 K_REG = 31   # home setup: coalesced home registrations, leafward->root
-K_REL = 32   # home setup: source-routed "report joins to me" notices
+K_REL = 32   # home setup: route-mapped "report joins to me" notices
 K_PING = 20  # BFS: coalesced frontier reports/requests up a cover tree
-K_AGG = 21   # BFS: source-routed aggregate answer to requesters
+K_AGG = 21   # BFS: route-mapped aggregate answer to requesters
 K_GROW = 22  # BFS: the one exploration message a node ever receives
 
 DEFAULT_KAPPA_FACTOR = 2
@@ -95,6 +95,7 @@ class _HomeSetupProtocol(Protocol):
     def __init__(self, cover: Cover, H: int):
         self.cover = cover
         self.H = H
+        self._trees = {t.root: t for t in cover.clusters}
         self.kids = {t.root: t.children() for t in cover.clusters}
         # Each root's local computation: members whose whole 2-ball stays
         # inside the cluster (possible because the root knows every
@@ -107,9 +108,6 @@ class _HomeSetupProtocol(Protocol):
             inside = tree.members
             A = {w for w, nbrs in know.items() if inside.issuperset(nbrs)}
             self.cov2[tree.root] = frozenset(w for w in A if A.issuperset(know[w]))
-
-    def _tree(self, root: int):
-        return self.cover.clusters[self.cover.root_index[root]]
 
     def setup(self, node: NodeContext) -> None:
         st = node.state
@@ -148,15 +146,14 @@ class _HomeSetupProtocol(Protocol):
                 elif st["flush_due"].get(root) == rnd:
                     st["regbuf"].setdefault(root, []).extend(items)
                 else:
-                    parent = self._tree(root).parent[v]
+                    parent = self._trees[root].parent[v]
                     sends.append((parent, payload, CAT_CLUSTER_TREE))
             elif kind == K_REL:
-                _, root, entries = payload
-                here, onward = split_routes(entries)
+                _, root, (here, onward) = payload
                 if here:
                     node.output["report_to"].append(root)
-                for hop, fwd in onward:
-                    sends.append((hop, (K_REL, root, fwd), CAT_CLUSTER_TREE))
+                for hop, route in onward.items():
+                    sends.append((hop, (K_REL, root, route), CAT_CLUSTER_TREE))
             else:
                 raise BFSError(f"unexpected payload kind {kind!r} in home setup")
 
@@ -173,14 +170,14 @@ class _HomeSetupProtocol(Protocol):
                 if home == v:
                     st["registrants"].add(v)
                 else:
-                    d = self._tree(home).layer[v]
+                    d = self._trees[home].layer[v]
                     flush_at = self.H + 2 + (self.H - d)
                     st["flush_due"][home] = flush_at
                     node.schedule(flush_at, ("reg_flush", home))
             elif kind == "reg_flush":
                 _, home = action
                 items = tuple(sorted(set(st["regbuf"].pop(home, [])) | {v}))
-                parent = self._tree(home).parent[v]
+                parent = self._trees[home].parent[v]
                 sends.append((parent, (K_REG, home, items), CAT_CLUSTER_TREE))
             elif kind == "wave_c":
                 sends.extend(self._wave_c(node))
@@ -200,9 +197,10 @@ class _HomeSetupProtocol(Protocol):
             relevant.update(know[u])
         if v in relevant:
             node.output["report_to"].append(v)
-        targets = [(w,) for w in sorted(relevant) if w != v]
-        return [(hop, (K_REL, v, entries), CAT_CLUSTER_TREE)
-                for hop, entries in source_route(v, self._tree(v).parent, targets)]
+        relevant.discard(v)
+        return [(hop, (K_REL, v, route), CAT_CLUSTER_TREE)
+                for hop, route in route_map(v, self._trees[v].parent,
+                                            dict.fromkeys(relevant, True)).items()]
 
 
 @dataclass
@@ -264,16 +262,14 @@ class _BFSPhaseProtocol(Protocol):
         self.pre = pre
         self.H = pre.H
         self.window = 2 * pre.H + 4
-
-    def _tree(self, root: int):
-        return self.pre.cover.clusters[self.pre.cover.root_index[root]]
+        self._trees = {t.root: t for t in pre.cover.clusters}
 
     def setup(self, node: NodeContext) -> None:
         st = node.state
         v = node.self_id
         st["pingbuf"] = {}
         st["flush_due"] = {}
-        if v in self.pre.cover.root_index:
+        if v in self._trees:
             # Root-side live view: members known to be in the BFS, and the
             # requesters of the current phase.
             st["joined"] = set()
@@ -292,7 +288,7 @@ class _BFSPhaseProtocol(Protocol):
             if root == v:
                 node.schedule(phase_start + self.H, ("self_ping", root, want))
                 continue
-            d = self._tree(root).layer[v]
+            d = self._trees[root].layer[v]
             at = phase_start + (self.H - d)
             node.state["flush_due"][root] = at
             node.schedule(at, ("ping_flush", root, want))
@@ -313,15 +309,14 @@ class _BFSPhaseProtocol(Protocol):
                 elif st["flush_due"].get(root) == rnd:
                     st["pingbuf"].setdefault(root, []).extend(items)
                 else:
-                    parent = self._tree(root).parent[v]
+                    parent = self._trees[root].parent[v]
                     sends.append((parent, payload, CAT_CLUSTER_TREE))
             elif kind == K_AGG:
-                _, root, entries, agg = payload
-                here, onward = split_routes(entries)
+                _, root, (here, onward), agg = payload
                 if here:
                     self._consume_aggregate(node, rnd, agg)
-                for hop, fwd in onward:
-                    sends.append((hop, (K_AGG, root, fwd, agg), CAT_CLUSTER_TREE))
+                for hop, route in onward.items():
+                    sends.append((hop, (K_AGG, root, route, agg), CAT_CLUSTER_TREE))
             elif kind == K_GROW:
                 _, layer = payload
                 node.output["grow_msgs"] += 1
@@ -343,7 +338,7 @@ class _BFSPhaseProtocol(Protocol):
                 items = st["pingbuf"].pop(root, [])
                 items.append((v, want))
                 items.sort()
-                parent = self._tree(root).parent[v]
+                parent = self._trees[root].parent[v]
                 sends.append((parent, (K_PING, root, tuple(items)), CAT_CLUSTER_TREE))
             elif kind == "self_ping":
                 _, root, want = action
@@ -370,7 +365,7 @@ class _BFSPhaseProtocol(Protocol):
 
     def _root_answer(self, node: NodeContext, rnd: int) -> List:
         """All of this phase's pings arrive in one round; answer requesters
-        with one source-routed copy of (static topology, live joined set).
+        with one route-mapped copy of (static topology, live joined set).
 
         The joined set is shared by reference and mutates in later phases;
         receivers consume it on delivery, which is always before the next
@@ -385,9 +380,9 @@ class _BFSPhaseProtocol(Protocol):
         agg = (self.pre.cover.root_knowledge[v], st["joined"])
         if v in asking:
             self._consume_aggregate(node, rnd, agg)
-        targets = [(w,) for w in sorted(set(asking)) if w != v]
-        return [(hop, (K_AGG, v, entries, agg), CAT_CLUSTER_TREE)
-                for hop, entries in source_route(v, self._tree(v).parent, targets)]
+        targets = dict.fromkeys((w for w in asking if w != v), True)
+        return [(hop, (K_AGG, v, route, agg), CAT_CLUSTER_TREE)
+                for hop, route in route_map(v, self._trees[v].parent, targets).items()]
 
     # Frontier-side -------------------------------------------------------
     def _consume_aggregate(self, node: NodeContext, rnd: int, agg) -> None:
@@ -414,7 +409,7 @@ class _BFSPhaseProtocol(Protocol):
         if targets:
             # Fixed send slot at the end of stage 2, uniform across all
             # requesters regardless of when their aggregate arrived.
-            phase_start = rnd - self.H - (self._tree(self.pre.home[v]).layer[v]
+            phase_start = rnd - self.H - (self._trees[self.pre.home[v]].layer[v]
                                           if self.pre.home[v] != v else 0)
             send_at = phase_start + 2 * self.H + 2
             node.schedule(send_at, ("explore", tuple(targets), my_layer + 1))

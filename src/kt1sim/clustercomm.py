@@ -19,10 +19,10 @@ primitives here are the workhorses of every protocol in the package:
 * depth-bounded BFS exploration growing a cluster one layer per window.
 
 The exploration machinery is reactive: upward reports coalesce at each hop,
-downward instructions are source-routed batches computed at the root (which
-tracks the full tree), and the only clock the participants share is "a node
-that joins in round t reports in round t+2".  Rounds fit the fixed per-layer
-window of 2j+3 used by the growth schedule.
+downward instructions travel in route maps built once at the root (which
+tracks the full tree; see route_map), and the only clock the participants
+share is "a node that joins in round t reports in round t+2".  Rounds fit
+the fixed per-layer window of 2j+3 used by the growth schedule.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ Edge = Tuple[int, int]
 
 # Wire kinds for the exploration machinery (shared with the cover builder).
 K_UP = 10      # coalesced new-member reports flowing rootward
-K_DOWN = 11    # source-routed growth instructions flowing leafward
+K_DOWN = 11    # route-mapped growth instructions flowing leafward
 K_JOIN = 12    # the one exploration message a joining node ever receives
 
 
@@ -183,44 +183,33 @@ def minimal_outgoing_edge_set(
 
 
 # ---------------------------------------------------------------------------
-# Source routing: a root that knows its whole tree sends one batch per first
-# hop; each batch entry is (path, idx, *data), path the tree path from the
-# root to the entry's target (root excluded) and idx the position of the
-# next hop on it.
+# Route maps: a root that knows its whole tree sends data to chosen members
+# down the union of their tree paths.  A route is (data, onward): the data
+# for the node it reaches (None when the node only relays) and the onward
+# map, hop -> route, of its children on those paths.
 # ---------------------------------------------------------------------------
 
-RouteBatches = List[Tuple[int, Tuple[Tuple, ...]]]
+Route = Tuple[Any, Dict[int, Any]]
 
 
-def source_route(root: int, parent: Mapping[int, int],
-                 targets: Iterable[Tuple]) -> RouteBatches:
-    """Batch (target, *data) items, targets other than root, by the first
-    hop of their tree path; batches come in ascending hop order and keep
-    the order of targets within each batch."""
-    groups: Dict[int, List[Tuple]] = {}
-    for item in targets:
-        path = []
-        x = item[0]
-        while x != root:
-            path.append(x)
+def route_map(root: int, parent: Mapping[int, int],
+              data_at: Mapping[int, Any]) -> Dict[int, Route]:
+    """The root's onward map delivering data_at[t] (never None) to every
+    target t other than root, hops in ascending id order at every level.
+    A hop reads its own entry and forwards each onward sub-map as is, so
+    no route is regrouped or changed once built.  Costs O(distinct nodes
+    on the root-to-target paths), plus sorting them."""
+    if root in data_at:
+        raise ClusterError(f"the root {root} cannot be a route target")
+    onward: Dict[int, Dict[int, Route]] = {root: {}}
+    for x in data_at:
+        while x not in onward:
+            onward[x] = {}
             x = parent[x]
-        path.reverse()
-        groups.setdefault(path[0], []).append((tuple(path), 1) + item[1:])
-    return [(hop, tuple(groups[hop])) for hop in sorted(groups)]
-
-
-def split_routes(entries: Iterable[Tuple]) -> Tuple[List[Tuple], RouteBatches]:
-    """Split received (path, idx, *data) entries into the data of those that
-    end at this node and the batches to forward, as source_route does."""
-    here: List[Tuple] = []
-    groups: Dict[int, List[Tuple]] = {}
-    for entry in entries:
-        path, idx = entry[0], entry[1]
-        if idx == len(path):
-            here.append(entry[2:])
-        else:
-            groups.setdefault(path[idx], []).append((path, idx + 1) + entry[2:])
-    return here, [(hop, tuple(groups[hop])) for hop in sorted(groups)]
+    for x in sorted(onward):
+        if x != root:
+            onward[parent[x]][x] = (data_at.get(x), onward[x])
+    return onward[root]
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +414,7 @@ def compute_augmented_tree(g: Graph, tree: RootedTree) -> AugmentResult:
 class ClusterState:
     """Root-side ledger of one growing cluster.  The root learns every
     member's neighbor list through the upward reports, so it can compute
-    outgoing edge sets and source routes without further queries.  best
+    outgoing edge sets and route maps without further queries.  best
     maps each outside neighbor w to its inside neighbor of least id, the
     endpoint of the lexicographically first edge to w."""
 
@@ -486,9 +475,9 @@ class ExplorationProtocol(Protocol):
 
     Window j (of a given cluster): the nodes that joined in window j-1 report
     (id, neighbor list) up the tree with per-hop coalescing; the root absorbs
-    the reports, computes the minimal outgoing edge set, and source-routes
-    the edge assignments back down; the assigned members then send one
-    exploration message over each assigned edge, all in the same round.
+    the reports, computes the minimal outgoing edge set, and sends the edge
+    assignments back down in one route map; the assigned members then send
+    one exploration message over each assigned edge, all in the same round.
     Every reached node therefore receives exactly one exploration message
     per cluster, and ties between simultaneous candidate edges are settled
     at the root by the least-id rule: w is explored from its inside neighbor
@@ -547,10 +536,10 @@ class ExplorationProtocol(Protocol):
         if cs.root in assign:
             node.schedule(explore_round,
                           ("explore", cs.root, j, tuple(assign[cs.root]), cs.join_extra))
-        targets = [(u, tuple(assign[u])) for u in sorted(assign) if u != cs.root]
-        sends = [(hop, (K_DOWN, cs.root, j, explore_round, cs.join_extra, entries),
+        targets = {u: tuple(ws) for u, ws in assign.items() if u != cs.root}
+        sends = [(hop, (K_DOWN, cs.root, j, explore_round, cs.join_extra, route),
                   CAT_CLUSTER_TREE)
-                 for hop, entries in source_route(cs.root, cs.parent, targets)]
+                 for hop, route in route_map(cs.root, cs.parent, targets).items()]
         cs.register_joins(assign, j)
         return sends
 
@@ -570,12 +559,11 @@ class ExplorationProtocol(Protocol):
                     _, root, j, items = payload
                     up_merge.setdefault((root, j), []).extend(items)
                 elif kind == K_DOWN:
-                    _, root, j, explore_round, extra, entries = payload
-                    here, onward = split_routes(entries)
-                    for (ws,) in here:
+                    _, root, j, explore_round, extra, (ws, onward) = payload
+                    if ws is not None:
                         node.schedule(explore_round, ("explore", root, j, ws, extra))
-                    for hop, fwd in onward:
-                        sends.append((hop, (K_DOWN, root, j, explore_round, extra, fwd),
+                    for hop, route in onward.items():
+                        sends.append((hop, (K_DOWN, root, j, explore_round, extra, route),
                                       CAT_CLUSTER_TREE))
                 elif kind == K_JOIN:
                     _, root, depth, extra = payload

@@ -14,6 +14,12 @@ the node is stepped in round r.  Rounds in which no node has mail and no node
 has a timer are skipped in O(1) while still counting toward the round total:
 skipping idle time is measurement-side bookkeeping, not something the
 protocol can observe.
+
+The send loop only checks each message's edge, counts it and delivers it.
+Gossip-mode activation policing, trace recording and digesting are a second
+pass over the same sends, in send order, made only when gossip_mode,
+record_trace or trace_digest is on.  It costs one loop per sending node plus
+an Envelope per message (trace) or an encoding of every payload (digest).
 """
 
 from __future__ import annotations
@@ -229,6 +235,21 @@ def _canon(obj: Any) -> bytes:
     raise TypeError(f"unhashable payload element of type {type(obj).__name__}")
 
 
+def _observe(rnd: int, v: int, sends: List[Tuple[int, Any, int]], gossip_acts: Optional[Dict],
+             trace: Optional[List[Envelope]], hasher) -> None:
+    """The observer pass over node v's sends of round rnd, in send order:
+    note gossip activations (gossip mode), record the trace, digest."""
+    for dst, payload, cat in sends:
+        if gossip_acts is not None and cat == CAT_GOSSIP and isinstance(payload, tuple) \
+                and payload and payload[0] == GOSSIP_ACT:
+            gossip_acts.setdefault(v, []).append((v, dst))
+        if trace is not None:
+            trace.append(Envelope(rnd, v, dst, payload, CATEGORY_NAMES[cat]))
+        if hasher is not None:
+            hasher.update(b"%d|%d|%d|%d|" % (rnd, v, dst, cat))
+            hasher.update(_canon(payload))
+
+
 def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -> RunResult:
     """Execute protocol on graph until every node halts (or, with
     allow_quiescence, until the system can provably never act again).
@@ -253,6 +274,9 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
     counts = [0, 0, 0, 0]
     trace: Optional[List[Envelope]] = [] if config.record_trace else None
     hasher = hashlib.blake2b(digest_size=16) if config.trace_digest else None
+    gossip_mode = config.gossip_mode
+    observed = gossip_mode or trace is not None or hasher is not None
+    step = protocol.step  # after any per-instance shadowing of step
 
     # In-flight mail sent last processed round, per addressee: (src,
     # payload) in ascending sender order, since senders step in id order.
@@ -260,7 +284,6 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
 
     rnd = 0
     last_active = 0
-    gossip_mode = config.gossip_mode
 
     while True:
         # Next round with anything to do; idle gaps are skipped but counted.
@@ -295,22 +318,21 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
             if acts is not None:
                 due[v] = acts
 
-        active = set(inboxes)
-        active.update(due)
-        active.difference_update(halted)
-        if not active:
-            continue  # all addressees already halted; mail is dropped
+        order = sorted(inboxes.keys() | due.keys()) if due else sorted(inboxes)
+        if halted:  # mail to halted nodes is dropped
+            order = [v for v in order if v not in halted]
+        if not order:
+            continue
         last_active = rnd
 
-        gossip_acts: Dict[int, List[Tuple[int, int]]] = {}
-
-        for v in sorted(active):
+        gossip_acts: Optional[Dict[int, List[Tuple[int, int]]]] = {} if gossip_mode else None
+        for v in order:
             node = nodes[v]
             mail = inboxes.get(v)
             node.inbox = mail if mail is not None else []
             acts = due.get(v)
             node.due = acts if acts is not None else []
-            sends, halt = protocol.step(node, rnd)
+            sends, halt = step(node, rnd)
             if sends:
                 allowed = nbr_sets[v]
                 for dst, payload, cat in sends:
@@ -324,19 +346,13 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
                         pending[dst] = [(v, payload)]
                     else:
                         box.append((v, payload))
-                    if gossip_mode and cat == CAT_GOSSIP and isinstance(payload, tuple) \
-                            and payload and payload[0] == GOSSIP_ACT:
-                        gossip_acts.setdefault(v, []).append((v, dst))
-                    if trace is not None:
-                        trace.append(Envelope(rnd, v, dst, payload, CATEGORY_NAMES[cat]))
-                    if hasher is not None:
-                        hasher.update(b"%d|%d|%d|%d|" % (rnd, v, dst, cat))
-                        hasher.update(_canon(payload))
+                if observed:
+                    _observe(rnd, v, sends, gossip_acts, trace, hasher)
             if halt:
                 halted.add(v)
                 node._timers.clear()
 
-        if gossip_mode:
+        if gossip_acts:
             for v, links in gossip_acts.items():
                 if len(links) > 1:
                     raise GossipViolation(rnd, v, links)

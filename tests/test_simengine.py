@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+from kt1sim import bfscover, covers
 from kt1sim.netgraph import GraphGenSpec, generate_graph
 from kt1sim.simengine import (
     CAT_CONTROL,
@@ -287,3 +289,84 @@ def test_gossip_check_flags_unsolicited_response():
 
 def test_gossip_check_empty_trace_ok():
     assert gossip_check([]).ok
+
+
+# --- observers: trace, digest and gossip policing change nothing -----------
+
+OBSERVER_CONFIGS = [
+    ModeConfig(),
+    ModeConfig(record_trace=True),
+    ModeConfig(trace_digest=True),
+    ModeConfig(record_trace=True, trace_digest=True),
+]
+
+EQUIVALENCE_GRAPHS = {
+    "grid36": GraphGenSpec(family="grid", n=36),
+    "er40": GraphGenSpec(family="erdos_renyi", n=40, p=0.15, seed=3,
+                         id_scheme="random_permutation"),
+}
+
+
+def _cover_bfs_runs(monkeypatch, spec, observed):
+    """(protocol, metrics, outputs, end_reason) of each engine run of one
+    cover BFS (cover construction, home setup, BFS phases), with
+    record_trace and trace_digest both forced to `observed`."""
+    real = run
+    runs = []
+
+    def forced(graph, protocol, config=None):
+        cfg = dataclasses.replace(config or ModeConfig(),
+                                  record_trace=observed, trace_digest=observed)
+        res = real(graph, protocol, cfg)
+        assert (res.trace is not None) is (res.digest is not None) is observed
+        if observed:
+            assert len(res.trace) == res.metrics.messages_total
+        runs.append((protocol.name, res.metrics, res.outputs, res.end_reason))
+        return res
+
+    monkeypatch.setattr(covers, "run", forced)
+    monkeypatch.setattr(bfscover, "run", forced)
+    g = generate_graph(spec)
+    bfscover.bfs_construction(g, min(g.nodes), seed=1)
+    return runs
+
+
+@pytest.mark.parametrize("gname", sorted(EQUIVALENCE_GRAPHS))
+def test_observed_and_plain_cover_runs_are_identical(monkeypatch, gname):
+    spec = EQUIVALENCE_GRAPHS[gname]
+    plain = _cover_bfs_runs(monkeypatch, spec, observed=False)
+    observed = _cover_bfs_runs(monkeypatch, spec, observed=True)
+    assert [r[0] for r in plain] == ["cover_construction", "home_setup", "bfs_phases"]
+    assert observed == plain
+
+
+@pytest.mark.parametrize("cfg", OBSERVER_CONFIGS)
+def test_non_edge_send_faults_with_any_observers(cfg):
+    class LateBad(Protocol):
+        def step(self, node, rnd):
+            if rnd == 1:
+                return [(w, ("ok",), CAT_CONTROL) for w in node.neighbor_ids], False
+            return [(node.self_id + 70, ("x",), CAT_CONTROL)], True
+
+    with pytest.raises(ModelViolation, match="round 2"):
+        run(_graph("path", 3), LateBad(), cfg)
+
+
+@pytest.mark.parametrize("cfg", OBSERVER_CONFIGS)
+def test_double_activation_raises_with_any_observers(cfg):
+    with pytest.raises(GossipViolation):
+        run(_graph("path", 3), DoubleAct(), dataclasses.replace(cfg, gossip_mode=True))
+
+
+def test_run_steps_through_a_step_shadowed_on_the_instance():
+    proto = PingOnce()
+    inner = proto.step
+    calls = []
+
+    def step(node, rnd):
+        calls.append((rnd, node.self_id))
+        return inner(node, rnd)
+
+    proto.step = step  # as a tracer wrapping one protocol instance does
+    run(_graph("path", 2), proto)
+    assert calls == [(1, 1), (1, 2), (2, 1), (2, 2)]
