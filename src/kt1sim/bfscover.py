@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 # bfs_tree_from_json and bfs_tree_to_json are re-exported from here.
@@ -203,7 +203,7 @@ class _HomeSetupProtocol(Protocol):
                                             dict.fromkeys(relevant, True)).items()]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Preprocessed:
     cover: Cover
     H: int
@@ -230,18 +230,25 @@ def _home_setup(g: Graph, cover: Cover) -> Optional[Preprocessed]:
                         metrics=merged)
 
 
-def preprocess(g: Graph, seed: int, kappa: Optional[int] = None) -> Preprocessed:
+def preprocess(g: Graph, seed: int, kappa: Optional[int] = None,
+               covers: Optional[Dict[CoverParams, Cover]] = None) -> Preprocessed:
     """Build the cover plus home registration; retried with a fresh seed on
-    the (never yet observed) chance that some node ends up homeless."""
+    the (never yet observed) chance that some node ends up homeless.
+
+    ``covers`` maps parameters to covers of g already built; an attempt
+    whose parameters are there uses that cover, and every cover built is
+    added, so a caller keeping the mapping builds each cover of g once."""
     kap = kappa if kappa is not None else default_kappa(g.n)
+    covers = {} if covers is None else covers
     last = None
     for attempt in range(COVER_ATTEMPTS):
         params = CoverParams(kappa=kap, W=2, seed=seed + attempt)
-        cover = cover_construction(g, params)
+        cover = covers.get(params)
+        if cover is None:
+            cover = covers[params] = cover_construction(g, params)
         pre = _home_setup(g, cover)
         if pre is not None:
-            pre.attempts = attempt + 1
-            return pre
+            return replace(pre, attempts=attempt + 1)
         last = cover
     raise BFSError(
         f"no covering home for some node after {COVER_ATTEMPTS} cover attempts "
@@ -490,14 +497,17 @@ def election_to_json(res: ElectionResult) -> str:
 
 def randomized_leader_election(g: Graph, seed: int = 0,
                                candidates: Optional[Sequence[int]] = None,
-                               kappa: Optional[int] = None) -> ElectionResult:
+                               kappa: Optional[int] = None,
+                               pre: Optional[Preprocessed] = None) -> ElectionResult:
     """Elect the max-id BFS candidate.
 
     Candidates sample themselves with probability min(1, 8 ln n / n) using
     the shared seed; a caller may force an explicit candidate set instead.
     All candidate BFS runs reuse one cover, and their rounds overlap (the
     executions are disjoint in state, so the round count is preprocessing
-    plus the slowest candidate while messages add up).
+    plus the slowest candidate while messages add up).  Pass a Preprocessed
+    to reuse a cover built before (for a BFS on the same graph, say);
+    metrics still include its preprocessing.
     """
     if candidates is None:
         p = min(1.0, CANDIDATE_LOG_FACTOR * math.log(max(g.n, 2)) / g.n)
@@ -513,7 +523,8 @@ def randomized_leader_election(g: Graph, seed: int = 0,
                               candidates=(), leader_at={}, metrics=RunMetrics(),
                               failure="no candidate sampled")
 
-    pre = preprocess(g, seed, kappa)
+    if pre is None:
+        pre = preprocess(g, seed, kappa)
     metrics = pre.metrics
     phase_metrics: Optional[RunMetrics] = None
     best_seen: Dict[int, int] = {v: -1 for v in g.nodes}

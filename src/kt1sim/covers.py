@@ -79,7 +79,7 @@ def phase_probability(kappa: int, n: int, i: int) -> float:
     return min(1.0, (n ** ((i - kappa) / kappa)) * 3.0 * math.log(n))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cover:
     clusters: Tuple[RootedTree, ...]
     membership: Dict[int, Tuple[int, ...]]  # node -> indices into clusters

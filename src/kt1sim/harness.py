@@ -11,6 +11,14 @@ Every trial is checked against the matching oracle (exact BFS layers,
 unanimity on the maximum id, cover properties, centralized MST); failures
 are recorded in the output with diagnostics rather than swallowed, and the
 record is self-contained enough to re-derive each verdict.
+
+A private memo shares deterministic stages between trials: the generated
+graph of a spec, and for one trial seed at a time the (kappa, 2) covers and
+the cover preprocessing that ``cover_only``, ``bfs_cover`` and ``le_rand``
+start from.  It holds one spec; a new spec drops the old stages before its
+graph is generated, and a stage that raises stores nothing.  Only stage
+results are shared: every trial still runs its own verdict, and its record
+is the one it would get from an empty memo.
 """
 
 from __future__ import annotations
@@ -251,6 +259,62 @@ def oracle_mst(g: Graph) -> Tuple[Tuple[int, int], ...]:
 
 
 # ---------------------------------------------------------------------------
+# Stage memo (see the module docstring).  Stages are built through module
+# attributes (generate_graph, covers.cover_construction,
+# bfscover.preprocess), so a wrapper bound to one of them sees every build.
+# ---------------------------------------------------------------------------
+
+class _Stages:
+    """The stages built so far on one generated graph."""
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.seed: Optional[int] = None  # the trial seed cover_at and pre belong to
+        self.cover_at: Dict[covers.CoverParams, covers.Cover] = {}
+        self.pre: Optional[bfscover.Preprocessed] = None
+
+    def _hold_seed(self, seed: int) -> None:
+        if seed != self.seed:
+            self.seed, self.cover_at, self.pre = seed, {}, None
+
+    def cover(self, seed: int) -> covers.Cover:
+        """The cover that bfscover.preprocess(graph, seed) tries first."""
+        self._hold_seed(seed)
+        params = covers.CoverParams(kappa=bfscover.default_kappa(self.graph.n), W=2,
+                                    seed=seed)
+        cover = self.cover_at.get(params)
+        if cover is None:
+            cover = self.cover_at[params] = covers.cover_construction(self.graph, params)
+        return cover
+
+    def preprocessed(self, seed: int) -> bfscover.Preprocessed:
+        """bfscover.preprocess(graph, seed), on the seed's covers."""
+        self._hold_seed(seed)
+        if self.pre is None:
+            built = dict(self.cover_at)  # kept only if preprocess returns
+            self.pre = bfscover.preprocess(self.graph, seed, covers=built)
+            self.cover_at = built
+        return self.pre
+
+
+# spec -> its stages; at most one entry, so two specs' stages are never held.
+_memo: Dict[GraphGenSpec, _Stages] = {}
+
+
+def _stages(spec: GraphGenSpec) -> _Stages:
+    st = _memo.get(spec)
+    if st is None:
+        _memo.clear()  # before generating, so the old graph can go first
+        st = _memo[spec] = _Stages(generate_graph(spec))
+    return st
+
+
+def _clear_stages() -> None:
+    """Forget every held stage, so the next trial builds all of its own."""
+    _memo.clear()
+
+
+# ---------------------------------------------------------------------------
 # Pipelines.  A runner looks up the traced library functions (bfscover.*,
 # gossipspanner.*, flood_baseline_bfs, oracle_bfs, oracle_mst) as module
 # attributes at call time, so a wrapper bound to one of them sees every call.
@@ -264,7 +328,7 @@ Trial = Tuple[RunMetrics, str, Dict[str, Any]]
 class Pipeline:
     """One harness algorithm: its verified trial and its cost normalisers."""
 
-    trial: Callable[[Graph, int, int], Trial]  # (g, root, seed) -> Trial
+    trial: Callable[[_Stages, int, int], Trial]  # (stages, root, seed) -> Trial
     message_exponent: Optional[int] = None  # k: messages / (n * L^k), L = log2ceil(n)
     round_terms: Optional[Tuple[int, int]] = None  # (a, b): rounds / (D * L^a + L^b)
 
@@ -279,20 +343,23 @@ def _layer_check(g: Graph, tree: RootedTree) -> str:
                      "layer map differs from oracle_bfs"))
 
 
-def _bfs_cover(g: Graph, root: int, seed: int) -> Trial:
-    res = bfscover.bfs_construction(g, root, seed=seed)
+def _bfs_cover(st: _Stages, root: int, seed: int) -> Trial:
+    g = st.graph
+    res = bfscover.bfs_construction(g, root, pre=st.preprocessed(seed))
     return res.metrics, _layer_check(g, res.tree), {
         "root": root, "kappa": res.cover.params.kappa, "clusters": len(res.cover.clusters)}
 
 
-def _bfs_spanner(g: Graph, root: int, seed: int) -> Trial:
+def _bfs_spanner(st: _Stages, root: int, seed: int) -> Trial:
+    g = st.graph
     res = gossipspanner.deterministic_bfs(g, root)
     return res.metrics, _layer_check(g, res.tree), {
         "root": root, "spanner_edges": res.spanner.size, "iterations": res.spanner.iterations}
 
 
-def _le_rand(g: Graph, root: int, seed: int) -> Trial:
-    res = bfscover.randomized_leader_election(g, seed=seed)
+def _le_rand(st: _Stages, root: int, seed: int) -> Trial:
+    g = st.graph
+    res = bfscover.randomized_leader_election(g, seed=seed, pre=st.preprocessed(seed))
     diag = _verdict((not res.success, res.failure or "election failed"),
                     (not res.unanimous, "nodes disagree on the leader"),
                     (res.leader != max(res.candidates, default=None),
@@ -300,15 +367,17 @@ def _le_rand(g: Graph, root: int, seed: int) -> Trial:
     return res.metrics, diag, {"leader": res.leader, "candidates": len(res.candidates)}
 
 
-def _le_det(g: Graph, root: int, seed: int) -> Trial:
+def _le_det(st: _Stages, root: int, seed: int) -> Trial:
+    g = st.graph
     res = gossipspanner.deterministic_leader_election(g)
     diag = _verdict((not res.unanimous, "nodes disagree on the maximum id"))
     return res.metrics, diag, {"leader": res.leader, "spanner_edges": res.spanner.size}
 
 
-def _cover_only(g: Graph, root: int, seed: int) -> Trial:
-    params = covers.CoverParams(kappa=bfscover.default_kappa(g.n), W=2, seed=seed)
-    cover = covers.cover_construction(g, params)
+def _cover_only(st: _Stages, root: int, seed: int) -> Trial:
+    g = st.graph
+    cover = st.cover(seed)
+    params = cover.params
     report = covers.verify_cover(cover, g)
     diag = _verdict((report.max_depth > params.max_tree_depth,
                      f"cluster depth {report.max_depth} over bound"),
@@ -318,7 +387,8 @@ def _cover_only(g: Graph, root: int, seed: int) -> Trial:
                                  "max_membership": report.max_membership}
 
 
-def _spanner_only(g: Graph, root: int, seed: int) -> Trial:
+def _spanner_only(st: _Stages, root: int, seed: int) -> Trial:
+    g = st.graph
     gossip = gossipspanner.gossip_local_broadcast(g)
     spanner = gossipspanner.extract_spanner(g, gossip)
     bad = gossipspanner.spanner_stretch_violations(g, spanner)
@@ -330,7 +400,8 @@ def _spanner_only(g: Graph, root: int, seed: int) -> Trial:
     return gossip.metrics, diag, {"iterations": gossip.iterations, "spanner_edges": spanner.size}
 
 
-def _global_mst(g: Graph, root: int, seed: int) -> Trial:
+def _global_mst(st: _Stages, root: int, seed: int) -> Trial:
+    g = st.graph
     bfs = gossipspanner.deterministic_bfs(g, root)
     solved = gossipspanner.solve_global(g, bfs.tree, problem="mst")
     mst = tuple(sorted(canonical_edge(u, w) for u, w in solved.solution))
@@ -341,7 +412,8 @@ def _global_mst(g: Graph, root: int, seed: int) -> Trial:
                                   "bfs_messages": bfs.metrics.messages_total}
 
 
-def _flood_baseline(g: Graph, root: int, seed: int) -> Trial:
+def _flood_baseline(st: _Stages, root: int, seed: int) -> Trial:
+    g = st.graph
     tree, metrics = flood_baseline_bfs(g, root)
     return metrics, _layer_check(g, tree), {"root": root, "two_m": 2 * g.m}
 
@@ -360,8 +432,9 @@ PIPELINES: Dict[str, Pipeline] = {
 ALGOS = tuple(PIPELINES)
 
 
-def _run_trial(cfg: ExperimentConfig, g: Graph, seed: int) -> TrialOutcome:
-    metrics, diag, extra = PIPELINES[cfg.algo].trial(g, min(g.nodes), seed)
+def _run_trial(cfg: ExperimentConfig, st: _Stages, seed: int) -> TrialOutcome:
+    g = st.graph
+    metrics, diag, extra = PIPELINES[cfg.algo].trial(st, min(g.nodes), seed)
     return TrialOutcome(seed=seed, ok=not diag, rounds=metrics.rounds,
                         messages=metrics.messages_total,
                         by_category=dict(metrics.messages_by_category),
@@ -377,9 +450,9 @@ def resolve_output_path(path: str) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
-    g = generate_graph(cfg.graph)
-    trials = [_run_trial(cfg, g, seed) for seed in cfg.trial_seeds]
-    record = ExperimentRecord(config=cfg, n=g.n, trials=trials)
+    st = _stages(cfg.graph)
+    trials = [_run_trial(cfg, st, seed) for seed in cfg.trial_seeds]
+    record = ExperimentRecord(config=cfg, n=st.graph.n, trials=trials)
     if cfg.output_path:
         path = resolve_output_path(cfg.output_path)
         with open(path, "w", encoding="utf-8") as fh:
@@ -460,10 +533,10 @@ def scaling_study(family: str, n_list: Sequence[int], algo: str,
             spec = _graph_spec(family, n, s)
             cfg = ExperimentConfig(graph=spec, algo=algo, trials=1,
                                    seeds=(s,))
-            g = generate_graph(spec)
+            st = _stages(spec)
             if diam is None:
-                diam = diameter(g)
-            t = _run_trial(cfg, g, s)
+                diam = diameter(st.graph)
+            t = _run_trial(cfg, st, s)
             if not t.ok:
                 raise HarnessError(
                     f"scaling trial failed for {family} n={n} seed={s}: "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
 
@@ -79,20 +79,8 @@ class Graph:
             edge_count += len(nbrs)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", edge_count // 2)
-        if n > 1 and not self._connected():
+        if not _connected(adj):
             raise GraphError("graph is not connected")
-
-    def _connected(self) -> bool:
-        start = next(iter(self.adjacency))
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in self.adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.n
 
     @property
     def nodes(self) -> Tuple[int, ...]:
@@ -215,7 +203,11 @@ def _structural_edges(spec: GraphGenSpec, rng: random.Random) -> List[Tuple[int,
                 for j in range(i + 1, n)
                 if rng.random() < spec.p
             ]
-            if _positions_connected(n, edges):
+            adj: Dict[int, List[int]] = {i: [] for i in range(n)}
+            for u, v in edges:
+                adj[u].append(v)
+                adj[v].append(u)
+            if _connected(adj):
                 return edges
         raise GraphError(
             f"no connected G({n},{spec.p}) draw within {ER_RETRY_BUDGET} attempts"
@@ -234,25 +226,18 @@ def _near_square_rows(n: int) -> int:
     return best
 
 
-def _positions_connected(n: int, edges: List[Tuple[int, int]]) -> bool:
-    if n == 1:
-        return True
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
+def _connected(adj: Mapping[int, Sequence[int]]) -> bool:
+    """Whether every node of a non-empty adjacency map is reachable from
+    its first node."""
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
     while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                count += 1
+        for u in adj[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
                 stack.append(u)
-    return count == n
+    return len(seen) == len(adj)
 
 
 def generate_graph(spec: GraphGenSpec) -> Graph:

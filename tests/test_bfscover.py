@@ -1,10 +1,12 @@
 """Tests for cover-based BFS construction and randomized leader election."""
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kt1sim import bfscover
 from kt1sim.bfscover import (
     BFSError,
     _HomeSetupProtocol,
@@ -119,6 +121,29 @@ def test_preprocessed_reuse_across_roots():
         assert res.tree.layer == oracle_bfs(g, root).dist
 
 
+def test_preprocess_takes_and_fills_the_cover_mapping(monkeypatch):
+    g = make_graph("grid", 36)
+    built = {}
+    first = preprocess(g, seed=4, covers=built)
+    assert list(built) == [CoverParams(kappa=default_kappa(g.n), W=2, seed=4)]
+    assert built[first.cover.params] is first.cover
+
+    def no_cover(*args):
+        raise AssertionError("cover rebuilt although the mapping holds it")
+
+    monkeypatch.setattr(bfscover, "cover_construction", no_cover)
+    again = preprocess(g, seed=4, covers=built)
+    assert again.cover is first.cover and again == first
+
+
+def test_preprocessed_is_frozen():
+    pre = preprocess(make_graph("path", 6), seed=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pre.attempts = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pre.cover.metrics = None
+
+
 def test_bad_root_rejected():
     g = make_graph("path", 4)
     with pytest.raises(BFSError):
@@ -215,6 +240,14 @@ def test_election_same_seed_reproducible():
     assert a.candidates == b.candidates and a.leader == b.leader
     assert a.leader_at == b.leader_at
     assert a.metrics.messages_total == b.metrics.messages_total
+
+
+def test_election_reuses_a_given_preprocessing():
+    g = make_graph("erdos_renyi", 96, seed=3, p=0.08)
+    pre = preprocess(g, seed=9)
+    shared = randomized_leader_election(g, seed=9, pre=pre)
+    assert shared == randomized_leader_election(g, seed=9)
+    assert shared.metrics.messages_total > pre.metrics.messages_total
 
 
 def test_election_json():

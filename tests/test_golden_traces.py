@@ -71,9 +71,9 @@ def _pipelines():
 
 
 def collect(patch) -> Dict[str, List[List]]:
-    """Run every pipeline on every graph with digests forced on; `patch`
-    rebinds a module attribute (pytest's monkeypatch.setattr, or setattr
-    in a throwaway process)."""
+    """Run every pipeline on every graph with digests forced on, each from
+    an empty harness stage memo; `patch` rebinds a module attribute
+    (pytest's monkeypatch.setattr, or setattr in a throwaway process)."""
     real = simengine.run
     runs: List[List] = []
 
@@ -91,6 +91,8 @@ def collect(patch) -> Dict[str, List[List]]:
     for gname, spec in GRAPHS.items():
         for pname, pipeline in _pipelines():
             runs.clear()
+            # An empty stage memo, so each pair records every run it makes.
+            harness._clear_stages()
             pipeline(spec)
             out[f"{gname}/{pname}"] = list(runs)
     return out

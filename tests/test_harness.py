@@ -1,18 +1,23 @@
 """Tests for the experiment harness, baselines, scaling tables, and CLI."""
 
 import csv
+import dataclasses
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
+from kt1sim.bfscover import BFSError
 from kt1sim.clustercomm import RootedTree, bfs_tree_to_json
 from kt1sim.harness import (
     ALGOS,
     ExperimentConfig,
+    ExperimentRecord,
     HarnessError,
     flood_baseline_bfs,
     log2ceil,
@@ -23,7 +28,7 @@ from kt1sim.harness import (
     scaling_study,
 )
 from kt1sim.netgraph import GraphGenSpec, generate_graph, oracle_bfs
-from kt1sim import cli, harness
+from kt1sim import bfscover, cli, covers, gossipspanner, harness, simengine
 
 
 def make_graph(family, n, seed=0, p=None, id_scheme="sequential"):
@@ -184,6 +189,118 @@ def test_pipelines_call_through_module_attributes(monkeypatch, algo, want):
         monkeypatch.setattr(harness, name, counted)
     assert run_experiment(ExperimentConfig(graph=spec("grid", 16), algo=algo)).all_ok
     assert calls == want
+
+
+# ---------------------------------------------------------------------------
+# stage memo
+
+MEMO_SPECS = {
+    "grid36": spec("grid", 36),
+    "er40": spec("erdos_renyi", 40, p=0.15, seed=3, id_scheme="random_permutation"),
+}
+
+
+def engine_runs(monkeypatch):
+    """Protocol names of the engine runs made from now on, in order."""
+    names = []
+    real = simengine.run
+
+    def counted(graph, protocol, config=None):
+        names.append(protocol.name)
+        return real(graph, protocol, config)
+
+    for module in (simengine, covers, bfscover, gossipspanner, harness):
+        if getattr(module, "run", None) is real:
+            monkeypatch.setattr(module, "run", counted)
+    return names
+
+
+@pytest.mark.parametrize("name", MEMO_SPECS)
+def test_memo_changes_no_record(name):
+    """Every trial run alone from an empty memo, and all algorithms in turn
+    on one warm memo, give equal outcomes and JSON records."""
+    cfgs = [ExperimentConfig(graph=MEMO_SPECS[name], algo=algo, trials=2)
+            for algo in ALGOS]
+    cold = []
+    for cfg in cfgs:
+        alone = []
+        for seed in cfg.trial_seeds:
+            harness._clear_stages()
+            one = dataclasses.replace(cfg, trials=1, seeds=(seed,))
+            alone += run_experiment(one).trials
+        cold.append(ExperimentRecord(config=cfg, n=cfg.graph.n, trials=alone))
+    harness._clear_stages()
+    warm = [run_experiment(cfg) for cfg in cfgs]
+    for c, w in zip(cold, warm):
+        assert c.all_ok and c.trials == w.trials
+        assert c.to_jsonable() == w.to_jsonable()
+
+
+def test_warm_le_rand_runs_only_bfs_phases(monkeypatch):
+    harness._clear_stages()
+    run_experiment(ExperimentConfig(graph=MEMO_SPECS["grid36"], algo="bfs_cover"))
+    names = engine_runs(monkeypatch)
+    rec = run_experiment(ExperimentConfig(graph=MEMO_SPECS["grid36"], algo="le_rand"))
+    assert rec.all_ok
+    assert names == ["bfs_phases"] * rec.trials[0].extra["candidates"]
+
+
+def test_warm_cover_only_still_verifies(monkeypatch):
+    harness._clear_stages()
+    run_experiment(ExperimentConfig(graph=MEMO_SPECS["er40"], algo="bfs_cover"))
+    names = engine_runs(monkeypatch)
+    audits = []
+
+    def counted(cover, g, _real=covers.verify_cover):
+        audits.append(cover)
+        return _real(cover, g)
+
+    monkeypatch.setattr(covers, "verify_cover", counted)
+    rec = run_experiment(ExperimentConfig(graph=MEMO_SPECS["er40"], algo="cover_only"))
+    assert rec.all_ok and names == [] and len(audits) == 1
+
+
+def test_memo_holds_one_spec():
+    harness._clear_stages()
+    a, b = MEMO_SPECS["grid36"], MEMO_SPECS["er40"]
+    run_experiment(ExperimentConfig(graph=a, algo="bfs_cover"))
+    held = harness._memo[a]
+    graph, pre = weakref.ref(held.graph), weakref.ref(held.pre)
+    del held
+    run_experiment(ExperimentConfig(graph=b, algo="flood_baseline"))
+    gc.collect()
+    assert list(harness._memo) == [b]
+    assert graph() is None and pre() is None
+
+
+def test_memo_holds_one_trial_seed():
+    harness._clear_stages()
+    run_experiment(ExperimentConfig(graph=MEMO_SPECS["er40"], algo="le_rand",
+                                    seeds=(0, 1, 2), trials=3))
+    held = harness._memo[MEMO_SPECS["er40"]]
+    assert held.seed == 2
+    assert {p.seed for p in held.cover_at} == {2} and held.pre.cover.params.seed == 2
+
+
+def test_failed_preprocess_leaves_nothing_behind(monkeypatch):
+    harness._clear_stages()
+    gspec = MEMO_SPECS["grid36"]
+    run_experiment(ExperimentConfig(graph=gspec, algo="cover_only"))
+    held = harness._memo[gspec]
+    before = dict(held.cover_at)
+    monkeypatch.setattr(bfscover, "_home_setup", lambda g, cover: None)
+    with pytest.raises(BFSError):
+        run_experiment(ExperimentConfig(graph=gspec, algo="bfs_cover"))
+    assert held.cover_at == before and held.pre is None
+
+
+def test_memo_cover_is_frozen():
+    harness._clear_stages()
+    gspec = MEMO_SPECS["grid36"]
+    run_experiment(ExperimentConfig(graph=gspec, algo="cover_only"))
+    (cover,) = harness._memo[gspec].cover_at.values()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cover.clusters = ()
 
 
 def test_record_serialization_consistency(tmp_path):
