@@ -301,21 +301,10 @@ def extract_spanner(g: Graph, gossip: GossipResult) -> Spanner:
             if not g.has_edge(v, u):
                 raise SpannerError(f"activated link ({v},{u}) is not a graph edge")
             edges.add(canonical_edge(v, u))
-    if g.n > 1:
-        # Union-find connectivity over H.
-        parent = {v: v for v in g.nodes}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, w in edges:
-            parent[find(u)] = find(w)
-        roots = {find(v) for v in g.nodes}
-        if len(roots) != 1:
-            raise SpannerError(f"spanner splits into {len(roots)} components")
+    # Each forest edge joins two components of H.
+    components = g.n - len(_spanning_forest(g.nodes, edges))
+    if components != 1:
+        raise SpannerError(f"spanner splits into {components} components")
     if len(edges) > g.n * max(gossip.iterations, 1):
         raise SpannerError("spanner exceeds the one-link-per-iteration budget")
     return Spanner(edges=frozenset(edges), iterations=gossip.iterations,
@@ -645,8 +634,8 @@ def deterministic_leader_election(g: Graph,
 # Global problems over an established BFS tree: collect, solve, broadcast.
 # ---------------------------------------------------------------------------
 
-def _kruskal_mst(nodes: Iterable[int], edges: Iterable[Edge]) -> Tuple[Edge, ...]:
-    """MST under the canonical (min id, max id) lexicographic edge weight."""
+def _spanning_forest(nodes: Iterable[int], edges: Iterable[Edge]) -> List[Edge]:
+    """The edges, in the given order, that join two union-find components."""
     parent = {v: v for v in nodes}
 
     def find(x: int) -> int:
@@ -656,12 +645,18 @@ def _kruskal_mst(nodes: Iterable[int], edges: Iterable[Edge]) -> Tuple[Edge, ...
         return x
 
     out = []
-    for u, w in sorted(canonical_edge(a, b) for a, b in edges):
+    for u, w in edges:
         ru, rw = find(u), find(w)
         if ru != rw:
             parent[ru] = rw
             out.append((u, w))
-    return tuple(out)
+    return out
+
+
+def _kruskal_mst(nodes: Iterable[int], edges: Iterable[Edge]) -> Tuple[Edge, ...]:
+    """MST under the canonical (min id, max id) lexicographic edge weight."""
+    return tuple(_spanning_forest(
+        nodes, sorted(canonical_edge(a, b) for a, b in edges)))
 
 
 _GLOBAL_PROBLEMS = {

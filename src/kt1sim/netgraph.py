@@ -4,12 +4,23 @@ Everything here is centralized bookkeeping: the simulator and the protocols
 never peek at a Graph beyond each node's own neighbor list.  Node identifiers
 are distinct integers drawn from [1, n^3] so that identifier comparisons carry
 information (tie-breaking, leader election) without collisions.
+
+Generation is exact and reproducible: a GraphGenSpec fixes its graph.  An
+Erdős–Rényi draw decides node pair (i, j), i < j, in row-major order, by
+``random.Random(seed).random() < p``, retrying until the graph is connected.
+It reads those draws in bulk, as raw Mersenne Twister words from
+``getrandbits`` (`_er_draw`), which gives exactly the edges and the final rng
+state of one ``random()`` call per pair, since CPython builds each
+``random()`` from two such words.  The pair count is still n(n-1)/2 per
+attempt; only the Python work per pair is gone.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -197,12 +208,7 @@ def _structural_edges(spec: GraphGenSpec, rng: random.Random) -> List[Tuple[int,
         return [(i, c) for i in range(n) for c in (2 * i + 1, 2 * i + 2) if c < n]
     if fam == "erdos_renyi":
         for _ in range(ER_RETRY_BUDGET):
-            edges = [
-                (i, j)
-                for i in range(n)
-                for j in range(i + 1, n)
-                if rng.random() < spec.p
-            ]
+            edges = _er_draw(n, spec.p, rng)
             adj: Dict[int, List[int]] = {i: [] for i in range(n)}
             for u, v in edges:
                 adj[u].append(v)
@@ -213,6 +219,57 @@ def _structural_edges(spec: GraphGenSpec, rng: random.Random) -> List[Tuple[int,
             f"no connected G({n},{spec.p}) draw within {ER_RETRY_BUDGET} attempts"
         )
     raise GraphError(f"unknown family {fam!r}")
+
+
+# Node pairs drawn per getrandbits call: 8 bytes each, so 32 KiB a chunk.
+_ER_CHUNK = 1 << 12
+_PAIR = struct.Struct("<II")
+_CANDIDATE = re.compile(b"\x00")
+
+
+def _er_draw(n: int, p: float, rng: random.Random) -> List[Tuple[int, int]]:
+    """The edges (i, j), i < j, in row-major order, that the per-pair loop
+    ``[(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]``
+    returns, leaving rng in the same state.
+
+    CPython's ``random()`` is K / 2^53 with K = (a >> 5) * 2^26 + (b >> 6),
+    where a and b are the next two 32-bit Mersenne Twister words, and
+    ``getrandbits(64 * k)`` returns the next 2k words, least significant
+    first.  So the little-endian bytes of one such call hold k pairs' (a, b)
+    words, and a pair is an edge exactly when K < t = ceil(p * 2^53): both
+    sides of ``random() < p`` scale by 2^53 exactly, and K is an integer.
+    The tests hold this to the per-pair loop, rng state included.
+
+    Byte 3 of a pair is the top byte of a, which is K >> 45.  With bound =
+    (t - 1) >> 45, a pair whose top byte exceeds bound is no edge, and one
+    below bound is an edge.  A translation table marks the candidates (top
+    byte <= bound) with a zero byte, one compiled regex finds them, and only
+    candidates on the bound itself get the exact K < t test in Python, so
+    the per-pair work runs in C and the Python work scales with m.
+    """
+    t = math.ceil(p * 2.0 ** 53)
+    bound = (t - 1) >> 45
+    marks = bytes(c > bound for c in range(256))
+    unpack = _PAIR.unpack_from
+    edges: List[Tuple[int, int]] = []
+    i, row_end = 0, n - 1  # row i holds flat pair indices [.., row_end)
+    total = n * (n - 1) // 2
+    for start in range(0, total, _ER_CHUNK):
+        k = min(_ER_CHUNK, total - start)
+        buf = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+        top = buf[3::8]
+        for hit in _CANDIDATE.finditer(top.translate(marks)):
+            f = hit.start()
+            if top[f] == bound:
+                a, b = unpack(buf, 8 * f)
+                if ((a >> 5) << 26 | (b >> 6)) >= t:
+                    continue
+            f += start
+            while f >= row_end:
+                i += 1
+                row_end += n - 1 - i
+            edges.append((i, n - row_end + f))
+    return edges
 
 
 def _near_square_rows(n: int) -> int:
@@ -241,7 +298,14 @@ def _connected(adj: Mapping[int, Sequence[int]]) -> bool:
 
 
 def generate_graph(spec: GraphGenSpec) -> Graph:
-    """Build the graph described by spec.  Same spec, same graph, always."""
+    """Build the graph described by spec.  Same spec, same graph, always.
+
+    The rng seeded with spec.seed first draws the structural edges (for
+    Erdős–Rényi, the bit-identical bulk form of one ``random() < p`` per
+    node pair and per connectivity attempt, see `_er_draw`), then, for
+    ``random_permutation``, the ids.  Since the bulk draw leaves the rng
+    in the per-pair loop's state, the ids match too.
+    """
     rng = random.Random(spec.seed)
     edges = _structural_edges(spec, rng)
     n = spec.n
@@ -251,11 +315,14 @@ def generate_graph(spec: GraphGenSpec) -> Graph:
         # Distinct ids from the polynomial space [1, n^3]; the draw consumes
         # the rng after edge sampling so both aspects derive from one seed.
         ids = rng.sample(range(1, n * n * n + 1), n)
-    adj: Dict[int, set] = {ids[i]: set() for i in range(n)}
+    # No family emits an edge twice, and Graph rejects a repeated neighbor.
+    adj: Dict[int, List[int]] = {v: [] for v in ids}
     for a, b in edges:
-        adj[ids[a]].add(ids[b])
-        adj[ids[b]].add(ids[a])
-    return Graph({v: tuple(sorted(s)) for v, s in adj.items()})
+        adj[ids[a]].append(ids[b])
+        adj[ids[b]].append(ids[a])
+    for nbrs in adj.values():
+        nbrs.sort()
+    return Graph({v: tuple(nbrs) for v, nbrs in adj.items()})
 
 
 def oracle_bfs(g: Graph, root: int) -> DistanceMap:

@@ -164,8 +164,27 @@ def test_extract_rejects_disconnected_union():
     g = make_graph("path", 4)
     res = gossip_local_broadcast(g)
     empty = {v: () for v in g.nodes}
-    with pytest.raises(SpannerError):
+    with pytest.raises(SpannerError, match="^spanner splits into 4 components$"):
         extract_spanner(g, dataclasses.replace(res, activated=empty))
+
+
+@pytest.mark.parametrize("activated, parts", [
+    ({1: (2,), 2: (), 3: (4,), 4: ()}, 2),
+    ({1: (2,), 2: (1,), 3: (), 4: (3,)}, 2),
+    ({1: (2,), 2: (3,), 3: (), 4: ()}, 2),
+    ({1: (), 2: (3,), 3: (), 4: ()}, 3),
+])
+def test_extract_reports_component_count(activated, parts):
+    g = make_graph("path", 4)
+    res = gossip_local_broadcast(g)
+    with pytest.raises(SpannerError) as exc:
+        extract_spanner(g, dataclasses.replace(res, activated=activated))
+    assert str(exc.value) == f"spanner splits into {parts} components"
+
+
+def test_extract_accepts_single_node():
+    g = make_graph("path", 1)
+    assert extract_spanner(g, gossip_local_broadcast(g)).edges == frozenset()
 
 
 @settings(max_examples=10, deadline=None)

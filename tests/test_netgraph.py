@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import math
 import os
+import random
 import subprocess
 import sys
 
@@ -9,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kt1sim import harness
 from kt1sim.netgraph import (
+    ER_RETRY_BUDGET,
     FAMILIES,
     Graph,
     GraphError,
@@ -23,6 +28,7 @@ from kt1sim.netgraph import (
     read_edge_list,
     write_edge_list,
 )
+from kt1sim.netgraph import _er_draw, _structural_edges
 
 
 def _spec(family, n, **kw):
@@ -46,6 +52,109 @@ def test_er_256_regression_edge_count():
     # first generator run.
     g = generate_graph(_spec("erdos_renyi", 256, p=0.05, seed=7))
     assert g.m == 1647
+
+
+# The per-pair G(n, p) loop the bulk draw replaced: the independent reference
+# for the edges it returns and the rng state it leaves.
+def _per_pair_draw(n, p, rng):
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+
+
+def _reference_er_edges(n, p, rng):
+    """Per-pair draws until one is connected (checked by union-find)."""
+    for _ in range(ER_RETRY_BUDGET):
+        edges = _per_pair_draw(n, p, rng)
+        root = list(range(n))
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for u, v in edges:
+            root[find(u)] = find(v)
+        if len({find(v) for v in range(n)}) == 1:
+            return edges
+    raise AssertionError("reference found no connected draw")
+
+
+def _p_with_bound_byte(byte):
+    """A p whose edge threshold ceil(p * 2^53) has top byte `byte` and is not
+    a multiple of 2^45, so pairs on that byte need the exact test."""
+    p = (byte * 2 ** 45 + 2 ** 44 + 1) / 2 ** 53
+    assert (math.ceil(p * 2 ** 53) - 1) >> 45 == byte
+    return p
+
+
+# Bound bytes 0x2d, 0x5c, 0x5d and 0x5e are "-", "\\", "]" and "^": special
+# inside a regex byte class, so a filter built from that byte's text breaks.
+_BOUND_BYTE_PS = [_p_with_bound_byte(b) for b in (0x2D, 0x5C, 0x5D, 0x5E)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 300])
+@pytest.mark.parametrize("p", [1.0, 0.5, 1e-300, 5e-324, "safe", *_BOUND_BYTE_PS])
+def test_bulk_er_draw_equals_per_pair_draw(n, p):
+    if p == "safe":
+        p = er_connectivity_safe_p(n)
+    for seed in (0, 1, 2, 12345):
+        bulk, ref = random.Random(seed), random.Random(seed)
+        assert _er_draw(n, p, bulk) == _per_pair_draw(n, p, ref)
+        assert bulk.getstate() == ref.getstate()
+        # So the ids drawn next are the same too.
+        assert bulk.sample(range(1, n ** 3 + 1), n) == ref.sample(range(1, n ** 3 + 1), n)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4])
+def test_er_retry_path_equals_reference(seed):
+    n, p = 40, 0.08
+    first = _per_pair_draw(n, p, random.Random(seed))
+    with pytest.raises(GraphError, match="not connected"):
+        Graph.from_edges(range(1, n + 1), [(u + 1, v + 1) for u, v in first])
+    spec = _spec("erdos_renyi", n, p=p, seed=seed, id_scheme="random_permutation")
+    got, want = random.Random(seed), random.Random(seed)
+    edges = _reference_er_edges(n, p, want)
+    assert _structural_edges(spec, got) == edges
+    assert got.getstate() == want.getstate()
+    ids = want.sample(range(1, n ** 3 + 1), n)
+    ref = Graph.from_edges(ids, [(ids[u], ids[v]) for u, v in edges])
+    assert generate_graph(spec).adjacency == ref.adjacency
+
+
+def test_er_unconnectable_spec_raises_after_budget():
+    spec = _spec("erdos_renyi", 30, p=5e-324, seed=3)
+    with pytest.raises(GraphError) as exc:
+        generate_graph(spec)
+    assert str(exc.value) == "no connected G(30,5e-324) draw within 100 attempts"
+    # The failed attempts consume exactly the per-pair loop's draws.
+    got, want = random.Random(3), random.Random(3)
+    with pytest.raises(GraphError):
+        _structural_edges(spec, got)
+    for _ in range(ER_RETRY_BUDGET):
+        _per_pair_draw(30, 5e-324, want)
+    assert got.getstate() == want.getstate()
+
+
+# sha256 of repr(sorted(adjacency.items())) for the benchmark's ER inputs
+# (harness._graph_spec), recorded with the per-pair generator; rows run to
+# 2047 pairs, longer than any golden trace's.
+_BENCH_GRAPH_SHA256 = {
+    (256, 0): "f70f2f3c6d75cb003ca744278e87c273a61847770b60d1866034fd8272a22572",
+    (256, 1): "560d4a918bec42d27fb04dd6e2b7b095f96d503573f6ff4f7b116d6c6b798afc",
+    (256, 2): "3a6ec9b5be4117b457f85bc9c83f0469c1e743fdd4ee390f027ff3c3164abb1b",
+    (768, 0): "978f6f6f209b64f44721fcecab7d538a03d789c3fd2c67d19ddfc6f647823d62",
+    (768, 1): "452513896ac6f4ca7fca57af403ba5209d61b777419efbaa3dc944324a1d9eb3",
+    (768, 2): "3b16ea222ca0f20303d4f24fd2264c9710db37b9790ea8b7b964f931cf2806ee",
+    (2048, 0): "7878a15f3d7a58e8c535f5f62c6bce58c1f2c2509349f0ce44c8ef29d917695b",
+    (2048, 1): "ce18cee639460b3897654dca848b88c72633bc5acf0b848f6240c8b246e9276b",
+    (2048, 2): "dbda4c6216f9c6c48812de7f96461562bc96ff947e356af9bf1ccca8707f7932",
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(_BENCH_GRAPH_SHA256))
+def test_bench_er_graphs_pinned(n, seed):
+    g = generate_graph(harness._graph_spec("erdos_renyi", n, seed))
+    blob = repr(sorted(g.adjacency.items())).encode()
+    assert hashlib.sha256(blob).hexdigest() == _BENCH_GRAPH_SHA256[n, seed]
 
 
 def test_generator_deterministic_per_seed():
