@@ -676,6 +676,7 @@ class _GlobalSolveProtocol(TreeWaveProtocol):
             raise SpannerError(f"unknown global problem {problem!r}")
         super().__init__(tree.root, tree.parent)
         self.problem = problem
+        self._incident = (None, {})  # (solution, node -> its edges in it)
 
     def solve(self, node: NodeContext, value: Any):
         topo = dict(value)
@@ -685,8 +686,13 @@ class _GlobalSolveProtocol(TreeWaveProtocol):
         return solution
 
     def deliver(self, node: NodeContext, solution) -> List:
-        v = node.self_id
-        node.output = {"incident": tuple(e for e in solution if v in e),
+        if self._incident[0] is not solution:  # once per solution object
+            index: Dict[int, List[Edge]] = {}
+            for e in solution:
+                for x in e:
+                    index.setdefault(x, []).append(e)
+            self._incident = (solution, index)
+        node.output = {"incident": tuple(self._incident[1].get(node.self_id, ())),
                        "total": len(solution)}
         return []
 

@@ -8,18 +8,17 @@ message COUNT (by category) and in rounds.
 
 Nodes are stepped in ascending id order, so every inbox lists its mail in
 ascending sender order (one sender's messages in send order) and a run is a
-pure function of (graph, protocol, config).  Timers are the
-engine's too: node.schedule(r, action) hands the action back in node.due when
-the node is stepped in round r.  Rounds in which no node has mail and no node
-has a timer are skipped in O(1) while still counting toward the round total:
-skipping idle time is measurement-side bookkeeping, not something the
-protocol can observe.
+pure function of (graph, protocol, config).  Timers are the engine's too:
+node.schedule(r, action) hands the action back in node.due when the node is
+stepped in round r.  One calendar (round -> {node: actions}, plus a heap of
+its rounds) yields a due round whole; a halted node's timers are dropped
+like its mail, and a round with only such timers is never visited.  Idle
+rounds are skipped in O(1) while still counting toward the round total.
 
-The send loop only checks each message's edge, counts it and delivers it.
-Gossip-mode activation policing, trace recording and digesting are a second
-pass over the same sends, in send order, made only when gossip_mode,
-record_trace or trace_digest is on.  It costs one loop per sending node plus
-an Envelope per message (trace) or an encoding of every payload (digest).
+The send loop checks each message's edge, counts it and delivers it; in
+gossip mode it also polices each step that sent more than one message.
+Trace recording and digesting are a second pass over the same sends, made
+only when record_trace or trace_digest is on.
 """
 
 from __future__ import annotations
@@ -125,15 +124,16 @@ class RunMetrics:
 
 
 class _Clock:
-    """Engine-side timer index shared by a run's nodes: the round being
-    processed and a heap of (round, node) entries, one per round a node
-    holds timers for; entries of halted nodes are dropped lazily."""
+    """Engine-side timers shared by a run's nodes: the round being
+    processed, cal (round -> {node: actions in scheduling order}) and a heap
+    holding each round of cal once."""
 
-    __slots__ = ("now", "heap")
+    __slots__ = ("now", "cal", "heap")
 
     def __init__(self) -> None:
         self.now = 0
-        self.heap: List[Tuple[int, int]] = []
+        self.cal: Dict[int, Dict[int, List[Any]]] = {}
+        self.heap: List[int] = []
 
 
 class NodeContext:
@@ -142,7 +142,7 @@ class NodeContext:
     private seeded rng."""
 
     __slots__ = ("self_id", "neighbor_ids", "state", "inbox", "due", "output",
-                 "_rng", "_seed", "_timers", "_clock")
+                 "_rng", "_seed", "_clock")
 
     def __init__(self, self_id: int, neighbor_ids: Tuple[int, ...], seed: int,
                  clock: _Clock):
@@ -154,11 +154,7 @@ class NodeContext:
         self.output: Any = None
         self._rng: Optional[random.Random] = None
         self._seed = seed
-        # round -> actions in scheduling order.  Every node is stepped once
-        # in round 1, so that round starts out scheduled.
-        self._timers: Dict[int, List[Any]] = {1: []}
         self._clock = clock
-        heapq.heappush(clock.heap, (1, self_id))
 
     @property
     def rng(self) -> random.Random:
@@ -170,14 +166,19 @@ class NodeContext:
         """Have action appear in self.due when this node is stepped in round
         rnd.  An action for the round being processed joins the live
         self.due; one for a past round is a SimError."""
-        now = self._clock.now
+        clock = self._clock
+        now = clock.now
         if rnd > now:
-            acts = self._timers.get(rnd)
-            if acts is None:
-                self._timers[rnd] = [action]
-                heapq.heappush(self._clock.heap, (rnd, self.self_id))
+            bucket = clock.cal.get(rnd)
+            if bucket is None:
+                clock.cal[rnd] = {self.self_id: [action]}
+                heapq.heappush(clock.heap, rnd)
             else:
-                acts.append(action)
+                acts = bucket.get(self.self_id)
+                if acts is None:
+                    bucket[self.self_id] = [action]
+                else:
+                    acts.append(action)
         elif rnd == now and now > 0:
             self.due.append(action)
         else:
@@ -235,21 +236,6 @@ def _canon(obj: Any) -> bytes:
     raise TypeError(f"unhashable payload element of type {type(obj).__name__}")
 
 
-def _observe(rnd: int, v: int, sends: List[Tuple[int, Any, int]], gossip_acts: Optional[Dict],
-             trace: Optional[List[Envelope]], hasher) -> None:
-    """The observer pass over node v's sends of round rnd, in send order:
-    note gossip activations (gossip mode), record the trace, digest."""
-    for dst, payload, cat in sends:
-        if gossip_acts is not None and cat == CAT_GOSSIP and isinstance(payload, tuple) \
-                and payload and payload[0] == GOSSIP_ACT:
-            gossip_acts.setdefault(v, []).append((v, dst))
-        if trace is not None:
-            trace.append(Envelope(rnd, v, dst, payload, CATEGORY_NAMES[cat]))
-        if hasher is not None:
-            hasher.update(b"%d|%d|%d|%d|" % (rnd, v, dst, cat))
-            hasher.update(_canon(payload))
-
-
 def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -> RunResult:
     """Execute protocol on graph until every node halts (or, with
     allow_quiescence, until the system can provably never act again).
@@ -260,6 +246,8 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
     """
     config = config or ModeConfig()
     clock = _Clock()
+    clock.cal[1] = {v: [] for v in graph.nodes}  # every node steps in round 1
+    clock.heap.append(1)
     nodes: Dict[int, NodeContext] = {}
     nbr_sets: Dict[int, frozenset] = {}
     for v in graph.nodes:
@@ -267,7 +255,8 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
         nbr_sets[v] = frozenset(graph.adjacency[v])
     for v in graph.nodes:
         protocol.setup(nodes[v])
-    timer_heap = clock.heap  # filled by NodeContext.schedule
+    cal = clock.cal  # filled by NodeContext.schedule
+    timer_heap = clock.heap
 
     halted: set = set()
     n_total = graph.n
@@ -275,8 +264,9 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
     trace: Optional[List[Envelope]] = [] if config.record_trace else None
     hasher = hashlib.blake2b(digest_size=16) if config.trace_digest else None
     gossip_mode = config.gossip_mode
-    observed = gossip_mode or trace is not None or hasher is not None
+    observed = trace is not None or hasher is not None
     step = protocol.step  # after any per-instance shadowing of step
+    no_timers: Dict[int, List[Any]] = {}
 
     # In-flight mail sent last processed round, per addressee: (src,
     # payload) in ascending sender order, since senders step in id order.
@@ -286,12 +276,14 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
     last_active = 0
 
     while True:
-        # Next round with anything to do; idle gaps are skipped but counted.
-        next_rnd: Optional[int] = rnd + 1 if pending else None
-        while timer_heap and timer_heap[0][0] not in nodes[timer_heap[0][1]]._timers:
-            heapq.heappop(timer_heap)  # the node halted
-        if timer_heap and (next_rnd is None or timer_heap[0][0] < next_rnd):
-            next_rnd = timer_heap[0][0]
+        # Next round with anything to do; idle gaps are skipped but counted,
+        # and rounds holding only halted nodes' timers are dropped.
+        if pending:
+            next_rnd: Optional[int] = rnd + 1
+        else:
+            while timer_heap and cal[timer_heap[0]].keys() <= halted:
+                del cal[heapq.heappop(timer_heap)]
+            next_rnd = timer_heap[0] if timer_heap else None
         if next_rnd is None:
             if len(halted) == n_total:
                 reason = "halted"
@@ -306,32 +298,24 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
             raise SimTimeout(f"exceeded max_rounds={config.max_rounds}")
         rnd = clock.now = next_rnd
 
-        # Deliver.
+        # Deliver, and collect the round's due timers.
         inboxes = pending
         pending = {}
-
-        # Collect due timers.
-        due: Dict[int, List[Any]] = {}
-        while timer_heap and timer_heap[0][0] == rnd:
-            _, v = heapq.heappop(timer_heap)
-            acts = nodes[v]._timers.pop(rnd, None)
-            if acts is not None:
-                due[v] = acts
-
+        due = cal.pop(rnd, no_timers)
+        if due is not no_timers:
+            heapq.heappop(timer_heap)  # rnd, the heap's least round
         order = sorted(inboxes.keys() | due.keys()) if due else sorted(inboxes)
-        if halted:  # mail to halted nodes is dropped
+        if halted:  # mail and timers of halted nodes are dropped
             order = [v for v in order if v not in halted]
         if not order:
             continue
         last_active = rnd
 
-        gossip_acts: Optional[Dict[int, List[Tuple[int, int]]]] = {} if gossip_mode else None
+        violation: Optional[GossipViolation] = None
         for v in order:
             node = nodes[v]
-            mail = inboxes.get(v)
-            node.inbox = mail if mail is not None else []
-            acts = due.get(v)
-            node.due = acts if acts is not None else []
+            node.inbox = inboxes.get(v) or []
+            node.due = due.get(v) or []
             sends, halt = step(node, rnd)
             if sends:
                 allowed = nbr_sets[v]
@@ -346,16 +330,26 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
                         pending[dst] = [(v, payload)]
                     else:
                         box.append((v, payload))
-                if observed:
-                    _observe(rnd, v, sends, gossip_acts, trace, hasher)
+                # One send cannot break the rule; the lowest violator is
+                # raised once the round is stepped.
+                if gossip_mode and violation is None and len(sends) > 1:
+                    links = [(v, dst) for dst, payload, cat in sends
+                             if cat == CAT_GOSSIP and isinstance(payload, tuple)
+                             and payload and payload[0] == GOSSIP_ACT]
+                    if len(links) > 1:
+                        violation = GossipViolation(rnd, v, links)
+                if observed:  # trace and digest, in send order
+                    for dst, payload, cat in sends:
+                        if trace is not None:
+                            trace.append(Envelope(rnd, v, dst, payload, CATEGORY_NAMES[cat]))
+                        if hasher is not None:
+                            hasher.update(b"%d|%d|%d|%d|" % (rnd, v, dst, cat))
+                            hasher.update(_canon(payload))
             if halt:
                 halted.add(v)
-                node._timers.clear()
 
-        if gossip_acts:
-            for v, links in gossip_acts.items():
-                if len(links) > 1:
-                    raise GossipViolation(rnd, v, links)
+        if violation is not None:
+            raise violation
 
     metrics = RunMetrics(
         rounds=last_active,

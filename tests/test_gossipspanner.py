@@ -491,6 +491,19 @@ def test_topology_dump():
         assert res.per_node[v]["total"] == 3
 
 
+@pytest.mark.parametrize("family,n,problem", [
+    ("erdos_renyi", 200, "mst"), ("erdos_renyi", 60, "topology"), ("grid", 64, "mst"),
+])
+def test_incident_edges_match_a_scan_of_the_solution(family, n, problem):
+    p = er_connectivity_safe_p(n) if family == "erdos_renyi" else None
+    g = make_graph(family, n, seed=3, p=p, id_scheme="random_permutation")
+    res = solve_global(g, deterministic_bfs(g, min(g.nodes)).tree, problem)
+    assert set(res.per_node) == set(g.nodes)
+    for v in g.nodes:
+        want = tuple(e for e in res.solution if v in e)
+        assert res.per_node[v] == {"incident": want, "total": len(res.solution)}
+
+
 def test_unknown_problem_rejected(monkeypatch):
     g = make_graph("path", 3)
     tree = deterministic_bfs(g, 1).tree

@@ -173,6 +173,71 @@ def test_timers_order_live_due_and_halt_drops_them():
     assert res.metrics.rounds == 3 and res.end_reason == "halted"
 
 
+class HaltWithTimer(Protocol):
+    """Node 1 schedules a timer for round `late`, then halts in round 1;
+    every other node keeps a timer chain going until round `until`."""
+
+    def __init__(self, late, until):
+        self.late, self.until = late, until
+
+    def step(self, node, rnd):
+        node.state.setdefault("steps", []).append(rnd)
+        if node.self_id == 1:
+            node.schedule(self.late, "late")
+            return NO_SENDS, True
+        if rnd < self.until:
+            node.schedule(rnd + 3, "tick")
+        return NO_SENDS, rnd >= self.until
+
+
+def test_halted_nodes_timer_past_max_rounds_neither_times_out_nor_counts():
+    res = run(_graph("path", 2), HaltWithTimer(late=100, until=4), ModeConfig(max_rounds=10))
+    assert res.end_reason == "halted" and res.metrics.rounds == 4
+    assert res.contexts[1].state["steps"] == [1]
+
+
+def test_round_of_only_halted_timers_is_not_active():
+    proto = HaltWithTimer(late=5, until=10)
+    inner = proto.step
+    rounds = []
+
+    def step(node, rnd):
+        if not rounds or rounds[-1] != rnd:
+            rounds.append(rnd)
+        return inner(node, rnd)
+
+    proto.step = step
+    res = run(_graph("path", 3), proto)
+    assert rounds == [1, 4, 7, 10]  # round 5 holds only node 1's timer
+    assert res.contexts[1].state["steps"] == [1]
+    assert res.metrics.rounds == 10
+
+
+def test_nodes_due_in_one_round_step_by_id_with_actions_in_order():
+    log = []
+
+    class Due(Protocol):
+        def setup(self, node):
+            v = node.self_id
+            node.schedule(4, ("x", v))
+            node.schedule(2, ("a", v))
+            node.schedule(4, ("y", v))
+
+        def step(self, node, rnd):
+            log.append((rnd, node.self_id, list(node.due)))
+            if rnd == 2 and node.self_id == 3:
+                node.schedule(4, ("z", 3))
+            return NO_SENDS, rnd == 4
+
+    g = _graph("path", 4, id_scheme="random_permutation", seed=2)
+    run(g, Due())
+    ids = sorted(g.nodes)
+    assert log == (
+        [(1, v, []) for v in ids]
+        + [(2, v, [("a", v)]) for v in ids]
+        + [(4, v, [("x", v), ("y", v)] + ([("z", 3)] if v == 3 else [])) for v in ids])
+
+
 def test_node_rng_streams_are_seed_and_id_deterministic():
     class Draw(Protocol):
         def step(self, node, rnd):
@@ -258,8 +323,40 @@ class LeavesActCenter(Protocol):
 
 
 def test_double_activation_raises_inline():
-    with pytest.raises(GossipViolation):
+    with pytest.raises(GossipViolation) as err:
         run(_graph("path", 3), DoubleAct(), ModeConfig(gossip_mode=True))
+    assert err.value.round_no == 1 and err.value.node == 2
+    assert err.value.links == [(2, 1), (2, 3)]
+
+
+class TwoViolators(Protocol):
+    """On the path 1-2-3-4-5, nodes 2 and 4 both activate two neighbors in
+    round 2; with bad_sender, node 5 then sends to a non-neighbor."""
+
+    def __init__(self, bad_sender=False):
+        self.bad_sender = bad_sender
+
+    def setup(self, node):
+        node.schedule(2, "go")
+
+    def step(self, node, rnd):
+        v = node.self_id
+        if rnd == 2 and v in (2, 4):
+            return [(w, (GOSSIP_ACT, ()), CAT_GOSSIP) for w in node.neighbor_ids], True
+        if rnd == 2 and v == 5 and self.bad_sender:
+            return [(1, ("x",), CAT_CONTROL)], True
+        return NO_SENDS, rnd == 2
+
+
+def test_lower_of_two_violators_in_a_round_is_reported():
+    with pytest.raises(GossipViolation) as err:
+        run(_graph("path", 5), TwoViolators(), ModeConfig(gossip_mode=True))
+    assert (err.value.round_no, err.value.node, err.value.links) == (2, 2, [(2, 1), (2, 3)])
+
+
+def test_later_non_edge_send_in_the_round_beats_a_double_activation():
+    with pytest.raises(ModelViolation, match="round 2: node 5"):
+        run(_graph("path", 5), TwoViolators(bad_sender=True), ModeConfig(gossip_mode=True))
 
 
 def test_many_leaves_activating_one_center_is_legal():
