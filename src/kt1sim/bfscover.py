@@ -19,9 +19,11 @@ Preprocessing (once per cover, not per BFS phase):
   set of clusters it must keep informed.
 
 Each BFS phase then runs in a fixed window of 2H+4 rounds (H = deepest
-cover tree): frontier nodes push one coalesced report/request wave up the
+cover tree): frontier nodes push one coalesced wave of plain ids up the
 relevant cover trees (offset H - depth keeps every hop a single merged
-message), roots answer requesters with a route-mapped aggregate (their
+message: a node buffers the pings that arrive in the round of its own
+flush for that root), every root notes the ids as joined and answers
+those among its registrants, in one shared route, with an aggregate (its
 static member topology plus the live joined set), and each frontier node
 locally picks, for every unjoined neighbor w, the edge from the joined
 neighbor of w of least id (equivalently, the lexicographically first edge
@@ -46,6 +48,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -113,7 +116,6 @@ class _HomeSetupProtocol(Protocol):
         st = node.state
         st["bits"] = {}
         st["regbuf"] = {}
-        st["flush_due"] = {}
         st["registrants"] = set()
         node.output = {"home": None, "report_to": []}
         node.schedule(self.H + 2, ("home",))
@@ -143,17 +145,17 @@ class _HomeSetupProtocol(Protocol):
                 _, root, items = payload
                 if v == root:
                     st["registrants"].update(items)
-                elif st["flush_due"].get(root) == rnd:
+                elif ("reg_flush", root) in node.due:
                     st["regbuf"].setdefault(root, []).extend(items)
                 else:
                     parent = self._trees[root].parent[v]
                     sends.append((parent, payload, CAT_CLUSTER_TREE))
             elif kind == K_REL:
-                _, root, (here, onward) = payload
-                if here:
+                _, root, (kids, relevant) = payload
+                if v in relevant:
                     node.output["report_to"].append(root)
-                for hop, route in onward.items():
-                    sends.append((hop, (K_REL, root, route), CAT_CLUSTER_TREE))
+                for c in kids.get(v, ()):
+                    sends.append((c, payload, CAT_CLUSTER_TREE))
             else:
                 raise BFSError(f"unexpected payload kind {kind!r} in home setup")
 
@@ -171,9 +173,7 @@ class _HomeSetupProtocol(Protocol):
                     st["registrants"].add(v)
                 else:
                     d = self._trees[home].layer[v]
-                    flush_at = self.H + 2 + (self.H - d)
-                    st["flush_due"][home] = flush_at
-                    node.schedule(flush_at, ("reg_flush", home))
+                    node.schedule(self.H + 2 + (self.H - d), ("reg_flush", home))
             elif kind == "reg_flush":
                 _, home = action
                 items = tuple(sorted(set(st["regbuf"].pop(home, [])) | {v}))
@@ -198,17 +198,26 @@ class _HomeSetupProtocol(Protocol):
         if v in relevant:
             node.output["report_to"].append(v)
         relevant.discard(v)
-        return [(hop, (K_REL, v, route), CAT_CLUSTER_TREE)
-                for hop, route in route_map(v, self._trees[v].parent,
-                                            dict.fromkeys(relevant, True)).items()]
+        route = route_map(v, self._trees[v].parent, dict.fromkeys(relevant, True))
+        payload = (K_REL, v, route)
+        return [(c, payload, CAT_CLUSTER_TREE) for c in route[0].get(v, ())]
 
 
 @dataclass(frozen=True)
 class Preprocessed:
+    """A cover with its home setup, built once per cover.  registrants maps
+    each cluster root to the nodes that registered there (those whose home
+    it is), and plan maps each node v to its report plan, one (root,
+    offset, flush) per root of report_to[v]: a phase starting in round s
+    reports v's join to root in round s + offset, by a flush up root's
+    tree, or at the root itself."""
+
     cover: Cover
     H: int
     home: Dict[int, int]
     report_to: Dict[int, Tuple[int, ...]]
+    registrants: Dict[int, frozenset]
+    plan: Dict[int, Tuple[Tuple[int, int, bool], ...]]
     metrics: RunMetrics
     attempts: int = 1
 
@@ -219,15 +228,19 @@ def _home_setup(g: Graph, cover: Cover) -> Optional[Preprocessed]:
     res = run(g, proto, ModeConfig(allow_quiescence=True, max_rounds=3 * H + 10))
     home: Dict[int, int] = {}
     report_to: Dict[int, Tuple[int, ...]] = {}
+    plan: Dict[int, Tuple[Tuple[int, int, bool], ...]] = {}
     for v in g.nodes:
         out = res.outputs[v]
         if out["home"] is None:
             return None
         home[v] = out["home"]
         report_to[v] = tuple(sorted(set(out["report_to"]) | {out["home"]}))
+        plan[v] = tuple((r, H, False) if r == v else (r, H - proto._trees[r].layer[v], True)
+                        for r in report_to[v])
+    registrants = {r: frozenset(res.contexts[r].state["registrants"]) for r in proto.cov2}
     merged = cover.metrics.merged_with(res.metrics) if cover.metrics else res.metrics
     return Preprocessed(cover=cover, H=H, home=home, report_to=report_to,
-                        metrics=merged)
+                        registrants=registrants, plan=plan, metrics=merged)
 
 
 def preprocess(g: Graph, seed: int, kappa: Optional[int] = None,
@@ -275,7 +288,6 @@ class _BFSPhaseProtocol(Protocol):
         st = node.state
         v = node.self_id
         st["pingbuf"] = {}
-        st["flush_due"] = {}
         if v in self._trees:
             # Root-side live view: members known to be in the BFS, and the
             # requesters of the current phase.
@@ -284,21 +296,14 @@ class _BFSPhaseProtocol(Protocol):
         node.output = {"layer": None, "parent": None, "grow_msgs": 0}
         if v == self.bfs_root:
             node.output["layer"] = 0
-            self._schedule_reports(node, 0, 1)
+            self._schedule_reports(node, 1)
 
-    def _schedule_reports(self, node: NodeContext, layer: int, phase_start: int) -> None:
-        """As the phase-(layer+1) frontier, report the join to every cluster
-        that asked, requesting an aggregate from the home cluster."""
-        v = node.self_id
-        for root in self.pre.report_to[v]:
-            want = root == self.pre.home[v]
-            if root == v:
-                node.schedule(phase_start + self.H, ("self_ping", root, want))
-                continue
-            d = self._trees[root].layer[v]
-            at = phase_start + (self.H - d)
-            node.state["flush_due"][root] = at
-            node.schedule(at, ("ping_flush", root, want))
+    def _schedule_reports(self, node: NodeContext, phase_start: int) -> None:
+        """As the frontier of the phase starting in round phase_start,
+        report the join to every cluster that asked (the home root, which
+        knows its registrants, answers with an aggregate)."""
+        for root, offset, flush in self.pre.plan[node.self_id]:
+            node.schedule(phase_start + offset, ("ping_flush" if flush else "self_ping", root))
 
     def step(self, node: NodeContext, rnd: int):
         st = node.state
@@ -309,21 +314,21 @@ class _BFSPhaseProtocol(Protocol):
         for src, payload in node.inbox:
             kind = payload[0]
             if kind == K_PING:
-                _, root, items = payload
+                _, root, ids = payload
                 if v == root:
                     root_touched = True
-                    self._root_absorb(node, items)
-                elif st["flush_due"].get(root) == rnd:
-                    st["pingbuf"].setdefault(root, []).extend(items)
+                    self._root_absorb(node, ids)
+                elif ("ping_flush", root) in node.due:
+                    st["pingbuf"].setdefault(root, []).extend(ids)
                 else:
                     parent = self._trees[root].parent[v]
                     sends.append((parent, payload, CAT_CLUSTER_TREE))
             elif kind == K_AGG:
-                _, root, (here, onward), agg = payload
-                if here:
+                _, root, (kids, asking), agg = payload
+                if v in asking:
                     self._consume_aggregate(node, rnd, agg)
-                for hop, route in onward.items():
-                    sends.append((hop, (K_AGG, root, route, agg), CAT_CLUSTER_TREE))
+                for c in kids.get(v, ()):
+                    sends.append((c, payload, CAT_CLUSTER_TREE))
             elif kind == K_GROW:
                 _, layer = payload
                 node.output["grow_msgs"] += 1
@@ -334,23 +339,22 @@ class _BFSPhaseProtocol(Protocol):
                 node.output["layer"] = layer
                 node.output["parent"] = src
                 # Next phase starts one round after this delivery.
-                self._schedule_reports(node, layer, rnd + 1)
+                self._schedule_reports(node, rnd + 1)
             else:
                 raise BFSError(f"unexpected payload kind {kind!r} in BFS phase")
 
         for action in node.due:
             kind = action[0]
             if kind == "ping_flush":
-                _, root, want = action
-                items = st["pingbuf"].pop(root, [])
-                items.append((v, want))
-                items.sort()
+                _, root = action
+                ids = st["pingbuf"].pop(root, [])
+                ids.append(v)
+                ids.sort()
                 parent = self._trees[root].parent[v]
-                sends.append((parent, (K_PING, root, tuple(items)), CAT_CLUSTER_TREE))
+                sends.append((parent, (K_PING, root, tuple(ids)), CAT_CLUSTER_TREE))
             elif kind == "self_ping":
-                _, root, want = action
                 root_touched = True
-                self._root_absorb(node, ((v, want),))
+                self._root_absorb(node, (v,))
             elif kind == "explore":
                 _, targets, layer = action
                 for w in targets:
@@ -363,12 +367,16 @@ class _BFSPhaseProtocol(Protocol):
         return sends, False
 
     # Root-side -----------------------------------------------------------
-    def _root_absorb(self, node: NodeContext, items) -> None:
+    def _root_absorb(self, node: NodeContext, ids) -> None:
+        """Note the joins of ids; those whose home is this root ask."""
         st = node.state
-        for vid, want in items:
-            st["joined"].add(vid)
-            if want:
-                st["asking"].append(vid)
+        joined = st["joined"]
+        asking = st["asking"]
+        registrants = self.pre.registrants[node.self_id]
+        for vid in ids:
+            joined.add(vid)
+            if vid in registrants:
+                asking.append(vid)
 
     def _root_answer(self, node: NodeContext, rnd: int) -> List:
         """All of this phase's pings arrive in one round; answer requesters
@@ -387,9 +395,10 @@ class _BFSPhaseProtocol(Protocol):
         agg = (self.pre.cover.root_knowledge[v], st["joined"])
         if v in asking:
             self._consume_aggregate(node, rnd, agg)
-        targets = dict.fromkeys((w for w in asking if w != v), True)
-        return [(hop, (K_AGG, v, route, agg), CAT_CLUSTER_TREE)
-                for hop, route in route_map(v, self._trees[v].parent, targets).items()]
+        route = route_map(v, self._trees[v].parent,
+                          dict.fromkeys((w for w in asking if w != v), True))
+        payload = (K_AGG, v, route, agg)
+        return [(c, payload, CAT_CLUSTER_TREE) for c in route[0].get(v, ())]
 
     # Frontier-side -------------------------------------------------------
     def _consume_aggregate(self, node: NodeContext, rnd: int, agg) -> None:
@@ -397,9 +406,10 @@ class _BFSPhaseProtocol(Protocol):
         neighbor w exactly when v is the joined neighbor of w of least id
         (equivalently, (v,w) is the lexicographically first edge from a
         joined node to w: for fixed w the pair (min(x,w), max(x,w)) grows
-        with x).  topo[w] is w's sorted neighbor list, so the owner is its
-        first joined entry.  All frontier neighbors of w see the same
-        candidate set, so the winner is unique."""
+        with x).  topo[w] is w's sorted neighbor list, so v owns w when v
+        has joined and no entry of topo[w] below v has.  All frontier
+        neighbors of w see the same candidate set, so the winner is
+        unique."""
         topo, joined = agg
         v = node.self_id
         my_layer = node.output["layer"]
@@ -407,11 +417,12 @@ class _BFSPhaseProtocol(Protocol):
         for w in node.neighbor_ids:
             if w in joined:
                 continue
-            if w not in topo:
+            nbrs = topo.get(w)
+            if nbrs is None:
                 raise BFSError(
                     f"home cluster of {v} lacks neighbor {w}: 2-ball not covered"
                 )
-            if next((x for x in topo[w] if x in joined), None) == v:
+            if v in joined and joined.isdisjoint(nbrs[:bisect_left(nbrs, v)]):
                 targets.append(w)
         if targets:
             # Fixed send slot at the end of stage 2, uniform across all

@@ -19,7 +19,7 @@ primitives here are the workhorses of every protocol in the package:
 * depth-bounded BFS exploration growing a cluster one layer per window.
 
 The exploration machinery is reactive: upward reports coalesce at each hop,
-downward instructions travel in route maps built once at the root (which
+downward instructions travel in one shared route built at the root (which
 tracks the full tree; see route_map), and the only clock the participants
 share is "a node that joins in round t reports in round t+2".  Rounds fit
 the fixed per-layer window of 2j+3 used by the growth schedule.
@@ -184,32 +184,38 @@ def minimal_outgoing_edge_set(
 
 # ---------------------------------------------------------------------------
 # Route maps: a root that knows its whole tree sends data to chosen members
-# down the union of their tree paths.  A route is (data, onward): the data
-# for the node it reaches (None when the node only relays) and the onward
-# map, hop -> route, of its children on those paths.
+# down the union of their tree paths.  A route is (kids, data_at): kids maps
+# each inner node of that union to its children on it, and data_at maps each
+# target to its data.  The root sends the route as one payload object to
+# kids[root], and every hop forwards that same object to kids[hop].
 # ---------------------------------------------------------------------------
 
-Route = Tuple[Any, Dict[int, Any]]
+Route = Tuple[Dict[int, List[int]], Mapping[int, Any]]
 
 
 def route_map(root: int, parent: Mapping[int, int],
-              data_at: Mapping[int, Any]) -> Dict[int, Route]:
-    """The root's onward map delivering data_at[t] (never None) to every
-    target t other than root, hops in ascending id order at every level.
-    A hop reads its own entry and forwards each onward sub-map as is, so
-    no route is regrouped or changed once built.  Costs O(distinct nodes
-    on the root-to-target paths), plus sorting them."""
+              data_at: Mapping[int, Any]) -> Route:
+    """The one shared route delivering data_at[t] to every target t other
+    than root, each node's children in ascending id order.  A hop reads
+    its own data_at entry, if any, and forwards the route unchanged to its
+    kids entry, if any, so nothing is regrouped or rebuilt on the way.
+    Costs O(distinct nodes on the root-to-target paths), plus sorting them.
+
+    Every message of one route carries the same object, and a hop learns
+    only its own data_at entry and kids list from it: that is what a count
+    of payload volume should charge the hop, not the whole route."""
     if root in data_at:
         raise ClusterError(f"the root {root} cannot be a route target")
-    onward: Dict[int, Dict[int, Route]] = {root: {}}
+    on_path = {root}
     for x in data_at:
-        while x not in onward:
-            onward[x] = {}
+        while x not in on_path:
+            on_path.add(x)
             x = parent[x]
-    for x in sorted(onward):
-        if x != root:
-            onward[parent[x]][x] = (data_at.get(x), onward[x])
-    return onward[root]
+    on_path.discard(root)
+    kids: Dict[int, List[int]] = {}
+    for x in sorted(on_path):
+        kids.setdefault(parent[x], []).append(x)
+    return kids, data_at
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +543,9 @@ class ExplorationProtocol(Protocol):
             node.schedule(explore_round,
                           ("explore", cs.root, j, tuple(assign[cs.root]), cs.join_extra))
         targets = {u: tuple(ws) for u, ws in assign.items() if u != cs.root}
-        sends = [(hop, (K_DOWN, cs.root, j, explore_round, cs.join_extra, route),
-                  CAT_CLUSTER_TREE)
-                 for hop, route in route_map(cs.root, cs.parent, targets).items()]
+        route = route_map(cs.root, cs.parent, targets)
+        payload = (K_DOWN, cs.root, j, explore_round, cs.join_extra, route)
+        sends = [(hop, payload, CAT_CLUSTER_TREE) for hop in route[0].get(cs.root, ())]
         cs.register_joins(assign, j)
         return sends
 
@@ -559,12 +565,12 @@ class ExplorationProtocol(Protocol):
                     _, root, j, items = payload
                     up_merge.setdefault((root, j), []).extend(items)
                 elif kind == K_DOWN:
-                    _, root, j, explore_round, extra, (ws, onward) = payload
+                    _, root, j, explore_round, extra, (kids, ws_at) = payload
+                    ws = ws_at.get(v)
                     if ws is not None:
                         node.schedule(explore_round, ("explore", root, j, ws, extra))
-                    for hop, route in onward.items():
-                        sends.append((hop, (K_DOWN, root, j, explore_round, extra, route),
-                                      CAT_CLUSTER_TREE))
+                    for hop in kids.get(v, ()):
+                        sends.append((hop, payload, CAT_CLUSTER_TREE))
                 elif kind == K_JOIN:
                     _, root, depth, extra = payload
                     st["joins"][root] = st["joins"].get(root, 0) + 1

@@ -537,6 +537,7 @@ def scaling_study(family: str, n_list: Sequence[int], algo: str,
             if diam is None:
                 diam = diameter(st.graph)
             t = _run_trial(cfg, st, s)
+            del st  # so the next spec's graph is generated after this one is freed
             if not t.ok:
                 raise HarnessError(
                     f"scaling trial failed for {family} n={n} seed={s}: "

@@ -177,8 +177,32 @@ class GraphGenSpec:
             raise GraphError(f"family {self.family} takes no p parameter")
 
 
-def _structural_edges(spec: GraphGenSpec, rng: random.Random) -> List[Tuple[int, int]]:
-    """Edges over structural positions 0..n-1, before id assignment."""
+def _structural_adjacency(spec: GraphGenSpec, rng: random.Random) -> Dict[int, List[int]]:
+    """Neighbor lists over structural positions 0..n-1, before id
+    assignment; an Erdős–Rényi draw is redrawn until it is connected."""
+    n = spec.n
+    if spec.family != "erdos_renyi":
+        return _positions(n, _family_edges(spec))
+    for _ in range(ER_RETRY_BUDGET):
+        adj = _positions(n, _er_draw(n, spec.p, rng))
+        if _connected(adj):
+            return adj
+    raise GraphError(
+        f"no connected G({n},{spec.p}) draw within {ER_RETRY_BUDGET} attempts"
+    )
+
+
+def _positions(n: int, edges: List[Edge]) -> Dict[int, List[int]]:
+    """The neighbor lists of positions 0..n-1 under edges."""
+    adj: Dict[int, List[int]] = {i: [] for i in range(n)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _family_edges(spec: GraphGenSpec) -> List[Edge]:
+    """Edges over structural positions of every family but Erdős–Rényi."""
     n = spec.n
     fam = spec.family
     if fam == "path":
@@ -206,18 +230,6 @@ def _structural_edges(spec: GraphGenSpec, rng: random.Random) -> List[Tuple[int,
     if fam == "balanced_binary_tree":
         # Complete binary tree in heap layout: children of i are 2i+1, 2i+2.
         return [(i, c) for i in range(n) for c in (2 * i + 1, 2 * i + 2) if c < n]
-    if fam == "erdos_renyi":
-        for _ in range(ER_RETRY_BUDGET):
-            edges = _er_draw(n, spec.p, rng)
-            adj: Dict[int, List[int]] = {i: [] for i in range(n)}
-            for u, v in edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            if _connected(adj):
-                return edges
-        raise GraphError(
-            f"no connected G({n},{spec.p}) draw within {ER_RETRY_BUDGET} attempts"
-        )
     raise GraphError(f"unknown family {fam!r}")
 
 
@@ -307,7 +319,7 @@ def generate_graph(spec: GraphGenSpec) -> Graph:
     in the per-pair loop's state, the ids match too.
     """
     rng = random.Random(spec.seed)
-    edges = _structural_edges(spec, rng)
+    adj = _structural_adjacency(spec, rng)
     n = spec.n
     if spec.id_scheme == "sequential":
         ids = list(range(1, n + 1))
@@ -315,14 +327,9 @@ def generate_graph(spec: GraphGenSpec) -> Graph:
         # Distinct ids from the polynomial space [1, n^3]; the draw consumes
         # the rng after edge sampling so both aspects derive from one seed.
         ids = rng.sample(range(1, n * n * n + 1), n)
-    # No family emits an edge twice, and Graph rejects a repeated neighbor.
-    adj: Dict[int, List[int]] = {v: [] for v in ids}
-    for a, b in edges:
-        adj[ids[a]].append(ids[b])
-        adj[ids[b]].append(ids[a])
-    for nbrs in adj.values():
-        nbrs.sort()
-    return Graph({v: tuple(nbrs) for v, nbrs in adj.items()})
+    # Relabel positions by ids.  No family emits an edge twice, and Graph
+    # rejects a repeated neighbor.
+    return Graph({ids[i]: tuple(sorted([ids[j] for j in nbrs])) for i, nbrs in adj.items()})
 
 
 def oracle_bfs(g: Graph, root: int) -> DistanceMap:

@@ -246,14 +246,15 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
     """
     config = config or ModeConfig()
     clock = _Clock()
-    clock.cal[1] = {v: [] for v in graph.nodes}  # every node steps in round 1
+    ids = graph.nodes
+    clock.cal[1] = {v: [] for v in ids}  # every node steps in round 1
     clock.heap.append(1)
     nodes: Dict[int, NodeContext] = {}
     nbr_sets: Dict[int, frozenset] = {}
-    for v in graph.nodes:
+    for v in ids:
         nodes[v] = NodeContext(v, graph.adjacency[v], config.rng_seed, clock)
         nbr_sets[v] = frozenset(graph.adjacency[v])
-    for v in graph.nodes:
+    for v in ids:
         protocol.setup(nodes[v])
     cal = clock.cal  # filled by NodeContext.schedule
     timer_heap = clock.heap
@@ -357,7 +358,7 @@ def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -
         messages_by_category={CATEGORY_NAMES[i]: counts[i] for i in range(4)},
     )
     return RunResult(
-        outputs={v: nodes[v].output for v in graph.nodes},
+        outputs={v: nodes[v].output for v in ids},
         metrics=metrics,
         end_reason=reason,
         trace=trace,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,6 +182,30 @@ def test_home_setup_cov2_matches_oracle_balls(family, n, seed):
     for tree in cover.clusters:
         want = {w for w in tree.members if oracle_ball(g, w, 2) <= tree.members}
         assert cov2[tree.root] == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(nbrs=st.lists(st.integers(1, 40), unique=True, min_size=1).map(sorted).map(tuple),
+       joined=st.sets(st.integers(1, 40)), data=st.data())
+def test_ownership_rule_is_first_joined_entry(nbrs, joined, data):
+    """The BFS phases' ownership test (v owns w when v has joined and no
+    entry of w's sorted neighbor tuple below v has) is "the first joined
+    entry of the tuple is v", also when v itself has not joined."""
+    v = data.draw(st.sampled_from(nbrs))
+    if data.draw(st.booleans()):
+        joined = joined - {v}
+    first = next((x for x in nbrs if x in joined), None)
+    assert (v in joined and joined.isdisjoint(nbrs[:bisect_left(nbrs, v)])) == (first == v)
+
+
+def test_registrants_are_the_nodes_at_home():
+    """A root answers the pinged ids among its registrants: exactly the
+    nodes whose home it is, the ones that want its aggregate."""
+    g = make_graph("erdos_renyi", 60, seed=4, p=0.1, id_scheme="random_permutation")
+    pre = preprocess(g, seed=1)
+    assert set(pre.registrants) == {t.root for t in pre.cover.clusters}
+    for r, regs in pre.registrants.items():
+        assert regs == {v for v in g.nodes if pre.home[v] == r}
 
 
 # ---------------------------------------------------------------------------

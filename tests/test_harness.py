@@ -351,6 +351,22 @@ def test_scaling_rows_and_ratios():
     assert not tbl.flagged
 
 
+def test_scaling_frees_each_graph_before_the_next(monkeypatch):
+    """No two specs' graphs are alive at once."""
+    harness._clear_stages()
+    made = []
+
+    def generate(spec, _real=harness.generate_graph):
+        assert all(ref() is None for ref in made), "a previous spec's graph is alive"
+        g = _real(spec)
+        made.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(harness, "generate_graph", generate)
+    scaling_study("erdos_renyi", [24, 32], "le_rand", seeds=(0, 1))
+    assert len(made) == 4
+
+
 def test_scaling_rejects_unsorted():
     with pytest.raises(HarnessError):
         scaling_study("path", [64, 32], "bfs_spanner")

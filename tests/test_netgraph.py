@@ -28,7 +28,7 @@ from kt1sim.netgraph import (
     read_edge_list,
     write_edge_list,
 )
-from kt1sim.netgraph import _er_draw, _structural_edges
+from kt1sim.netgraph import _er_draw, _structural_adjacency
 
 
 def _spec(family, n, **kw):
@@ -113,7 +113,9 @@ def test_er_retry_path_equals_reference(seed):
     spec = _spec("erdos_renyi", n, p=p, seed=seed, id_scheme="random_permutation")
     got, want = random.Random(seed), random.Random(seed)
     edges = _reference_er_edges(n, p, want)
-    assert _structural_edges(spec, got) == edges
+    adj = _structural_adjacency(spec, got)
+    assert sorted((u, v) for u, nbrs in adj.items() for v in nbrs if u < v) == edges
+    assert all(u in adj[v] for u, nbrs in adj.items() for v in nbrs)
     assert got.getstate() == want.getstate()
     ids = want.sample(range(1, n ** 3 + 1), n)
     ref = Graph.from_edges(ids, [(ids[u], ids[v]) for u, v in edges])
@@ -128,7 +130,7 @@ def test_er_unconnectable_spec_raises_after_budget():
     # The failed attempts consume exactly the per-pair loop's draws.
     got, want = random.Random(3), random.Random(3)
     with pytest.raises(GraphError):
-        _structural_edges(spec, got)
+        _structural_adjacency(spec, got)
     for _ in range(ER_RETRY_BUDGET):
         _per_pair_draw(30, 5e-324, want)
     assert got.getstate() == want.getstate()
