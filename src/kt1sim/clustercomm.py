@@ -1,22 +1,20 @@
-"""Rooted trees and the message-frugal primitives built on them.
+"""Rooted trees and the two protocols built on them.
 
 RootedTree is the one tree type of the package: a cover cluster (a set of
 nodes holding a rooted spanning tree of itself) and a BFS tree of the whole
-graph are both RootedTrees, and share one validator and one JSON form.  The
-primitives here are the workhorses of every protocol in the package:
+graph are both RootedTrees, and share one validator and one JSON form.  Two
+protocols run over such trees:
 
 * the tree wave (TreeWaveProtocol): convergecast up a rooted tree, solve at
   the root, broadcast the answer down, at exactly |C|-1 messages and depth
-  hops per direction.  broadcast (down only), convergecast (up only), the
-  augmented-tree protocol, and gossipspanner's spanner BFS and global solves
-  are small subclasses of it;
-* minimal outgoing edge sets: one edge per outer-boundary node, from its
+  hops per direction.  gossipspanner's spanner BFS and global solves are
+  small subclasses of it;
+* depth-bounded BFS exploration (ExplorationProtocol), growing a cluster one
+  layer per window; the cover builder is its subclass.  Each window the root
+  reaches every node just outside the cluster over one edge, from its
   inside neighbor of least id (equivalently, the lexicographically first
   such edge: for a fixed outside node w the pair (min(u,w), max(u,w)) grows
-  with u);
-* augmented cluster trees: one tree wave that picks one edge to every
-  boundary node, plus one notification to each boundary endpoint;
-* depth-bounded BFS exploration growing a cluster one layer per window.
+  with u).
 
 The exploration machinery is reactive: upward reports coalesce at each hop,
 downward instructions travel in one shared route built at the root (which
@@ -29,22 +27,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .netgraph import Graph, GraphError
 from .simengine import (
     CAT_CLUSTER_TREE,
     CAT_EXPLORATION,
-    ModeConfig,
     NodeContext,
     NO_SENDS,
     Protocol,
-    RunMetrics,
     SimError,
-    run,
 )
-
-Edge = Tuple[int, int]
 
 # Wire kinds for the exploration machinery (shared with the cover builder).
 K_UP = 10      # coalesced new-member reports flowing rootward
@@ -149,39 +142,6 @@ def bfs_tree_from_json(text: str) -> RootedTree:
     return RootedTree(root=root, parent=parent, layer=layer)
 
 
-@dataclass(frozen=True)
-class OutgoingEdgeSet:
-    """One chosen edge (inside, outside) per outer-boundary node."""
-
-    edges: Tuple[Edge, ...]
-
-    @property
-    def boundary(self) -> frozenset:
-        return frozenset(w for _, w in self.edges)
-
-
-@dataclass(frozen=True)
-class AugmentedClusterTree:
-    base: RootedTree
-    extension: OutgoingEdgeSet
-
-
-def minimal_outgoing_edge_set(
-    members: Iterable[int],
-    nbr_of: Mapping[int, Iterable[int]],
-) -> OutgoingEdgeSet:
-    """Pick exactly one incident edge for every node just outside members:
-    the edge to boundary node w comes from w's inside neighbor of least id,
-    which is also the lexicographically first pair (min(u,w), max(u,w))."""
-    mem = set(members)
-    best: Dict[int, int] = {}
-    for u in mem:
-        for w in nbr_of[u]:
-            if w not in mem and (w not in best or u < best[w]):
-                best[w] = u
-    return OutgoingEdgeSet(edges=tuple(sorted((u, w) for w, u in best.items())))
-
-
 # ---------------------------------------------------------------------------
 # Route maps: a root that knows its whole tree sends data to chosen members
 # down the union of their tree paths.  A route is (kids, data_at): kids maps
@@ -231,15 +191,11 @@ class TreeWaveProtocol(Protocol):
     ascending child id by combine.  The root turns its value into a payload
     with solve; every member forwards ("dn", payload) to its children in id
     order, calls deliver (whose sends follow) and halts.  Nodes outside the
-    tree run step_outside.  Subclasses that drop a phase clear UP (the root
-    solves from None in round 1) or DOWN (a member halts once it has
-    reported).  The default gather/combine collect (id, neighbor list)
-    pairs, i.e. the topology of the tree, at the root.
+    tree halt at once.  The default gather/combine collect (id, neighbor
+    list) pairs, i.e. the topology of the tree, at the root.
     """
 
     name = "tree_wave"
-    UP = True
-    DOWN = True
 
     def __init__(self, root: int, parent: Mapping[int, int]):
         self.root = root
@@ -260,9 +216,6 @@ class TreeWaveProtocol(Protocol):
         node.output = payload
         return []
 
-    def step_outside(self, node: NodeContext, rnd: int):
-        return NO_SENDS, True
-
     def setup(self, node: NodeContext) -> None:
         node.state["acc"] = {}
 
@@ -270,7 +223,7 @@ class TreeWaveProtocol(Protocol):
         v = node.self_id
         children = self.children.get(v)
         if children is None:
-            return self.step_outside(node, rnd)
+            return NO_SENDS, True
         return self.wave(node, children, self.parent.get(v))
 
     def wave(self, node: NodeContext, children: List[int], parent: Optional[int],
@@ -284,10 +237,6 @@ class TreeWaveProtocol(Protocol):
                 acc[src] = payload[1]
             elif payload[0] == "dn":
                 return self._down(node, children, payload[1])
-        if not self.UP:
-            if parent is None and ready:
-                return self._down(node, children, self.solve(node, None))
-            return NO_SENDS, False
         if st.get("reported") or not ready or len(acc) < len(children):
             return NO_SENDS, False
         value = self.gather(node)
@@ -296,121 +245,12 @@ class TreeWaveProtocol(Protocol):
         if parent is None:
             return self._down(node, children, self.solve(node, value))
         st["reported"] = True
-        return [(parent, ("up", value), CAT_CLUSTER_TREE)], not self.DOWN
+        return [(parent, ("up", value), CAT_CLUSTER_TREE)], False
 
     def _down(self, node: NodeContext, children: List[int], payload: Any):
-        sends = [(c, ("dn", payload), CAT_CLUSTER_TREE) for c in children] if self.DOWN else []
+        sends = [(c, ("dn", payload), CAT_CLUSTER_TREE) for c in children]
         sends.extend(self.deliver(node, payload))
         return sends, True
-
-
-class _BroadcastProtocol(TreeWaveProtocol):
-    name = "broadcast"
-    UP = False
-
-    def __init__(self, tree: RootedTree, payload: Any):
-        super().__init__(tree.root, tree.parent)
-        self.payload = payload
-
-    def solve(self, node: NodeContext, value: Any) -> Any:
-        return self.payload
-
-
-@dataclass
-class TreeOpResult:
-    value: Any
-    delivered: Dict[int, Any]
-    metrics: RunMetrics
-
-
-def broadcast(g: Graph, tree: RootedTree, payload: Any) -> TreeOpResult:
-    """Deliver payload from the tree root to every member: |C|-1 messages,
-    depth+1 rounds (the last one delivers)."""
-    tree.validate(g)
-    res = run(g, _BroadcastProtocol(tree, payload))
-    delivered = {v: res.outputs[v] for v in tree.members}
-    return TreeOpResult(payload, delivered, res.metrics)
-
-
-class _ConvergecastProtocol(TreeWaveProtocol):
-    name = "convergecast"
-    DOWN = False
-
-    def __init__(self, tree: RootedTree, payloads: Mapping[int, Any], combine):
-        super().__init__(tree.root, tree.parent)
-        self.payloads = payloads
-        self.combine = combine  # the caller's fold stands in for the method
-
-    def gather(self, node: NodeContext) -> Any:
-        return self.payloads[node.self_id]
-
-
-def convergecast(g: Graph, tree: RootedTree, payloads: Mapping[int, Any], combine) -> TreeOpResult:
-    """Fold member payloads up to the root with the associative combine:
-    |C|-1 messages, depth+1 rounds.  Leaves fire immediately; an inner node
-    sends only once every child has reported."""
-    tree.validate(g)
-    missing = tree.members - set(payloads)
-    if missing:
-        raise ClusterError(f"convergecast payloads missing for {sorted(missing)[:5]}")
-    res = run(g, _ConvergecastProtocol(tree, payloads, combine))
-    return TreeOpResult(res.outputs[tree.root], {}, res.metrics)
-
-
-# ---------------------------------------------------------------------------
-# Augmented cluster tree: one tree wave collects the members' neighbor lists,
-# the root picks one edge per outside node, and each member pokes the
-# boundary nodes of its chosen edges.
-# ---------------------------------------------------------------------------
-
-class _AugmentProtocol(TreeWaveProtocol):
-    name = "augment"
-
-    def solve(self, node: NodeContext, value: Any) -> Tuple[Edge, ...]:
-        members = self.children.keys()
-        return minimal_outgoing_edge_set(members, dict(value)).edges
-
-    def deliver(self, node: NodeContext, edges: Tuple[Edge, ...]) -> List:
-        v = node.self_id
-        mine = tuple(e for e in edges if e[0] == v)
-        node.output = mine
-        return [(e[1], e, CAT_CLUSTER_TREE) for e in mine]
-
-    def step_outside(self, node: NodeContext, rnd: int):
-        # Possibly a boundary node: a notification may still arrive.
-        if node.inbox:
-            node.output = sorted(payload for _, payload in node.inbox)
-            return NO_SENDS, True
-        return NO_SENDS, False
-
-
-@dataclass
-class AugmentResult:
-    augmented: AugmentedClusterTree
-    boundary_notified: Dict[int, List[Edge]]
-    metrics: RunMetrics
-
-
-def compute_augmented_tree(g: Graph, tree: RootedTree) -> AugmentResult:
-    """Build the augmented tree in at most 2*depth+2 rounds with 2(|C|-1)+|B|
-    messages; every boundary node hears about exactly one extension edge."""
-    tree.validate(g)
-    res = run(g, _AugmentProtocol(tree.root, tree.parent), ModeConfig(allow_quiescence=True))
-    # Reconstruct the chosen extension from member outputs.
-    edges: List[Edge] = []
-    for v in tree.members:
-        edges.extend(res.outputs[v] or ())
-    oes = OutgoingEdgeSet(edges=tuple(sorted(edges)))
-    notified = {
-        v: list(res.outputs[v])
-        for v in g.nodes
-        if v not in tree.members and res.outputs[v]
-    }
-    return AugmentResult(
-        augmented=AugmentedClusterTree(base=tree, extension=oes),
-        boundary_notified=notified,
-        metrics=res.metrics,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +260,13 @@ def compute_augmented_tree(g: Graph, tree: RootedTree) -> AugmentResult:
 class ClusterState:
     """Root-side ledger of one growing cluster.  The root learns every
     member's neighbor list through the upward reports, so it can compute
-    outgoing edge sets and route maps without further queries.  best
+    each window's outgoing edges and route map without further queries.  best
     maps each outside neighbor w to its inside neighbor of least id, the
     endpoint of the lexicographically first edge to w."""
 
     __slots__ = (
         "root", "h", "members", "parent", "depth", "best",
-        "done", "join_extra", "last_layer",
+        "done", "join_extra",
     )
 
     def __init__(self, root: int, nbrs: Tuple[int, ...], h: int, join_extra: Any = None):
@@ -438,7 +278,6 @@ class ClusterState:
         self.best: Dict[int, int] = {}
         self.done = False
         self.join_extra = join_extra
-        self.last_layer = 0
         self._absorb_edges(root, nbrs)
 
     def _absorb_edges(self, u: int, nbrs: Tuple[int, ...]) -> None:
@@ -448,7 +287,7 @@ class ClusterState:
             if w not in members and (w not in best or u < best[w]):
                 best[w] = u
 
-    def absorb_reports(self, items: Iterable[Tuple[int, Tuple[int, ...]]]) -> None:
+    def absorb_reports(self, items: List[Tuple[int, Tuple[int, ...]]]) -> None:
         for vid, nbrs in items:
             self.members[vid] = nbrs
         for vid, nbrs in items:
@@ -470,7 +309,6 @@ class ClusterState:
                 self.depth[w] = j
                 self.members[w] = None
                 del self.best[w]
-        self.last_layer = j
 
     def tree(self) -> RootedTree:
         return RootedTree(root=self.root, parent=dict(self.parent), layer=dict(self.depth))
@@ -490,26 +328,10 @@ class ExplorationProtocol(Protocol):
     of least id (equivalently, over the lexicographically first (min, max)
     pair).
 
-    Subclasses decide who activates a cluster and when (see the cover
-    builder); this base class starts a single root in round 1.
+    Every joining node reports, the final layer's too, so each root ends up
+    knowing all its members' neighbor lists.  Subclasses decide who starts
+    a cluster and when, through activate_cluster (see the cover builder).
     """
-
-    name = "bfs_exploration"
-
-    def __init__(self, roots: Mapping[int, int], report_final_layer: bool = True):
-        # roots: root id -> depth budget h.  When report_final_layer is off,
-        # nodes joining at the depth cap stay silent: the tree is already
-        # complete and skipping the last upward wave keeps the round count
-        # inside the declared h^2 budget.  The cover builder leaves it on so
-        # every root ends up knowing all members' neighbor lists.
-        self.roots = dict(roots)
-        self.report_final_layer = report_final_layer
-
-    def _should_report(self, root: int, depth: int) -> bool:
-        if self.report_final_layer:
-            return True
-        h = self.roots.get(root)
-        return h is None or depth < h
 
     def on_joined(self, node: NodeContext, root: int, depth: int, extra: Any) -> None:
         """Hook: this node just joined root's cluster at the given depth."""
@@ -517,9 +339,8 @@ class ExplorationProtocol(Protocol):
     def setup(self, node: NodeContext) -> None:
         st = node.state
         st["mem"] = {}
-        st["joins"] = {}
         st["clusters"] = {}
-        node.output = {"mem": st["mem"], "joins": st["joins"]}
+        node.output = {"mem": st["mem"]}
 
     def activate_cluster(self, node: NodeContext, rnd: int, h: int, join_extra: Any = None) -> List:
         """Start a cluster rooted at this node; returns sends (always [])."""
@@ -553,10 +374,6 @@ class ExplorationProtocol(Protocol):
         st = node.state
         v = node.self_id
         sends: List = []
-
-        if rnd == 1 and v in self.roots:
-            sends.extend(self.activate_cluster(node, rnd, self.roots[v]))
-
         if node.inbox:
             up_merge: Dict[Tuple[int, int], List] = {}
             for src, payload in node.inbox:
@@ -573,14 +390,12 @@ class ExplorationProtocol(Protocol):
                         sends.append((hop, payload, CAT_CLUSTER_TREE))
                 elif kind == K_JOIN:
                     _, root, depth, extra = payload
-                    st["joins"][root] = st["joins"].get(root, 0) + 1
                     if root in st["mem"]:
                         raise SimError(
                             f"node {v} received a second exploration message for cluster {root}"
                         )
                     st["mem"][root] = (src, depth)
-                    if self._should_report(root, depth):
-                        node.schedule(rnd + 2, ("up", root, depth + 1))
+                    node.schedule(rnd + 2, ("up", root, depth + 1))
                     self.on_joined(node, root, depth, extra)
                 else:
                     raise SimError(f"unknown payload kind {kind!r} at node {v}")
@@ -611,44 +426,3 @@ class ExplorationProtocol(Protocol):
 
     def run_action(self, node: NodeContext, rnd: int, action: Tuple) -> List:
         raise SimError(f"unknown scheduled action {action!r}")
-
-
-@dataclass
-class ExplorationResult:
-    tree: RootedTree
-    metrics: RunMetrics
-    join_receipts: Dict[int, int] = field(default_factory=dict)
-
-
-def bfs_exploration(g: Graph, root: int, h: int) -> ExplorationResult:
-    """Grow the depth-h BFS cluster around root.
-
-    Costs at most 4*|C|*h messages and 4*h*h+1 rounds for the resulting
-    cluster C; the returned tree contains exactly the nodes within h hops
-    of root, each at its true BFS depth.
-    """
-    if h < 1:
-        raise ClusterError("exploration depth h must be >= 1")
-    if root not in g.adjacency:
-        raise ClusterError(f"root {root} not in graph")
-    proto = ExplorationProtocol({root: h}, report_final_layer=False)
-    res = run(g, proto, ModeConfig(allow_quiescence=True))
-    cs = res.contexts[root].state["clusters"][root]
-    tree = cs.tree()
-    tree.validate(g)
-    receipts = {}
-    for v in g.nodes:
-        cnt = res.outputs[v]["joins"].get(root)
-        if cnt:
-            receipts[v] = cnt
-    # Cross-check the root's ledger against the members' own records.
-    for v in tree.members:
-        if v != root:
-            mem = res.outputs[v]["mem"].get(root)
-            if mem is None or mem != (tree.parent[v], tree.layer[v]):
-                raise ClusterError(f"root ledger and member record disagree at {v}")
-    return ExplorationResult(
-        tree=tree,
-        metrics=res.metrics,
-        join_receipts=receipts,
-    )

@@ -90,9 +90,6 @@ class Cover:
     phase_of: Dict[int, int] = field(default_factory=dict)  # root -> phase
     metrics: Optional[RunMetrics] = None
 
-    def clusters_of(self, v: int) -> Tuple[RootedTree, ...]:
-        return tuple(self.clusters[i] for i in self.membership.get(v, ()))
-
 
 @dataclass
 class CoverReport:
@@ -106,9 +103,6 @@ class _CoverProtocol(ExplorationProtocol):
     name = "cover_construction"
 
     def __init__(self, n: int, kappa: int, W: int):
-        super().__init__({}, report_final_layer=True)
-        self.kappa = kappa
-        self.W = W
         B = phase_budget(kappa, W)
         self.phase_start = {i: 1 + (i - 1) * B for i in range(1, kappa + 1)}
         self.phase_h = {i: phase_depth(kappa, W, i) for i in range(1, kappa + 1)}
@@ -259,42 +253,3 @@ def cover_to_json(cover: Cover) -> str:
         ],
     }
     return json.dumps(doc, sort_keys=True)
-
-
-def cover_from_json(text: str) -> Cover:
-    """Inverse of cover_to_json; CoverError if text is not such a cover."""
-    try:
-        doc = json.loads(text)
-        params = CoverParams(**doc["params"])
-        entries = [(e["root"], {int(v): p for v, p in e["parent_map"].items()}, e["depth"])
-                   for e in doc["clusters"]]
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise CoverError(f"malformed cover: {exc!r}") from exc
-    clusters = []
-    root_index = {}
-    for root, parent, depth in entries:
-        tree = RootedTree.from_parent_map(root, parent)
-        if tree.depth != depth:
-            raise CoverError("serialized depth disagrees with parent map")
-        root_index[tree.root] = len(clusters)
-        clusters.append(tree)
-    membership: Dict[int, List[int]] = {}
-    for idx, tree in enumerate(clusters):
-        for m in tree.members:
-            membership.setdefault(m, []).append(idx)
-    return Cover(
-        clusters=tuple(clusters),
-        membership={v: tuple(sorted(ix)) for v, ix in membership.items()},
-        params=params,
-        root_index=root_index,
-    )
-
-
-def report_to_json(report: CoverReport) -> str:
-    return json.dumps(
-        {"max_depth": report.max_depth,
-         "max_membership": report.max_membership,
-         "neighborhood_ok": report.neighborhood_ok,
-         "uncovered": report.uncovered},
-        sort_keys=True,
-    )

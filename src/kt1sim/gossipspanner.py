@@ -57,7 +57,6 @@ tally n, and it does once 2^j reaches the H-eccentricity of its node.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
@@ -282,13 +281,6 @@ class Spanner:
     @property
     def size(self) -> int:
         return len(self.edges)
-
-    def as_graph(self, nodes: Iterable[int]) -> Graph:
-        adj: Dict[int, List[int]] = {v: [] for v in nodes}
-        for u, w in self.edges:
-            adj[u].append(w)
-            adj[w].append(u)
-        return Graph(adjacency={v: tuple(sorted(ns)) for v, ns in adj.items()})
 
 
 def extract_spanner(g: Graph, gossip: GossipResult) -> Spanner:
@@ -715,8 +707,3 @@ def solve_global(g: Graph, tree: RootedTree, problem: str = "mst") -> GlobalSolv
     per_node = {v: res.outputs[v] for v in g.nodes}
     return GlobalSolveResult(problem=problem, solution=solution,
                              per_node=per_node, metrics=res.metrics)
-
-
-def det_election_to_json(result: DetElectionResult) -> str:
-    return json.dumps({"leader": result.leader, "unanimous": result.unanimous,
-                       "spanner_edges": result.spanner.size}, sort_keys=True)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,38 +9,23 @@ from hypothesis import strategies as st
 from kt1sim.clustercomm import (
     ClusterError,
     ClusterState,
+    ExplorationProtocol,
     RootedTree,
-    bfs_exploration,
-    broadcast,
-    compute_augmented_tree,
-    convergecast,
-    minimal_outgoing_edge_set,
+    TreeWaveProtocol,
 )
 from kt1sim.gossipspanner import solve_global
 from kt1sim.netgraph import (
-    Graph,
     GraphGenSpec,
     er_connectivity_safe_p,
     generate_graph,
     oracle_ball,
     oracle_bfs,
 )
+from kt1sim.simengine import ModeConfig, run
 
 
 def _graph(family, n, **kw):
     return generate_graph(GraphGenSpec(family=family, n=n, **kw))
-
-
-def _path_tree(g, members, root):
-    """Chain tree along a path graph restricted to members."""
-    order = sorted(members)
-    parent = {}
-    by_dist = sorted(members, key=lambda v: oracle_bfs(g, root).dist[v])
-    for v in by_dist[1:]:
-        cands = [u for u in g.adjacency[v] if u in members
-                 and oracle_bfs(g, root).dist[u] == oracle_bfs(g, root).dist[v] - 1]
-        parent[v] = min(cands)
-    return RootedTree.from_parent_map(root, parent)
 
 
 # --- RootedTree ------------------------------------------------------------
@@ -77,67 +64,26 @@ def test_cluster_tree_validates_but_does_not_span():
     RootedTree.from_parent_map(1, {2: 1, 3: 2, 4: 3}).validate_spanning(g)
 
 
-# --- broadcast / convergecast ---------------------------------------------
+# --- tree wave -------------------------------------------------------------
 
-def test_broadcast_singleton():
-    g = _graph("path", 1)
-    t = RootedTree.from_parent_map(1, {})
-    r = broadcast(g, t, "hello")
-    assert r.metrics.rounds == 1 and r.metrics.messages_total == 0
-    assert r.delivered == {1: "hello"}
+class _SumWave(TreeWaveProtocol):
+    """Counts the members: every node gathers 1 and the root's sum is n."""
 
+    def gather(self, node):
+        return 1
 
-def test_broadcast_path4_three_rounds_three_messages():
-    g = _graph("path", 4)
-    t = RootedTree.from_parent_map(1, {2: 1, 3: 2, 4: 3})
-    r = broadcast(g, t, ("payload",))
-    assert r.metrics.rounds == 4  # the fourth round delivers to node 4
-    assert r.metrics.messages_total == 3
-    assert all(v == ("payload",) for v in r.delivered.values())
+    def combine(self, value, child_value):
+        return value + child_value
 
 
-def test_broadcast_star5_one_round_four_messages():
-    g = _graph("star", 5)
-    t = RootedTree.from_parent_map(1, {v: 1 for v in (2, 3, 4, 5)})
-    r = broadcast(g, t, 7)
-    assert r.metrics.rounds == 2 and r.metrics.messages_total == 4
-
-
-def test_broadcast_messages_by_category():
-    g = _graph("star", 5)
-    t = RootedTree.from_parent_map(1, {v: 1 for v in (2, 3, 4, 5)})
-    r = broadcast(g, t, 7)
-    assert r.metrics.messages_by_category["cluster_tree"] == 4
-
-
-def test_convergecast_singleton():
-    g = _graph("path", 1)
-    t = RootedTree.from_parent_map(1, {})
-    r = convergecast(g, t, {1: {1}}, lambda a, b: a | b)
-    assert r.value == {1} and r.metrics.messages_total == 0
-
-
-def test_convergecast_path4_union():
-    g = _graph("path", 4)
-    t = RootedTree.from_parent_map(1, {2: 1, 3: 2, 4: 3})
-    r = convergecast(g, t, {v: {v} for v in t.members}, lambda a, b: a | b)
-    assert r.value == {1, 2, 3, 4}
-    assert r.metrics.rounds == 4 and r.metrics.messages_total == 3
-
-
-def test_convergecast_balanced_binary_7():
-    g = _graph("balanced_binary_tree", 7)
-    t = RootedTree.from_parent_map(1, {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3})
-    r = convergecast(g, t, {v: 1 for v in t.members}, lambda a, b: a + b)
-    assert r.value == 7
-    assert r.metrics.rounds == 3 and r.metrics.messages_total == 6
-
-
-def test_convergecast_missing_payload_raises():
-    g = _graph("path", 3)
-    t = RootedTree.from_parent_map(1, {2: 1, 3: 2})
-    with pytest.raises(ClusterError):
-        convergecast(g, t, {1: 1, 2: 2}, lambda a, b: a + b)
+def _wave_with_exact_costs(g, proto, depth):
+    """Run one wave over a spanning tree of g: n-1 "up" and n-1 "dn"
+    messages, all cluster-tree traffic, in 2*depth+1 rounds."""
+    res = run(g, proto, ModeConfig(record_trace=True))
+    tags = Counter((e.payload[0], e.category) for e in res.trace)
+    assert tags == Counter({("up", "cluster_tree"): g.n - 1, ("dn", "cluster_tree"): g.n - 1})
+    assert res.metrics.rounds == 2 * depth + 1
+    return res
 
 
 @settings(max_examples=30, deadline=None)
@@ -145,11 +91,11 @@ def test_convergecast_missing_payload_raises():
     n=st.integers(min_value=1, max_value=48),
     seed=st.integers(min_value=0, max_value=10_000),
     rootpick=st.integers(min_value=0, max_value=10_000),
-    h=st.integers(min_value=1, max_value=3),
 )
-def test_tree_wave_costs_exact(n, seed, rootpick, h):
-    """Every tree wave costs exactly what its docstring claims, on the BFS
-    tree of a random connected graph from a random root."""
+def test_tree_wave_costs_exact(n, seed, rootpick):
+    """Every tree wave costs exactly n-1 messages per direction and
+    2*depth+1 rounds, on the BFS tree of a random connected graph from a
+    random root."""
     g = _graph("erdos_renyi", n, p=er_connectivity_safe_p(n), seed=seed,
                id_scheme="random_permutation")
     nodes = sorted(g.nodes)
@@ -160,51 +106,120 @@ def test_tree_wave_costs_exact(n, seed, rootpick, h):
     tree = RootedTree.from_parent_map(root, parent)
     depth = tree.depth
 
-    r = broadcast(g, tree, "x")
-    assert (r.metrics.messages_total, r.metrics.rounds) == (n - 1, depth + 1)
-    assert set(r.delivered.values()) == {"x"}
-    r = convergecast(g, tree, {v: 1 for v in g.nodes}, lambda a, b: a + b)
-    assert (r.metrics.messages_total, r.metrics.rounds) == (n - 1, depth + 1)
-    assert r.value == n
+    res = _wave_with_exact_costs(g, _SumWave(root, parent), depth)
+    assert all(res.outputs[v] == n for v in g.nodes)
+    res = _wave_with_exact_costs(g, TreeWaveProtocol(root, parent), depth)
+    topology = sorted((v, g.adjacency[v]) for v in g.nodes)
+    assert all(sorted(res.outputs[v]) == topology for v in g.nodes)
 
     r = solve_global(g, tree, "topology")
     assert (r.metrics.messages_total, r.metrics.rounds) == (2 * (n - 1), 2 * depth + 1)
     assert r.solution == tuple(sorted(g.edges()))
 
-    ball = RootedTree.from_parent_map(
-        root, {v: p for v, p in parent.items() if dist[v] <= h})
-    boundary = {v for v in g.nodes if dist[v] == h + 1}
-    r = compute_augmented_tree(g, ball)
-    c = len(ball.members)
-    assert r.metrics.messages_total == 2 * (c - 1) + len(boundary)
-    # Boundary nodes hang off the deepest layer, so their notifications
-    # land one round after the broadcast ends.
-    assert r.metrics.rounds == 2 * ball.depth + 1 + (1 if boundary else 0) <= 2 * ball.depth + 2
-    assert r.augmented.extension.boundary == boundary
-    assert set(r.boundary_notified) == boundary
+
+# --- the two halves of one wave: broadcast down, convergecast up ------------
+
+class _FoldWave(TreeWaveProtocol):
+    """Gathers own[v], folds the children's values in with op, broadcasts
+    the root's value, and records the round in which the root solves."""
+
+    def __init__(self, root, parent, own, op):
+        super().__init__(root, parent)
+        self.own = own
+        self.op = op
+        self.solved_at = None
+
+    def gather(self, node):
+        return self.own[node.self_id]
+
+    def combine(self, value, child_value):
+        return self.op(value, child_value)
+
+    def step(self, node, rnd):
+        sends, halted = super().step(node, rnd)
+        if halted and node.self_id == self.root:
+            self.solved_at = rnd
+        return sends, halted
 
 
-# --- minimal outgoing edge set --------------------------------------------
-
-def test_oes_singleton_in_triangle():
-    nbr = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
-    oes = minimal_outgoing_edge_set(frozenset({1}), nbr)
-    assert set(oes.edges) == {(1, 2), (1, 3)}
-    assert oes.boundary == frozenset({2, 3})
-
-
-def test_oes_pair_on_path():
-    nbr = {1: (2,), 2: (1, 3), 3: (2,)}
-    oes = minimal_outgoing_edge_set(frozenset({1, 2}), nbr)
-    assert set(oes.edges) == {(2, 3)}
+def _halves(g, tree, own, op):
+    """Run one _FoldWave over tree; returns (root value, per-node outputs,
+    {"up"|"dn": (messages, rounds)}, Counter of (tag, category))."""
+    proto = _FoldWave(tree.root, tree.parent, own, op)
+    res = run(g, proto, ModeConfig(record_trace=True))
+    tags = Counter(e.payload[0] for e in res.trace)
+    halves = {"up": (tags["up"], proto.solved_at),
+              "dn": (tags["dn"], res.metrics.rounds - proto.solved_at + 1)}
+    cats = Counter((e.payload[0], e.category) for e in res.trace)
+    return res.outputs[tree.root], res.outputs, halves, cats
 
 
-def test_oes_lexicographic_pick():
-    # boundary node 9 reachable from members 2 and 5: (2,9) < (5,9).
-    nbr = {2: (5, 9), 5: (2, 9), 9: (2, 5)}
-    oes = minimal_outgoing_edge_set(frozenset({2, 5}), nbr)
-    assert oes.edges == ((2, 9),)
+def _keep_first(a, b):
+    return a
 
+
+def _broadcast(g, tree, payload):
+    own = {v: payload if v == tree.root else None for v in tree.members}
+    return _halves(g, tree, own, _keep_first)
+
+
+def test_broadcast_singleton():
+    g = _graph("path", 1)
+    t = RootedTree.from_parent_map(1, {})
+    _, outputs, halves, _ = _broadcast(g, t, "hello")
+    assert halves["dn"] == (0, 1)
+    assert outputs == {1: "hello"}
+
+
+def test_broadcast_path4_three_rounds_three_messages():
+    g = _graph("path", 4)
+    t = RootedTree.from_parent_map(1, {2: 1, 3: 2, 4: 3})
+    _, outputs, halves, _ = _broadcast(g, t, ("payload",))
+    # the root sends in its solve round; the fourth round delivers to node 4
+    assert halves["dn"] == (3, 4)
+    assert all(v == ("payload",) for v in outputs.values())
+
+
+def test_broadcast_star5_one_round_four_messages():
+    g = _graph("star", 5)
+    t = RootedTree.from_parent_map(1, {v: 1 for v in (2, 3, 4, 5)})
+    _, outputs, halves, _ = _broadcast(g, t, 7)
+    assert halves["dn"] == (4, 2)
+    assert set(outputs.values()) == {7}
+
+
+def test_broadcast_messages_by_category():
+    g = _graph("star", 5)
+    t = RootedTree.from_parent_map(1, {v: 1 for v in (2, 3, 4, 5)})
+    _, _, _, cats = _broadcast(g, t, 7)
+    assert cats[("dn", "cluster_tree")] == 4
+    assert sum(k for (tag, _), k in cats.items() if tag == "dn") == 4
+
+
+def test_convergecast_singleton():
+    g = _graph("path", 1)
+    t = RootedTree.from_parent_map(1, {})
+    value, _, halves, _ = _halves(g, t, {1: {1}}, lambda a, b: a | b)
+    assert value == {1} and halves["up"] == (0, 1)
+
+
+def test_convergecast_path4_union():
+    g = _graph("path", 4)
+    t = RootedTree.from_parent_map(1, {2: 1, 3: 2, 4: 3})
+    value, _, halves, _ = _halves(g, t, {v: {v} for v in t.members}, lambda a, b: a | b)
+    assert value == {1, 2, 3, 4}
+    assert halves["up"] == (3, 4)
+
+
+def test_convergecast_balanced_binary_7():
+    g = _graph("balanced_binary_tree", 7)
+    t = RootedTree.from_parent_map(1, {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3})
+    value, _, halves, _ = _halves(g, t, {v: 1 for v in t.members}, lambda a, b: a + b)
+    assert value == 7
+    assert halves["up"] == (6, 3)
+
+
+# --- exploration ledger ------------------------------------------------------
 
 def _lexicographic_choice(members, nbr_of):
     """The inside endpoint of the lexicographically first (min, max) edge
@@ -225,16 +240,12 @@ def _lexicographic_choice(members, nbr_of):
        seed=st.integers(min_value=0, max_value=10_000),
        data=st.data())
 def test_least_id_edge_is_lexicographically_first(n, seed, data):
+    """The exploration ledger, grown layer by layer from a root, reaches
+    each outside node from the inside endpoint of its lexicographically
+    first edge."""
     g = _graph("erdos_renyi", n, p=er_connectivity_safe_p(n), seed=seed,
                id_scheme="random_permutation")
-    nodes = list(g.nodes)
-    members = frozenset(data.draw(st.sets(st.sampled_from(nodes), min_size=1)))
-    oes = minimal_outgoing_edge_set(members, g.adjacency)
-    want = _lexicographic_choice(members, g.adjacency)
-    assert sorted(oes.edges) == sorted((u, w) for w, u in want.items())
-
-    # The exploration ledger, grown layer by layer from a root.
-    root = data.draw(st.sampled_from(nodes))
+    root = data.draw(st.sampled_from(list(g.nodes)))
     cs = ClusterState(root, g.adjacency[root], h=n)
     j = 1
     while cs.best:
@@ -247,99 +258,117 @@ def test_least_id_edge_is_lexicographically_first(n, seed, data):
     assert cs.members.keys() == set(g.nodes)
 
 
+# --- the least-id rule on the exploration ledger ---------------------------
+
+def test_oes_singleton_in_triangle():
+    cs = ClusterState(1, (2, 3), h=1)
+    assert cs.assignments() == {1: [2, 3]}
+    assert cs.best.keys() == {2, 3}
+
+
+def test_oes_pair_on_path():
+    cs = ClusterState(1, (2,), h=2)
+    cs.register_joins(cs.assignments(), 1)
+    cs.absorb_reports([(2, (1, 3))])
+    assert cs.assignments() == {2: [3]}
+
+
+def test_oes_lexicographic_pick():
+    # boundary node 9 reachable from members 5 (the root) and 2: (2,9) < (5,9).
+    cs = ClusterState(5, (2, 9), h=2)
+    assert cs.assignments() == {5: [2, 9]}
+    cs.register_joins({5: [2]}, 1)
+    cs.absorb_reports([(2, (5, 9))])
+    assert cs.assignments() == {2: [9]}
+
+
 def test_oes_one_edge_per_boundary_node():
     g = _graph("erdos_renyi", 40, p=0.15, seed=6)
-    members = frozenset(list(g.nodes)[:12])
-    nbr = {v: g.adjacency[v] for v in g.nodes}
-    oes = minimal_outgoing_edge_set(members, nbr)
-    outs = [w for _, w in oes.edges]
-    assert len(outs) == len(set(outs)) == len(oes.boundary)
-    for u, w in oes.edges:
-        assert u in members and w not in members and g.has_edge(u, w)
+    root = min(g.nodes)
+    cs = ClusterState(root, g.adjacency[root], h=2)
+    for j in (1, 2):
+        assign = cs.assignments()
+        cs.register_joins(assign, j)
+        cs.absorb_reports([(w, g.adjacency[w]) for ws in assign.values() for w in ws])
+    members = set(cs.members)
+    assert members == oracle_ball(g, root, 2)
+    assign = cs.assignments()
+    outs = [w for ws in assign.values() for w in ws]
+    assert len(outs) == len(set(outs)) == len(cs.best)
+    assert set(outs) == {w for u in members for w in g.adjacency[u]} - members
+    for u, ws in assign.items():
+        for w in ws:
+            assert u in members and w not in members and g.has_edge(u, w)
 
 
-# --- augmented tree --------------------------------------------------------
+# --- exploration -------------------------------------------------------------
 
-def test_augment_singleton_in_triangle():
-    g = _graph("complete", 3)
-    t = RootedTree.from_parent_map(1, {})
-    r = compute_augmented_tree(g, t)
-    assert set(r.augmented.extension.edges) == {(1, 2), (1, 3)}
-    assert sorted(r.boundary_notified) == [2, 3]
-    assert r.metrics.messages_total == 2  # just the two notifications
+class _Ball(ExplorationProtocol):
+    """One cluster of depth at most h, grown from root from round 1 on."""
 
+    def __init__(self, root, h):
+        self.root = root
+        self.h = h
 
-def test_augment_whole_graph_empty_extension():
-    g = _graph("complete", 3)
-    t = RootedTree.from_parent_map(1, {2: 1, 3: 1})
-    r = compute_augmented_tree(g, t)
-    assert r.augmented.extension.edges == ()
-    assert r.boundary_notified == {}
-    assert r.metrics.messages_total == 4  # convergecast + broadcast only
+    def setup(self, node):
+        super().setup(node)
+        if node.self_id == self.root:
+            node.schedule(1, ("start",))
 
-
-def test_augment_pair_on_path4():
-    g = _graph("path", 4)
-    t = RootedTree.from_parent_map(1, {2: 1})
-    r = compute_augmented_tree(g, t)
-    assert r.augmented.extension.edges == ((2, 3),)
-    assert list(r.boundary_notified) == [3]
+    def run_action(self, node, rnd, action):
+        if action == ("start",):
+            return self.activate_cluster(node, rnd, self.h)
+        return super().run_action(node, rnd, action)
 
 
-def test_augment_budget():
-    g = _graph("erdos_renyi", 60, p=0.1, seed=4)
-    ball = oracle_ball(g, min(g.nodes), 2)
-    t = _path_tree(g, ball, min(g.nodes))
-    r = compute_augmented_tree(g, t)
-    c = len(t.members)
-    b = len(r.augmented.extension.boundary)
-    assert r.metrics.messages_total <= 2 * (c - 1) + b
-    assert r.metrics.rounds <= 2 * t.depth + 2
+def _explore(g, root, h):
+    """The tree an exploration of depth h from root grows, and its run.
+    Every member's own record agrees with the root's ledger."""
+    res = run(g, _Ball(root, h), ModeConfig(allow_quiescence=True))
+    tree = res.contexts[root].state["clusters"][root].tree()
+    for v in g.nodes:
+        mem = res.outputs[v]["mem"]
+        if v not in tree.members:
+            assert mem == {}
+        elif v == root:
+            assert mem == {root: (None, 0)}
+        else:
+            assert mem == {root: (tree.parent[v], tree.layer[v])}
+    return tree, res
 
 
-# --- bfs_exploration -------------------------------------------------------
-
-def test_exploration_rejects_bad_args():
-    g = _graph("path", 3)
-    with pytest.raises(ClusterError):
-        bfs_exploration(g, 1, 0)
-    with pytest.raises(ClusterError):
-        bfs_exploration(g, 42, 1)
+def _exploration_rounds(depth):
+    """Window j runs from the root's turn to its next one: j+1 rounds to
+    the join, 2 to the report, j hops back up; round 1 is the first turn."""
+    return 1 + sum(2 * j + 4 for j in range(1, depth + 1))
 
 
 def test_exploration_single_node():
     g = _graph("path", 1)
-    r = bfs_exploration(g, 1, 1)
-    assert r.tree.members == frozenset({1})
-    assert r.metrics.messages_total == 0
+    tree, res = _explore(g, 1, 1)
+    assert tree.members == frozenset({1})
+    assert res.metrics.messages_total == 0 and res.metrics.rounds == 1
 
 
 def test_exploration_path5_h2():
     g = _graph("path", 5)
-    r = bfs_exploration(g, 1, 2)
-    assert r.tree.members == frozenset({1, 2, 3})
-    assert r.tree.layer == {1: 0, 2: 1, 3: 2}
-    assert r.metrics.messages_total == 4
-    assert r.metrics.rounds == 11
-    assert r.metrics.rounds <= 4 * 2 * 2 + 1
+    tree, res = _explore(g, 1, 2)
+    assert tree.members == frozenset({1, 2, 3})
+    assert tree.layer == {1: 0, 2: 1, 3: 2}
+    # two joins; reports 2->1 and 3->2->1; one route 1->2 for window 2
+    cats = res.metrics.messages_by_category
+    assert (cats["exploration"], cats["cluster_tree"], res.metrics.messages_total) == (2, 4, 6)
+    assert res.metrics.rounds == _exploration_rounds(2) == 15
 
 
 def test_exploration_k4_h1():
     g = _graph("complete", 4)
-    r = bfs_exploration(g, 1, 1)
-    assert r.tree.members == frozenset({1, 2, 3, 4})
-    assert all(r.tree.layer[v] == 1 for v in (2, 3, 4))
-    assert all(r.join_receipts[v] == 1 for v in (2, 3, 4))
-    assert r.metrics.rounds <= 5
-
-
-def test_exploration_join_tie_breaks_lexicographically():
-    # 4 joins level 1 from both 2 and 3 simultaneously in a diamond; the
-    # lexicographically smallest (inside, outside) pair wins.
-    g = Graph.from_edges([1, 2, 3, 4], [(1, 2), (1, 3), (2, 4), (3, 4)])
-    r = bfs_exploration(g, 1, 2)
-    assert r.tree.parent[4] == 2
-    assert r.join_receipts[4] == 1
+    tree, res = _explore(g, 1, 1)
+    assert tree.members == frozenset({1, 2, 3, 4})
+    assert all(tree.layer[v] == 1 and tree.parent[v] == 1 for v in (2, 3, 4))
+    cats = res.metrics.messages_by_category
+    assert (cats["exploration"], cats["cluster_tree"], res.metrics.messages_total) == (3, 3, 6)
+    assert res.metrics.rounds == _exploration_rounds(1) == 7
 
 
 @settings(max_examples=25, deadline=None)
@@ -352,13 +381,15 @@ def test_exploration_matches_truncated_oracle(n, seed, h):
     g = _graph("erdos_renyi", n, p=er_connectivity_safe_p(n), seed=seed,
                id_scheme="random_permutation")
     root = min(g.nodes)
-    r = bfs_exploration(g, root, h)
+    tree, res = _explore(g, root, h)
     dist = oracle_bfs(g, root).dist
-    assert r.tree.members == oracle_ball(g, root, h)
-    for v in r.tree.members:
-        assert r.tree.layer[v] == dist[v]
-    # one-join property and declared budgets
-    assert all(c == 1 for c in r.join_receipts.values())
-    c = len(r.tree.members)
-    assert r.metrics.messages_total <= 4 * c * h
-    assert r.metrics.rounds <= 4 * h * h + 1
+    assert tree.members == oracle_ball(g, root, h)
+    for v in tree.members:
+        assert tree.layer[v] == dist[v]
+    for w, p in tree.parent.items():
+        assert p == min(u for u in g.adjacency[w] if dist[u] == dist[w] - 1)
+    # one exploration message per joining node, and the declared budgets
+    c = len(tree.members)
+    assert res.metrics.messages_by_category["exploration"] == c - 1
+    assert res.metrics.messages_total <= 4 * c * h
+    assert res.metrics.rounds == _exploration_rounds(tree.depth)

@@ -1,29 +1,33 @@
 """Tests for sparse neighborhood cover construction and verification."""
 
-import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kt1sim import covers
 from kt1sim.clustercomm import RootedTree
 from kt1sim.covers import (
     Cover,
     CoverError,
     CoverParams,
     cover_construction,
-    cover_from_json,
-    cover_to_json,
     message_bound,
     phase_budget,
     phase_cover_radius,
     phase_depth,
     phase_probability,
-    report_to_json,
     sparsity_bound,
     verify_cover,
 )
-from kt1sim.netgraph import GraphGenSpec, generate_graph, oracle_ball, oracle_bfs
+from kt1sim.netgraph import (
+    Graph,
+    GraphGenSpec,
+    er_connectivity_safe_p,
+    generate_graph,
+    oracle_ball,
+    oracle_bfs,
+)
 from kt1sim.simengine import RunMetrics
 
 # Frozen after calibration over erdos_renyi and grid at n in {256, 1024}
@@ -169,12 +173,7 @@ def test_membership_matches_trees():
     for v in g.nodes:
         from_trees = {i for i, t in enumerate(cov.clusters) if v in t.members}
         assert set(cov.membership.get(v, ())) == from_trees
-    for idx in cov.membership.get(min(g.nodes), ()):
-        assert min(g.nodes) in cov.clusters_of(min(g.nodes))[0].members or True
-    # clusters_of returns actual tree objects
-    v = max(g.nodes)
-    for t in cov.clusters_of(v):
-        assert v in t.members
+        assert all(v in cov.clusters[i].members for i in cov.membership[v])
 
 
 def test_frozen_constant_budgets():
@@ -223,48 +222,6 @@ def test_verify_flags_missing_node():
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def test_cover_json_roundtrip():
-    g = make_graph("erdos_renyi", 80, seed=9, p=0.08, id_scheme="random_permutation")
-    cov = cover_construction(g, CoverParams(kappa=3, W=1, seed=9))
-    text = cover_to_json(cov)
-    back = cover_from_json(text)
-    assert len(back.clusters) == len(cov.clusters)
-    for a, b in zip(cov.clusters, back.clusters):
-        assert a.root == b.root and a.parent == b.parent and a.depth == b.depth
-    assert back.membership == cov.membership
-    assert back.params.kappa == 3 and back.params.W == 1
-
-
-def test_cover_json_depth_mismatch_rejected():
-    g = make_graph("path", 4)
-    cov = cover_construction(g, CoverParams(kappa=1, W=1))
-    blob = json.loads(cover_to_json(cov))
-    blob["clusters"][0]["depth"] = 99
-    with pytest.raises(CoverError):
-        cover_from_json(json.dumps(blob))
-
-
-@pytest.mark.parametrize("text", ["not json", '{"params": {"kappa": 1, "W": 1}}',
-                                  '{"params": {"kappa": 1, "W": 1},'
-                                  ' "clusters": [{"root": 1, "parent_map": {}}]}'])
-def test_cover_json_malformed_rejected(text):
-    with pytest.raises(CoverError):
-        cover_from_json(text)
-
-
-def test_report_to_json():
-    g = make_graph("path", 5)
-    cov = cover_construction(g, CoverParams(kappa=1, W=1))
-    blob = json.loads(report_to_json(verify_cover(cov, g)))
-    assert blob["neighborhood_ok"] is True
-    assert blob["max_depth"] == 2
-    assert blob["uncovered"] == []
-
-
-# ---------------------------------------------------------------------------
 # determinism and invariants
 
 
@@ -288,3 +245,63 @@ def test_depth_bound_and_coverage(seed):
     assert rep.max_depth <= params.max_tree_depth
     for v in g.nodes:
         assert v in cov.membership and cov.membership[v]
+
+
+# ---------------------------------------------------------------------------
+# the exploration inside the cover: BFS balls, least-id parents, and a root
+# ledger that agrees with every member's own record
+
+
+def _recorded_cover(g, params):
+    """cover_construction(g, params) and the engine's RunResult of it."""
+    real = covers.run
+    runs = []
+
+    def recording_run(graph, protocol, config=None):
+        runs.append(real(graph, protocol, config))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covers, "run", recording_run)
+        cov = cover_construction(g, params)
+    (res,) = runs
+    return cov, res
+
+
+def _assert_least_id_bfs_clusters(g, cov, res):
+    params = cov.params
+    for t in cov.clusters:
+        dist = oracle_bfs(g, t.root).dist
+        h = phase_depth(params.kappa, params.W, cov.phase_of[t.root])
+        assert t.members == oracle_ball(g, t.root, h)
+        assert t.layer == {v: dist[v] for v in t.members}
+        for w, p in t.parent.items():
+            assert p == min(u for u in g.adjacency[w] if dist[u] == dist[w] - 1)
+    for v in g.nodes:
+        mem = res.outputs[v]["mem"]
+        assert sorted(mem) == sorted(cov.clusters[i].root for i in cov.membership[v])
+        for r, record in mem.items():
+            t = cov.clusters[cov.root_index[r]]
+            assert record == ((None, 0) if v == r else (t.parent[v], t.layer[v]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(["erdos_renyi", "grid", "path"]),
+       n=st.integers(min_value=1, max_value=40),
+       seed=st.integers(min_value=0, max_value=10_000),
+       kappa=st.integers(min_value=1, max_value=3),
+       W=st.integers(min_value=1, max_value=2))
+def test_cover_clusters_are_least_id_bfs_balls(family, n, seed, kappa, W):
+    p = er_connectivity_safe_p(n) if family == "erdos_renyi" else None
+    g = make_graph(family, n, seed=seed, p=p, id_scheme="random_permutation")
+    cov, res = _recorded_cover(g, CoverParams(kappa=kappa, W=W, seed=seed))
+    _assert_least_id_bfs_clusters(g, cov, res)
+
+
+def test_cover_tie_goes_to_the_least_id_parent():
+    # 4 is one hop below both 2 and 3 in a diamond around 1: the cluster at
+    # 1 reaches it over (2, 4), the lexicographically first of the two edges.
+    g = Graph.from_edges([1, 2, 3, 4], [(1, 2), (1, 3), (2, 4), (3, 4)])
+    cov, res = _recorded_cover(g, CoverParams(kappa=1, W=1))
+    assert cov.clusters[cov.root_index[1]].parent == {2: 1, 3: 1, 4: 2}
+    _assert_least_id_bfs_clusters(g, cov, res)

@@ -1,11 +1,11 @@
 """Golden message traces.
 
-Every engine run made by every harness algorithm and by the cluster-tree
-primitives, on a few small graphs, is digested message by message (round,
-sender, receiver, category and payload).  The (protocol name, digest, rounds,
-messages) list of each (graph, pipeline) pair must equal the recorded one in
-`golden_traces.json`, so a refactor that keeps it keeps every simulated
-message, in the same order and in the same round.
+Every engine run made by every harness algorithm, on a few small graphs,
+is digested message by message (round, sender, receiver, category and
+payload).  The (protocol name, digest, rounds, messages) list of each
+(graph, pipeline) pair must equal the recorded one in `golden_traces.json`,
+so a refactor that keeps it keeps every simulated message, in the same order
+and in the same round.
 
 Regenerate the recording, after a deliberate change of behaviour only, with
 
@@ -20,16 +20,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import operator
 import sys
 from pathlib import Path
 from typing import Dict, List
 
-import pytest
-
-from kt1sim import bfscover, clustercomm, covers, gossipspanner, harness, simengine
+from kt1sim import bfscover, covers, gossipspanner, harness, simengine
 from kt1sim.harness import ALGOS, ExperimentConfig, run_experiment
-from kt1sim.netgraph import GraphGenSpec, generate_graph
+from kt1sim.netgraph import GraphGenSpec
 
 GOLDEN = Path(__file__).with_name("golden_traces.json")
 
@@ -45,29 +42,13 @@ GRAPHS = {
 }
 
 # Modules that call the engine through their own module-level `run` name.
-ENGINE_USERS = (simengine, clustercomm, covers, bfscover, gossipspanner, harness)
-
-
-def _cluster_ops(spec: GraphGenSpec) -> None:
-    g = generate_graph(spec)
-    root = min(g.nodes)
-    tree = clustercomm.bfs_exploration(g, root, 3).tree
-    clustercomm.broadcast(g, tree, ("hello", root))
-    clustercomm.convergecast(g, tree, {v: 1 for v in tree.members}, operator.add)
-
-
-def _augment(spec: GraphGenSpec) -> None:
-    g = generate_graph(spec)
-    tree = clustercomm.bfs_exploration(g, min(g.nodes), 2).tree
-    clustercomm.compute_augmented_tree(g, tree)
+ENGINE_USERS = (simengine, covers, bfscover, gossipspanner, harness)
 
 
 def _pipelines():
     for algo in ALGOS:
         yield algo, lambda spec, algo=algo: run_experiment(
             ExperimentConfig(graph=spec, algo=algo))
-    yield "cluster_ops", _cluster_ops
-    yield "augment", _augment
 
 
 def collect(patch) -> Dict[str, List[List]]:

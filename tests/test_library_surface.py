@@ -1,0 +1,61 @@
+"""The package's surface: no module imports a name it never uses, and
+`kt1sim.__all__` names only what exists.  Parsing the sources with `ast`
+keeps the check in the standard library and in the fast tier."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import kt1sim
+
+SRC = Path(kt1sim.__file__).parent
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+
+# Names a module imports only so that they can be imported from it.
+RE_EXPORTS = {"bfscover": {"bfs_tree_from_json", "bfs_tree_to_json"}}
+
+# Library pieces that no pipeline or CLI command reached, since removed.
+REMOVED = (
+    "AugmentResult", "AugmentedClusterTree", "ExplorationResult", "OutgoingEdgeSet",
+    "TreeOpResult", "bfs_exploration", "broadcast", "compute_augmented_tree",
+    "convergecast", "cover_from_json", "det_election_to_json",
+    "minimal_outgoing_edge_set", "report_to_json",
+)
+
+
+def _unused_imports(tree: ast.Module) -> set:
+    imported = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in stmt.names)
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            imported.update(a.asname or a.name for a in stmt.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for stmt in tree.body:  # a name listed in __all__ is used by exporting it
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets):
+            used.update(ast.literal_eval(stmt.value))
+    return imported - used
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_module_level_import_is_used(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text(), filename=f"{module}.py")
+    assert _unused_imports(tree) == RE_EXPORTS.get(module, set())
+
+
+def test_unused_import_check_sees_a_dead_import():
+    tree = ast.parse("from __future__ import annotations\nimport json, os.path\n"
+                     "from typing import Any, List\nx: List[int] = []\n")
+    assert _unused_imports(tree) == {"json", "os", "Any"}
+
+
+def test_all_names_resolve_and_removed_names_stay_out():
+    assert len(set(kt1sim.__all__)) == len(kt1sim.__all__)
+    missing = [name for name in kt1sim.__all__ if not hasattr(kt1sim, name)]
+    assert missing == []
+    assert set(REMOVED).isdisjoint(kt1sim.__all__)
+    assert not [name for name in REMOVED if hasattr(kt1sim, name)]
