@@ -37,13 +37,15 @@ The spanner H is the union of all activated links.  Known-rumor flow
 implies every graph edge's endpoints are connected inside H, so H spans
 and is connected, with at most one new edge per node per iteration.
 
-BFS on G from s is a flood plus one tree wave (clustercomm.TreeWaveProtocol).
-The flood runs over H-edges only (first arrival picks the parent, ties to
-the smallest sender id; exactly 2|E(H)| messages) and builds the flood tree.
-The wave then carries everyone's neighbor list up that tree, s computes the
-exact BFS tree of G locally (parent = smallest id in the previous layer),
-and the wave broadcasts the result back down.  Global problems are one tree
-wave over an established BFS tree in the same way.
+Global problems, BFS included, are entries of one registry, each solved
+centrally from the whole topology: bfs (parent = smallest id in the
+previous layer) and mst (Kruskal).  One tree wave
+(clustercomm.TreeWaveProtocol) carries everyone's neighbor list up a
+spanning tree, the root solves the problem locally, and the wave broadcasts
+the solution back down as every node's output.  solve_global runs the wave
+over a given BFS tree.  BFS on G from s first floods H-edges only (first
+arrival picks the parent, ties to the smallest sender id; exactly 2|E(H)|
+messages) and runs the wave over the flood tree the flood builds.
 
 Leader election on H: all nodes start as candidates; phase j broadcasts
 surviving candidate ids to H-distance 2^j with forward-on-improvement
@@ -342,135 +344,6 @@ def spanner_stretch_violations(g: Graph, spanner: Spanner,
 
 
 # ---------------------------------------------------------------------------
-# Deterministic BFS on G via the spanner.
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DetBFSResult:
-    tree: RootedTree
-    flood_parent: Dict[int, int]
-    spanner: Spanner
-    gossip: Optional[GossipResult]
-    metrics: RunMetrics
-
-
-def _bfs_of_topology(root: int, nbrs: Dict[int, Tuple[int, ...]]):
-    """Centralized exact BFS with the smallest-id parent rule."""
-    layer = {root: 0}
-    parent: Dict[int, int] = {}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in sorted(frontier):
-            for w in nbrs[u]:
-                if w not in layer:
-                    layer[w] = layer[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    for w, l in layer.items():
-        if w == root:
-            continue
-        parent[w] = min(x for x in nbrs[w] if layer.get(x) == l - 1)
-    return parent, layer
-
-
-class _FloodCollectProtocol(TreeWaveProtocol):
-    """Flood on H to build the flood tree, then one tree wave over it: the
-    topology goes up, the root's exact BFS tree of G comes down."""
-
-    name = "spanner_bfs"
-
-    def __init__(self, root: int, incident: Dict[int, Tuple[int, ...]]):
-        super().__init__(root, {})
-        self.incident = incident
-
-    def setup(self, node: NodeContext) -> None:
-        super().setup(node)
-        node.state.update(hparent=None, children=[], ready=False)
-
-    def _hn(self, v: int) -> Tuple[int, ...]:
-        return self.incident.get(v, ())
-
-    def solve(self, node: NodeContext, value: Any):
-        return _bfs_of_topology(self.root, dict(value))
-
-    def deliver(self, node: NodeContext, payload) -> List:
-        parent_map, layer_map = payload
-        v = node.self_id
-        node.output = {"layer": layer_map[v], "parent": parent_map.get(v),
-                       "hparent": node.state["hparent"]}
-        return []
-
-    def step(self, node: NodeContext, rnd: int):
-        st = node.state
-        v = node.self_id
-        sends: List = []
-
-        if rnd == 1 and v == self.root:
-            for w in self._hn(v):
-                sends.append((w, ("fl", 1), CAT_EXPLORATION))
-            node.schedule(3, ("leafcheck",))
-
-        flood_srcs = []
-        for src, payload in node.inbox:
-            kind = payload[0]
-            if kind == "fl":
-                flood_srcs.append((src, payload[1]))
-            elif kind == "ch":
-                # Every child joins, and so answers, in the same round; the
-                # engine's sender-sorted inbox keeps this list ascending.
-                st["children"].append(src)
-            elif kind not in ("up", "dn"):
-                raise SpannerError(f"unknown payload kind {kind!r} in spanner BFS")
-
-        if flood_srcs and st["hparent"] is None and v != self.root:
-            st["hparent"] = min(s for s, _ in flood_srcs)
-            depth = flood_srcs[0][1]
-            for w in self._hn(v):
-                if w == st["hparent"]:
-                    sends.append((w, ("ch",), CAT_EXPLORATION))
-                else:
-                    sends.append((w, ("fl", depth + 1), CAT_EXPLORATION))
-            # Children answer the flood one round after it leaves this node.
-            node.schedule(rnd + 2, ("leafcheck",))
-
-        if node.due:
-            st["ready"] = True  # only joined nodes hold a leafcheck
-        wave_sends, halt = self.wave(node, st["children"], st["hparent"], st["ready"])
-        return sends + wave_sends, halt
-
-
-def deterministic_bfs(g: Graph, root: int,
-                      spanner: Optional[Spanner] = None,
-                      gossip: Optional[GossipResult] = None) -> DetBFSResult:
-    """Exact BFS tree of G from root using only spanner edges plus local
-    computation at the root.  Without a spanner it is extracted from gossip,
-    which is run first when not given; metrics include the gossip phase
-    whenever there is one."""
-    if root not in g.adjacency:
-        raise SpannerError(f"root {root} not in graph")
-    spanner, gossip = _spanner_of(g, spanner, gossip)
-    proto = _FloodCollectProtocol(root, spanner.incident)
-    res = run(g, proto, ModeConfig(max_rounds=8 * g.n + 20))
-    parent: Dict[int, int] = {}
-    layer: Dict[int, int] = {}
-    flood_parent: Dict[int, int] = {}
-    for v in g.nodes:
-        out = res.outputs[v]
-        if out is None:
-            raise SpannerError(f"node {v} never received the BFS result")
-        layer[v] = out["layer"]
-        if v != root:
-            parent[v] = out["parent"]
-            flood_parent[v] = out["hparent"]
-    tree = RootedTree(root=root, parent=parent, layer=layer)
-    tree.validate_spanning(g)
-    metrics = res.metrics if gossip is None else gossip.metrics.merged_with(res.metrics)
-    return DetBFSResult(tree=tree, flood_parent=flood_parent, spanner=spanner,
-                        gossip=gossip, metrics=metrics)
-
-
-# ---------------------------------------------------------------------------
 # Deterministic leader election on the spanner.
 # ---------------------------------------------------------------------------
 
@@ -623,7 +496,7 @@ def deterministic_leader_election(g: Graph,
 
 
 # ---------------------------------------------------------------------------
-# Global problems over an established BFS tree: collect, solve, broadcast.
+# Global problems: collect the topology, solve at the root, broadcast.
 # ---------------------------------------------------------------------------
 
 def _spanning_forest(nodes: Iterable[int], edges: Iterable[Edge]) -> List[Edge]:
@@ -651,15 +524,39 @@ def _kruskal_mst(nodes: Iterable[int], edges: Iterable[Edge]) -> Tuple[Edge, ...
         nodes, sorted(canonical_edge(a, b) for a, b in edges)))
 
 
+def _bfs_of_topology(root: int, nbrs: Dict[int, Tuple[int, ...]]):
+    """Centralized exact BFS with the smallest-id parent rule: (parent, layer)."""
+    layer = {root: 0}
+    parent: Dict[int, int] = {}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for u in sorted(frontier):
+            for w in nbrs[u]:
+                if w not in layer:
+                    layer[w] = layer[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    for w, l in layer.items():
+        if w == root:
+            continue
+        parent[w] = min(x for x in nbrs[w] if layer.get(x) == l - 1)
+    return parent, layer
+
+
+# problem -> solve(root, topology), where topology maps every node to its
+# neighbor list; the root of the wave calls it once.
 _GLOBAL_PROBLEMS = {
-    "mst": _kruskal_mst,
-    "topology": lambda nodes, edges: tuple(sorted(edges)),
+    "bfs": _bfs_of_topology,
+    "mst": lambda root, topo: _kruskal_mst(
+        topo, [(u, w) for u, ns in topo.items() for w in ns if u < w]),
 }
 
 
 class _GlobalSolveProtocol(TreeWaveProtocol):
-    """One tree wave over the BFS tree: the topology goes up, the root
-    solves the problem, the solution comes down."""
+    """One tree wave over a spanning tree: the topology goes up, the root
+    solves the problem and keeps the solution in state["solution"], and the
+    solution comes down as every node's output."""
 
     name = "solve_global"
 
@@ -668,42 +565,115 @@ class _GlobalSolveProtocol(TreeWaveProtocol):
             raise SpannerError(f"unknown global problem {problem!r}")
         super().__init__(tree.root, tree.parent)
         self.problem = problem
-        self._incident = (None, {})  # (solution, node -> its edges in it)
 
     def solve(self, node: NodeContext, value: Any):
-        topo = dict(value)
-        edges = [(u, w) for u, ns in topo.items() for w in ns if u < w]
-        solution = _GLOBAL_PROBLEMS[self.problem](topo.keys(), edges)
+        solution = _GLOBAL_PROBLEMS[self.problem](self.root, dict(value))
         node.state["solution"] = solution
         return solution
-
-    def deliver(self, node: NodeContext, solution) -> List:
-        if self._incident[0] is not solution:  # once per solution object
-            index: Dict[int, List[Edge]] = {}
-            for e in solution:
-                for x in e:
-                    index.setdefault(x, []).append(e)
-            self._incident = (solution, index)
-        node.output = {"incident": tuple(self._incident[1].get(node.self_id, ())),
-                       "total": len(solution)}
-        return []
 
 
 @dataclass
 class GlobalSolveResult:
     problem: str
-    solution: Tuple[Edge, ...]
-    per_node: Dict[int, Dict[str, Any]]
+    solution: Any
     metrics: RunMetrics
+    tree: Optional[RootedTree] = None   # the BFS tree, for problem bfs
+    spanner: Optional[Spanner] = None
+    gossip: Optional[GossipResult] = None
+
+
+def _solve(g: Graph, proto: _GlobalSolveProtocol, max_rounds: int) -> Tuple[Any, RunMetrics]:
+    """Run one global-solve wave: the root's solution, once every node has
+    received it, and the run's metrics."""
+    res = run(g, proto, ModeConfig(max_rounds=max_rounds))
+    solution = res.contexts[proto.root].state.get("solution")
+    for v in g.nodes:
+        if solution is None or res.outputs[v] is not solution:
+            raise SpannerError(f"node {v} never received the {proto.problem} solution")
+    return solution, res.metrics
 
 
 def solve_global(g: Graph, tree: RootedTree, problem: str = "mst") -> GlobalSolveResult:
     """Convergecast the topology up the BFS tree, solve at the root,
     broadcast the answer: at most n-1 messages each way, 2*depth+1 rounds."""
     tree.validate_spanning(g)
-    proto = _GlobalSolveProtocol(tree, problem)
-    res = run(g, proto, ModeConfig(max_rounds=4 * g.n + 20))
-    solution = tuple(res.contexts[tree.root].state["solution"])
-    per_node = {v: res.outputs[v] for v in g.nodes}
-    return GlobalSolveResult(problem=problem, solution=solution,
-                             per_node=per_node, metrics=res.metrics)
+    solution, metrics = _solve(g, _GlobalSolveProtocol(tree, problem), 4 * g.n + 20)
+    return GlobalSolveResult(problem=problem, solution=solution, metrics=metrics)
+
+
+# ---------------------------------------------------------------------------
+# Deterministic BFS on G: problem bfs over the flood tree of the spanner.
+# ---------------------------------------------------------------------------
+
+class _FloodCollectProtocol(_GlobalSolveProtocol):
+    """Problem bfs, its wave run over the flood tree of H that the same run
+    builds first (first arrival picks the parent, ties to the smallest
+    sender id)."""
+
+    name = "spanner_bfs"
+
+    def __init__(self, root: int, incident: Dict[int, Tuple[int, ...]]):
+        super().__init__(RootedTree(root=root, parent={}, layer={root: 0}), "bfs")
+        self.incident = incident
+
+    def setup(self, node: NodeContext) -> None:
+        super().setup(node)
+        node.state.update(hparent=None, children=[], ready=False)
+
+    def step(self, node: NodeContext, rnd: int):
+        st = node.state
+        v = node.self_id
+        hn = self.incident.get(v, ())
+        sends: List = []
+
+        if rnd == 1 and v == self.root:
+            for w in hn:
+                sends.append((w, ("fl", 1), CAT_EXPLORATION))
+            node.schedule(3, ("leafcheck",))
+
+        flood_srcs = []
+        for src, payload in node.inbox:
+            kind = payload[0]
+            if kind == "fl":
+                flood_srcs.append((src, payload[1]))
+            elif kind == "ch":
+                # Every child joins, and so answers, in the same round; the
+                # engine's sender-sorted inbox keeps this list ascending.
+                st["children"].append(src)
+            elif kind not in ("up", "dn"):
+                raise SpannerError(f"unknown payload kind {kind!r} in spanner BFS")
+
+        if flood_srcs and st["hparent"] is None and v != self.root:
+            st["hparent"] = min(s for s, _ in flood_srcs)
+            depth = flood_srcs[0][1]
+            for w in hn:
+                if w == st["hparent"]:
+                    sends.append((w, ("ch",), CAT_EXPLORATION))
+                else:
+                    sends.append((w, ("fl", depth + 1), CAT_EXPLORATION))
+            # Children answer the flood one round after it leaves this node.
+            node.schedule(rnd + 2, ("leafcheck",))
+
+        if node.due:
+            st["ready"] = True  # only joined nodes hold a leafcheck
+        wave_sends, halt = self.wave(node, st["children"], st["hparent"], st["ready"])
+        return sends + wave_sends, halt
+
+
+def deterministic_bfs(g: Graph, root: int,
+                      spanner: Optional[Spanner] = None,
+                      gossip: Optional[GossipResult] = None) -> GlobalSolveResult:
+    """Exact BFS tree of G from root using only spanner edges plus local
+    computation at the root; the solution is (parent, layer).  Without a
+    spanner it is extracted from gossip, which is run first when not given;
+    metrics include the gossip phase whenever there is one."""
+    if root not in g.adjacency:
+        raise SpannerError(f"root {root} not in graph")
+    spanner, gossip = _spanner_of(g, spanner, gossip)
+    solution, metrics = _solve(g, _FloodCollectProtocol(root, spanner.incident), 8 * g.n + 20)
+    tree = RootedTree(root, *solution)
+    tree.validate_spanning(g)
+    if gossip is not None:
+        metrics = gossip.metrics.merged_with(metrics)
+    return GlobalSolveResult(problem="bfs", solution=solution, metrics=metrics,
+                             tree=tree, spanner=spanner, gossip=gossip)

@@ -432,13 +432,13 @@ PIPELINES: Dict[str, Pipeline] = {
 ALGOS = tuple(PIPELINES)
 
 
-def _run_trial(cfg: ExperimentConfig, st: _Stages, seed: int) -> TrialOutcome:
+def _run_trial(algo: str, st: _Stages, seed: int) -> TrialOutcome:
     g = st.graph
-    metrics, diag, extra = PIPELINES[cfg.algo].trial(st, min(g.nodes), seed)
+    metrics, diag, extra = PIPELINES[algo].trial(st, min(g.nodes), seed)
     return TrialOutcome(seed=seed, ok=not diag, rounds=metrics.rounds,
                         messages=metrics.messages_total,
                         by_category=dict(metrics.messages_by_category),
-                        ratio=message_ratio(cfg.algo, g.n, metrics.messages_total),
+                        ratio=message_ratio(algo, g.n, metrics.messages_total),
                         diagnostics=diag, extra=extra)
 
 
@@ -451,7 +451,7 @@ def resolve_output_path(path: str) -> str:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
     st = _stages(cfg.graph)
-    trials = [_run_trial(cfg, st, seed) for seed in cfg.trial_seeds]
+    trials = [_run_trial(cfg.algo, st, seed) for seed in cfg.trial_seeds]
     record = ExperimentRecord(config=cfg, n=st.graph.n, trials=trials)
     if cfg.output_path:
         path = resolve_output_path(cfg.output_path)
@@ -520,6 +520,8 @@ def scaling_study(family: str, n_list: Sequence[int], algo: str,
     Each row's diameter ``diam`` (the round ratio's normaliser) is measured
     on the first seed's graph only.
     """
+    if algo not in ALGOS:  # a tuple, so an unhashable algo is just unknown
+        raise HarnessError(f"unknown algo {algo!r}")
     if list(n_list) != sorted(set(n_list)):
         raise HarnessError("n_list must be ascending and duplicate-free")
     if not seeds:
@@ -530,13 +532,10 @@ def scaling_study(family: str, n_list: Sequence[int], algo: str,
         per_msgs: List[int] = []
         diam = None
         for s in seeds:
-            spec = _graph_spec(family, n, s)
-            cfg = ExperimentConfig(graph=spec, algo=algo, trials=1,
-                                   seeds=(s,))
-            st = _stages(spec)
+            st = _stages(_graph_spec(family, n, s))
             if diam is None:
                 diam = diameter(st.graph)
-            t = _run_trial(cfg, st, s)
+            t = _run_trial(algo, st, s)
             del st  # so the next spec's graph is generated after this one is freed
             if not t.ok:
                 raise HarnessError(

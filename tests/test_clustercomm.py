@@ -14,6 +14,7 @@ from kt1sim.clustercomm import (
     TreeWaveProtocol,
 )
 from kt1sim.gossipspanner import solve_global
+from kt1sim.harness import oracle_mst
 from kt1sim.netgraph import (
     GraphGenSpec,
     er_connectivity_safe_p,
@@ -112,9 +113,9 @@ def test_tree_wave_costs_exact(n, seed, rootpick):
     topology = sorted((v, g.adjacency[v]) for v in g.nodes)
     assert all(sorted(res.outputs[v]) == topology for v in g.nodes)
 
-    r = solve_global(g, tree, "topology")
+    r = solve_global(g, tree, "mst")
     assert (r.metrics.messages_total, r.metrics.rounds) == (2 * (n - 1), 2 * depth + 1)
-    assert r.solution == tuple(sorted(g.edges()))
+    assert r.solution == oracle_mst(g)
 
 
 # --- the two halves of one wave: broadcast down, convergecast up ------------

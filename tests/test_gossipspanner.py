@@ -35,7 +35,7 @@ from kt1sim.netgraph import (
     generate_graph,
     oracle_bfs,
 )
-from kt1sim.simengine import gossip_check
+from kt1sim.simengine import ModeConfig, gossip_check, run
 
 
 def make_graph(family, n, seed=0, p=None, id_scheme="sequential"):
@@ -288,6 +288,8 @@ def test_path_bfs_from_end():
     g = make_graph("path", 6)
     res = deterministic_bfs(g, 1)
     assert res.tree.layer == {v: v - 1 for v in g.nodes}
+    assert res.problem == "bfs"
+    assert res.solution == (res.tree.parent, res.tree.layer)
 
 
 def test_k4_bfs_star_shape_and_counts():
@@ -339,6 +341,24 @@ def test_explicit_gossip_is_reused(monkeypatch):
 def test_bfs_bad_root():
     with pytest.raises(SpannerError):
         deterministic_bfs(make_graph("path", 3), 44)
+
+
+def test_a_node_without_the_solution_fails_the_readback(monkeypatch):
+    g = make_graph("path", 4)
+    sp = build_spanner(g)
+    tree = deterministic_bfs(g, 1, spanner=sp).tree
+    real_run = gossipspanner.run
+
+    def node_3_misses_it(graph, proto, cfg=None):
+        res = real_run(graph, proto, cfg)
+        res.outputs[3] = None
+        return res
+
+    monkeypatch.setattr(gossipspanner, "run", node_3_misses_it)
+    with pytest.raises(SpannerError, match="node 3 never received the bfs solution"):
+        deterministic_bfs(g, 1, spanner=sp)
+    with pytest.raises(SpannerError, match="node 3 never received the mst solution"):
+        solve_global(g, tree, "mst")
 
 
 @settings(max_examples=8, deadline=None)
@@ -480,27 +500,18 @@ def test_grid_mst_matches_networkx():
     assert res.metrics.rounds <= 2 * tree.depth + 1
 
 
-def test_topology_dump():
-    g = make_graph("path", 4)
-    tree = deterministic_bfs(g, 2).tree
-    res = solve_global(g, tree, "topology")
-    assert res.solution == ((1, 2), (2, 3), (3, 4))
-    assert res.per_node[4] == {"incident": ((3, 4),), "total": 3}
-    for v in g.nodes:
-        assert res.per_node[v]["total"] == 3
-
-
-@pytest.mark.parametrize("family,n,problem", [
-    ("erdos_renyi", 200, "mst"), ("erdos_renyi", 60, "topology"), ("grid", 64, "mst"),
-])
-def test_incident_edges_match_a_scan_of_the_solution(family, n, problem):
-    p = er_connectivity_safe_p(n) if family == "erdos_renyi" else None
-    g = make_graph(family, n, seed=3, p=p, id_scheme="random_permutation")
-    res = solve_global(g, deterministic_bfs(g, min(g.nodes)).tree, problem)
-    assert set(res.per_node) == set(g.nodes)
-    for v in g.nodes:
-        want = tuple(e for e in res.solution if v in e)
-        assert res.per_node[v] == {"incident": want, "total": len(res.solution)}
+@pytest.mark.parametrize("problem", ["bfs", "mst"])
+def test_every_node_outputs_the_root_solution(problem):
+    from kt1sim.harness import oracle_mst
+    g = make_graph("erdos_renyi", 60, seed=3, p=er_connectivity_safe_p(60),
+                   id_scheme="random_permutation")
+    tree = deterministic_bfs(g, min(g.nodes)).tree
+    res = run(g, gossipspanner._GlobalSolveProtocol(tree, problem),
+              ModeConfig(max_rounds=4 * g.n + 20))
+    solution = res.contexts[tree.root].state["solution"]
+    assert all(res.outputs[v] is solution for v in g.nodes)
+    want = (tree.parent, tree.layer) if problem == "bfs" else oracle_mst(g)
+    assert solution == want
 
 
 def test_unknown_problem_rejected(monkeypatch):
@@ -508,8 +519,9 @@ def test_unknown_problem_rejected(monkeypatch):
     tree = deterministic_bfs(g, 1).tree
     engine_runs = []
     monkeypatch.setattr(gossipspanner, "run", lambda *a, **k: engine_runs.append(a))
-    with pytest.raises(SpannerError):
-        solve_global(g, tree, "chromatic")
+    for problem in ("chromatic", "topology"):
+        with pytest.raises(SpannerError):
+            solve_global(g, tree, problem)
     assert engine_runs == []
 
 

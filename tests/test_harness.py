@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import gc
 import json
-import math
 import os
 import subprocess
 import sys
@@ -379,6 +378,17 @@ def test_scaling_rejects_no_seeds(capsys):
                      "--ns", "16", "--seeds", "0"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_scaling_rejects_unknown_algo_before_generating(monkeypatch):
+    harness._clear_stages()
+
+    def no_graph(spec):
+        raise AssertionError("a graph was generated before the algo was checked")
+
+    monkeypatch.setattr(harness, "generate_graph", no_graph)
+    with pytest.raises(HarnessError, match="unknown algo"):
+        scaling_study("path", [16], "nope")
 
 
 def test_pipelines_load_no_third_party_module():

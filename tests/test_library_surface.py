@@ -1,6 +1,7 @@
-"""The package's surface: no module imports a name it never uses, and
-`kt1sim.__all__` names only what exists.  Parsing the sources with `ast`
-keeps the check in the standard library and in the fast tier."""
+"""The package's surface: no module, and no test module, imports a name it
+never uses, and `kt1sim.__all__` names only what exists.  Parsing the
+sources with `ast` keeps the check in the standard library and in the fast
+tier."""
 
 from __future__ import annotations
 
@@ -13,16 +14,20 @@ import kt1sim
 
 SRC = Path(kt1sim.__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+TESTS = Path(__file__).parent
+# test_acceptance.py is the frozen acceptance gate, kept byte for byte, so
+# its two unused imports stay.
+TEST_MODULES = sorted(p.stem for p in TESTS.glob("*.py") if p.stem != "test_acceptance")
 
 # Names a module imports only so that they can be imported from it.
 RE_EXPORTS = {"bfscover": {"bfs_tree_from_json", "bfs_tree_to_json"}}
 
 # Library pieces that no pipeline or CLI command reached, since removed.
 REMOVED = (
-    "AugmentResult", "AugmentedClusterTree", "ExplorationResult", "OutgoingEdgeSet",
-    "TreeOpResult", "bfs_exploration", "broadcast", "compute_augmented_tree",
-    "convergecast", "cover_from_json", "det_election_to_json",
-    "minimal_outgoing_edge_set", "report_to_json",
+    "AugmentResult", "AugmentedClusterTree", "DetBFSResult", "ExplorationResult",
+    "OutgoingEdgeSet", "TreeOpResult", "bfs_exploration", "broadcast",
+    "compute_augmented_tree", "convergecast", "cover_from_json",
+    "det_election_to_json", "minimal_outgoing_edge_set", "report_to_json",
 )
 
 
@@ -45,6 +50,12 @@ def _unused_imports(tree: ast.Module) -> set:
 def test_every_module_level_import_is_used(module):
     tree = ast.parse((SRC / f"{module}.py").read_text(), filename=f"{module}.py")
     assert _unused_imports(tree) == RE_EXPORTS.get(module, set())
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_every_test_module_import_is_used(module):
+    tree = ast.parse((TESTS / f"{module}.py").read_text(), filename=f"{module}.py")
+    assert _unused_imports(tree) == set()
 
 
 def test_unused_import_check_sees_a_dead_import():
