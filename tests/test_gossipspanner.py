@@ -514,6 +514,24 @@ def test_every_node_outputs_the_root_solution(problem):
     assert solution == want
 
 
+@pytest.mark.parametrize("family,n,problem", [
+    ("erdos_renyi", 200, "mst"), ("grid", 64, "mst"),
+])
+def test_incident_edges_match_a_scan_of_the_solution(family, n, problem):
+    p = er_connectivity_safe_p(n) if family == "erdos_renyi" else None
+    g = make_graph(family, n, seed=3, p=p, id_scheme="random_permutation")
+    tree = deterministic_bfs(g, min(g.nodes)).tree
+    solution = solve_global(g, tree, problem).solution
+    res = run(g, gossipspanner._GlobalSolveProtocol(tree, problem),
+              ModeConfig(max_rounds=4 * g.n + 20))
+    assert set(res.outputs) == set(g.nodes)
+    assert len(solution) == g.n - 1
+    for v in g.nodes:
+        incident = tuple(e for e in res.outputs[v] if v in e)
+        assert incident == tuple(e for e in solution if v in e)
+        assert incident and all(g.has_edge(*e) for e in incident)
+
+
 def test_unknown_problem_rejected(monkeypatch):
     g = make_graph("path", 3)
     tree = deterministic_bfs(g, 1).tree
