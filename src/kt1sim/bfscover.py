@@ -64,6 +64,7 @@ from .simengine import (
     NodeContext,
     Protocol,
     RunMetrics,
+    Session,
     SimError,
     run,
 )
@@ -445,10 +446,13 @@ class BFSResult:
         return self.pre.cover
 
 
-def _run_phases(g: Graph, root: int, pre: Preprocessed) -> Tuple[RootedTree, RunMetrics, Dict[int, int]]:
+def _run_phases(g: Graph, root: int, pre: Preprocessed,
+                session: Optional[Session] = None) -> Tuple[RootedTree, RunMetrics, Dict[int, int]]:
+    """One BFS-phase run from root, on session's nodes when given."""
     proto = _BFSPhaseProtocol(root, pre)
     limit = (g.n + 2) * proto.window + 10
-    res = run(g, proto, ModeConfig(allow_quiescence=True, max_rounds=limit))
+    res = run(g if session is None else session, proto,
+              ModeConfig(allow_quiescence=True, max_rounds=limit))
     parent: Dict[int, int] = {}
     layer: Dict[int, int] = {root: 0}
     receipts: Dict[int, int] = {}
@@ -514,9 +518,10 @@ def randomized_leader_election(g: Graph, seed: int = 0,
 
     Candidates sample themselves with probability min(1, 8 ln n / n) using
     the shared seed; a caller may force an explicit candidate set instead.
-    All candidate BFS runs reuse one cover, and their rounds overlap (the
-    executions are disjoint in state, so the round count is preprocessing
-    plus the slowest candidate while messages add up).  Pass a Preprocessed
+    All candidate BFS runs reuse one cover and one engine Session (each
+    run starts from reset nodes), and their rounds overlap (the executions
+    are disjoint in state, so the round count is preprocessing plus the
+    slowest candidate while messages add up).  Pass a Preprocessed
     to reuse a cover built before (for a BFS on the same graph, say);
     metrics still include its preprocessing.
     """
@@ -540,8 +545,9 @@ def randomized_leader_election(g: Graph, seed: int = 0,
     phase_metrics: Optional[RunMetrics] = None
     best_seen: Dict[int, int] = {v: -1 for v in g.nodes}
     ok = True
+    session = Session(g)  # one set of nodes for every candidate's run
     for c in cands:
-        tree, pm, _ = _run_phases(g, c, pre)
+        tree, pm, _ = _run_phases(g, c, pre, session)
         try:
             tree.validate_spanning(g)
         except ClusterError:

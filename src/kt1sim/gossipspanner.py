@@ -525,13 +525,17 @@ def _kruskal_mst(nodes: Iterable[int], edges: Iterable[Edge]) -> Tuple[Edge, ...
 
 
 def _bfs_of_topology(root: int, nbrs: Dict[int, Tuple[int, ...]]):
-    """Centralized exact BFS with the smallest-id parent rule: (parent, layer)."""
+    """Centralized exact BFS with the smallest-id parent rule: (parent, layer).
+    A node whose neighbor list is missing from nbrs is a SpannerError: the
+    wave that gathered nbrs never reached it."""
     layer = {root: 0}
     parent: Dict[int, int] = {}
     frontier = [root]
     while frontier:
         nxt = []
         for u in sorted(frontier):
+            if u not in nbrs:
+                raise SpannerError(f"the spanner flood from {root} never reached node {u}")
             for w in nbrs[u]:
                 if w not in layer:
                     layer[w] = layer[u] + 1

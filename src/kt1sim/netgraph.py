@@ -56,7 +56,8 @@ class Graph:
 
     adjacency maps node id -> sorted tuple of neighbor ids.  Symmetry, the
     absence of self loops, connectivity, and the id range are all checked at
-    construction time so downstream code can assume a sound topology.
+    construction time so downstream code can assume a sound topology
+    (generate_graph's output is sound by construction and skips the checks).
     """
 
     adjacency: Dict[int, Tuple[int, ...]]
@@ -92,6 +93,18 @@ class Graph:
         object.__setattr__(self, "m", edge_count // 2)
         if not _connected(adj):
             raise GraphError("graph is not connected")
+
+    @classmethod
+    def _trusted(cls, adjacency: Dict[int, Tuple[int, ...]]) -> "Graph":
+        """A Graph over adjacency without the checks of __post_init__, for
+        a builder whose construction already makes the lists symmetric,
+        sorted and free of repeats and self loops, the ids distinct and in
+        range, and the graph connected (generate_graph)."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "adjacency", adjacency)
+        object.__setattr__(g, "n", len(adjacency))
+        object.__setattr__(g, "m", sum(map(len, adjacency.values())) // 2)
+        return g
 
     @property
     def nodes(self) -> Tuple[int, ...]:
@@ -327,9 +340,12 @@ def generate_graph(spec: GraphGenSpec) -> Graph:
         # Distinct ids from the polynomial space [1, n^3]; the draw consumes
         # the rng after edge sampling so both aspects derive from one seed.
         ids = rng.sample(range(1, n * n * n + 1), n)
-    # Relabel positions by ids.  No family emits an edge twice, and Graph
-    # rejects a repeated neighbor.
-    return Graph({ids[i]: tuple(sorted([ids[j] for j in nbrs])) for i, nbrs in adj.items()})
+    # Relabel positions by ids.  Every family's edges join distinct
+    # positions once each and connect all n (an Erdős–Rényi draw was
+    # checked above), and the lists are built symmetric and sorted here, so
+    # the graph skips Graph's validation; the tests hold every family to it.
+    return Graph._trusted(
+        {ids[i]: tuple(sorted([ids[j] for j in nbrs])) for i, nbrs in adj.items()})
 
 
 def oracle_bfs(g: Graph, root: int) -> DistanceMap:

@@ -19,6 +19,15 @@ The send loop checks each message's edge, counts it and delivers it; in
 gossip mode it also polices each step that sent more than one message.
 Trace recording and digesting are a second pass over the same sends, made
 only when record_trace or trace_digest is on.
+
+A Session holds one graph's nodes (sorted ids, one NodeContext and one
+neighbor frozenset per node, one clock), built once for a sequence of runs
+on that graph: run() accepts a Session in place of a Graph, and from the
+session's second run on it first puts every node's per-run slots (state,
+inbox, due, output, rng and its seed) and the clock back to their fresh
+values, so each run is exactly the run on the bare graph.  run(graph, ...)
+is a one-run session.  A session run's RunResult.contexts are the session's
+own contexts, valid only until the next run on that session.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .netgraph import Graph
 
@@ -125,8 +134,9 @@ class RunMetrics:
 
 class _Clock:
     """Engine-side timers shared by a run's nodes: the round being
-    processed, cal (round -> {node: actions in scheduling order}) and a heap
-    holding each round of cal once."""
+    processed, cal (round -> {node: actions in scheduling order, or None
+    for a node that steps in round 1 with no action}) and a heap holding
+    each round of cal once."""
 
     __slots__ = ("now", "cal", "heap")
 
@@ -185,6 +195,45 @@ class NodeContext:
             raise SimError(f"node {self.self_id} scheduled round {rnd} in round {now}")
 
 
+class Session:
+    """The nodes of one graph, built once and reused by every run() given
+    this session.  A fresh session's contexts are used as built; a later run
+    first resets each one's per-run slots and the shared clock.  Keep a
+    session only as long as the call that runs on it: it holds n contexts
+    and n neighbor sets, and the state of its last run."""
+
+    __slots__ = ("ids", "contexts", "nbr_sets", "clock", "_used")
+
+    def __init__(self, graph: Graph):
+        self.ids = graph.nodes
+        self.clock = clock = _Clock()
+        adj = graph.adjacency
+        self.contexts = {v: NodeContext(v, adj[v], 0, clock) for v in self.ids}
+        self.nbr_sets = {v: frozenset(adj[v]) for v in self.ids}
+        self._used = False
+
+    def _start(self, seed: int) -> None:
+        """Ready the nodes for a run whose rngs use seed.  Every node steps
+        in round 1: its round-1 calendar entry is None until a setup
+        schedules an action for that round."""
+        clock = self.clock
+        if self._used:
+            clock.now = 0
+            for node in self.contexts.values():
+                node.state = {}
+                node.inbox = []
+                node.due = []
+                node.output = None
+                node._rng = None
+                node._seed = seed
+        elif seed:  # fresh contexts hold seed 0
+            for node in self.contexts.values():
+                node._seed = seed
+        self._used = True
+        clock.cal = {1: dict.fromkeys(self.ids)}
+        clock.heap = [1]
+
+
 # A step returns (sends, halt): sends is a list of (dst, payload, category:int).
 StepResult = Tuple[List[Tuple[int, Any, int]], bool]
 
@@ -209,6 +258,9 @@ class Protocol:
 
 @dataclass
 class RunResult:
+    """What run() returns.  contexts are the run's node contexts; for a run
+    on a Session they are the session's own, valid only until its next run."""
+
     outputs: Dict[int, Any]
     metrics: RunMetrics
     end_reason: str  # "halted" | "quiescent"
@@ -236,31 +288,32 @@ def _canon(obj: Any) -> bytes:
     raise TypeError(f"unhashable payload element of type {type(obj).__name__}")
 
 
-def run(graph: Graph, protocol: Protocol, config: Optional[ModeConfig] = None) -> RunResult:
+def run(graph: Union[Graph, Session], protocol: Protocol,
+        config: Optional[ModeConfig] = None) -> RunResult:
     """Execute protocol on graph until every node halts (or, with
     allow_quiescence, until the system can provably never act again).
+
+    graph may be a Session, whose nodes the run reuses; the result's
+    contexts are then valid only until the session's next run.
 
     Raises SimTimeout past config.max_rounds, ProtocolStuck on silent
     deadlock, ModelViolation on a non-edge send, GossipViolation in gossip
     mode on a double activation.
     """
     config = config or ModeConfig()
-    clock = _Clock()
-    ids = graph.nodes
-    clock.cal[1] = {v: [] for v in ids}  # every node steps in round 1
-    clock.heap.append(1)
-    nodes: Dict[int, NodeContext] = {}
-    nbr_sets: Dict[int, frozenset] = {}
-    for v in ids:
-        nodes[v] = NodeContext(v, graph.adjacency[v], config.rng_seed, clock)
-        nbr_sets[v] = frozenset(graph.adjacency[v])
+    session = graph if isinstance(graph, Session) else Session(graph)
+    session._start(config.rng_seed)
+    ids = session.ids
+    nodes = session.contexts
+    nbr_sets = session.nbr_sets
+    clock = session.clock
     for v in ids:
         protocol.setup(nodes[v])
     cal = clock.cal  # filled by NodeContext.schedule
     timer_heap = clock.heap
 
     halted: set = set()
-    n_total = graph.n
+    n_total = len(ids)
     counts = [0, 0, 0, 0]
     trace: Optional[List[Envelope]] = [] if config.record_trace else None
     hasher = hashlib.blake2b(digest_size=16) if config.trace_digest else None

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from kt1sim import gossipspanner
 from kt1sim.clustercomm import ClusterError, RootedTree, bfs_tree_to_json
 from kt1sim.gossipspanner import (
+    Spanner,
     SpannerError,
     deterministic_bfs,
     deterministic_leader_election,
@@ -341,6 +342,12 @@ def test_explicit_gossip_is_reused(monkeypatch):
 def test_bfs_bad_root():
     with pytest.raises(SpannerError):
         deterministic_bfs(make_graph("path", 3), 44)
+
+
+def test_bfs_over_a_spanner_that_misses_a_node_names_it():
+    sp = Spanner(edges=frozenset({(1, 2)}), iterations=1, incident={1: (2,), 2: (1,)})
+    with pytest.raises(SpannerError, match="never reached node 3$"):
+        deterministic_bfs(make_graph("path", 3), 1, spanner=sp)
 
 
 def test_a_node_without_the_solution_fails_the_readback(monkeypatch):

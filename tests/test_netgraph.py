@@ -296,6 +296,25 @@ def test_generated_graphs_are_sound(family, n, seed, scheme):
             assert abs(d[v] - d[u]) <= 1  # edge-Lipschitz
 
 
+@pytest.mark.parametrize("scheme", ("sequential", "random_permutation"))
+@pytest.mark.parametrize("family,n,seeds", [
+    *[(f, n, (0, 1)) for f in FAMILIES if f != "erdos_renyi" for n in (1, 3, 17, 64)
+      if not (f == "cycle" and n < 3)],
+    ("erdos_renyi", 1, (0,)),
+    ("erdos_renyi", 40, (0, 1, 2, 3, 4)),
+    ("erdos_renyi", 256, (10, 11, 12)),
+])
+def test_generated_graph_passes_full_validation(family, n, seeds, scheme):
+    """generate_graph skips Graph's checks; every graph it makes must pass
+    them, with the same n and m."""
+    for seed in seeds:
+        p = er_connectivity_safe_p(n) if family == "erdos_renyi" else None
+        g = generate_graph(_spec(family, n, seed=seed, id_scheme=scheme, p=p))
+        checked = Graph(dict(g.adjacency))
+        assert (checked.n, checked.m) == (g.n, g.m) == (n, len(g.edges()))
+        assert checked == g
+
+
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(min_value=2, max_value=64), seed=st.integers(0, 1000))
 def test_er_safe_p_always_connects(n, seed):

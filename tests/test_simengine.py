@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 
 import pytest
 
-from kt1sim import bfscover, covers
+from kt1sim import bfscover, covers, gossipspanner
 from kt1sim.netgraph import GraphGenSpec, generate_graph
 from kt1sim.simengine import (
     CAT_CONTROL,
@@ -18,9 +19,11 @@ from kt1sim.simengine import (
     ModeConfig,
     ModelViolation,
     NO_SENDS,
+    NodeContext,
     Protocol,
     ProtocolStuck,
     RunMetrics,
+    Session,
     SimError,
     SimTimeout,
     _canon,
@@ -467,3 +470,124 @@ def test_run_steps_through_a_step_shadowed_on_the_instance():
     proto.step = step  # as a tracer wrapping one protocol instance does
     run(_graph("path", 2), proto)
     assert calls == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+# --- sessions: one set of nodes, many runs, each the same as a fresh run ----
+
+class TimedDraws(Protocol):
+    """Odd ids hold a round-1 timer from setup; every node draws a delay from
+    its rng, sends its draw to a random neighbor when the timer fires and
+    halts then, its output what it got so far.  Mail to a halted node is
+    dropped."""
+
+    def setup(self, node):
+        node.state["got"] = []
+        if node.self_id % 2:
+            node.schedule(1, ("early",))
+
+    def step(self, node, rnd):
+        got = node.state["got"]
+        got.extend(p for _, p in node.inbox)
+        for action in node.due:
+            if action[0] == "early":
+                got.append(action)
+            else:  # ("fire", draw)
+                w = node.rng.choice(node.neighbor_ids)
+                node.output = (rnd, w, tuple(got))
+                return [(w, (node.self_id, action[1]), CAT_CONTROL)], True
+        if rnd == 1:
+            draw = node.rng.randrange(1, 6)
+            node.schedule(1 + draw, ("fire", draw))
+        return NO_SENDS, False
+
+
+class SnapshotSlots(Protocol):
+    """Records, as setup sees it, every NodeContext slot of every node (the
+    clock by its now, cal and heap), then halts."""
+
+    def __init__(self):
+        self.seen = {}
+
+    def setup(self, node):
+        snap = {}
+        for slot in NodeContext.__slots__:
+            value = getattr(node, slot)
+            if slot == "_clock":
+                value = (value.now, {r: dict(b) for r, b in value.cal.items()},
+                         list(value.heap))
+            elif isinstance(value, (dict, list)):
+                value = type(value)(value)
+            snap[slot] = value
+        self.seen[node.self_id] = snap
+
+    def step(self, node, rnd):
+        return NO_SENDS, True
+
+
+class LateNonEdge(Protocol):
+    def step(self, node, rnd):
+        node.state["steps"] = rnd
+        node.output = node.rng.random()
+        if rnd == 1:
+            return [(w, ("ok",), CAT_CONTROL) for w in node.neighbor_ids], False
+        return [(node.self_id + 10**6, ("x",), CAT_CONTROL)], True
+
+
+def _session_sequence(g):
+    """(protocol factory, config) pairs, run in this order on one session."""
+    gossip = functools.partial(gossipspanner._GossipProtocol, g.n)
+    gossip_cfg = ModeConfig(gossip_mode=True, allow_quiescence=True,
+                            max_rounds=gossip().starts[-1] + 2)
+    return [
+        (TimedDraws, ModeConfig(rng_seed=7)),
+        (SnapshotSlots, ModeConfig()),
+        (gossip, gossip_cfg),
+        (SnapshotSlots, ModeConfig(rng_seed=3)),
+        (LateNonEdge, ModeConfig(rng_seed=5)),        # raises in round 2
+        (SnapshotSlots, ModeConfig(rng_seed=5)),
+        (functools.partial(Flood, min(g.nodes)), ModeConfig(max_rounds=1)),  # times out
+        (TimedDraws, ModeConfig(rng_seed=7)),
+        (TimedDraws, ModeConfig(rng_seed=8)),
+        (SnapshotSlots, ModeConfig(rng_seed=8)),
+    ]
+
+
+def _outcome(graph, factory, cfg):
+    proto = factory()
+    cfg = dataclasses.replace(cfg, trace_digest=True)
+    try:
+        res = run(graph, proto, cfg)
+    except SimError as exc:
+        return proto, (type(exc), str(exc))
+    return proto, (res.outputs, res.metrics, res.end_reason, res.digest)
+
+
+@pytest.mark.parametrize("gname", sorted(EQUIVALENCE_GRAPHS))
+def test_session_runs_equal_fresh_runs(gname):
+    g = generate_graph(EQUIVALENCE_GRAPHS[gname])
+    session = Session(g)
+    outcomes = []
+    for factory, cfg in _session_sequence(g):
+        fresh_proto, fresh = _outcome(g, factory, cfg)
+        proto, got = _outcome(session, factory, cfg)
+        assert got == fresh, factory
+        outcomes.append(got)
+        if isinstance(proto, SnapshotSlots):
+            assert proto.seen == fresh_proto.seen
+            for v, snap in proto.seen.items():
+                new = NodeContext(v, g.adjacency[v], cfg.rng_seed, session.clock)
+                assert snap == {s: snap["_clock"] if s == "_clock" else getattr(new, s)
+                                for s in NodeContext.__slots__}
+    kinds = [o[0] if len(o) == 2 else o[2] for o in outcomes]
+    assert kinds.count(ModelViolation) == kinds.count(SimTimeout) == 1
+    assert kinds.count("quiescent") == 1 and kinds.count("halted") == 7
+
+
+def test_session_run_returns_the_session_contexts():
+    g = _graph("path", 3)
+    session = Session(g)
+    first = run(session, PingOnce())
+    assert first.contexts is session.contexts
+    assert first.contexts[2].state["got"] == [1, 3]
+    run(session, Silent())
+    assert first.contexts[2].state == {}  # reset by the next run
