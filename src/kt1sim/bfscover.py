@@ -448,7 +448,8 @@ class BFSResult:
 
 def _run_phases(g: Graph, root: int, pre: Preprocessed,
                 session: Optional[Session] = None) -> Tuple[RootedTree, RunMetrics, Dict[int, int]]:
-    """One BFS-phase run from root, on session's nodes when given."""
+    """One BFS-phase run from root, on session's nodes when given; the
+    session is released once the outputs are read."""
     proto = _BFSPhaseProtocol(root, pre)
     limit = (g.n + 2) * proto.window + 10
     res = run(g if session is None else session, proto,
@@ -466,6 +467,8 @@ def _run_phases(g: Graph, root: int, pre: Preprocessed,
             raise BFSError(f"BFS from {root} never reached node {v}")
         parent[v] = out["parent"]
         layer[v] = out["layer"]
+    if session is not None:
+        session.release()  # free this run's node state before the caller's checks
     return RootedTree(root=root, parent=parent, layer=layer), res.metrics, receipts
 
 

@@ -280,3 +280,28 @@ def test_election_json():
     blob = json.loads(election_to_json(res))
     assert blob == {"leader": 903, "unanimous": True,
                     "candidates": [17, 903], "success": True}
+
+
+def test_election_frees_each_candidates_node_state_before_checking_its_tree(monkeypatch):
+    sessions = []
+    real_session = bfscover.Session
+
+    def tracked(g):
+        sessions.append(real_session(g))
+        return sessions[-1]
+
+    real_validate = RootedTree.validate_spanning
+    checked = []
+
+    def validate(tree, g):
+        if sessions:
+            checked.append(all(not node.state for s in sessions
+                               for node in s.contexts.values()))
+        return real_validate(tree, g)
+
+    monkeypatch.setattr(bfscover, "Session", tracked)
+    monkeypatch.setattr(RootedTree, "validate_spanning", validate)
+    g = make_graph("grid", 36)
+    res = randomized_leader_election(g, seed=2, candidates=[1, 17, 36])
+    assert res.unanimous and len(sessions) == 1
+    assert checked == [True, True, True]

@@ -3,11 +3,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import random
+import sys
+import weakref
 
 import pytest
 
 from kt1sim import bfscover, covers, gossipspanner
-from kt1sim.netgraph import GraphGenSpec, generate_graph
+from kt1sim.netgraph import GraphGenSpec, er_connectivity_safe_p, generate_graph
 from kt1sim.simengine import (
     CAT_CONTROL,
     CAT_EXPLORATION,
@@ -567,7 +569,9 @@ def test_session_runs_equal_fresh_runs(gname):
     g = generate_graph(EQUIVALENCE_GRAPHS[gname])
     session = Session(g)
     outcomes = []
-    for factory, cfg in _session_sequence(g):
+    for i, (factory, cfg) in enumerate(_session_sequence(g)):
+        if i % 2:
+            session.release()  # then the run itself resets nothing
         fresh_proto, fresh = _outcome(g, factory, cfg)
         proto, got = _outcome(session, factory, cfg)
         assert got == fresh, factory
@@ -591,3 +595,94 @@ def test_session_run_returns_the_session_contexts():
     assert first.contexts[2].state["got"] == [1, 3]
     run(session, Silent())
     assert first.contexts[2].state == {}  # reset by the next run
+    again = run(session, PingOnce())
+    session.release()
+    assert again.outputs == {1: None, 2: None, 3: None}
+    assert again.contexts[2].state == {} and session.clock.now == 0
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+def test_session_neighbor_tables_stay_small(n):
+    """dicts take about 41 bytes per directed edge at these degrees, the
+    frozensets they replaced 74-86."""
+    g = _graph("erdos_renyi", n, p=er_connectivity_safe_p(n))
+    tables = Session(g).nbr_sets
+    assert sum(map(sys.getsizeof, tables.values())) <= 48 * 2 * g.m
+
+
+class Token:
+    """A payload that a weakref can watch."""
+
+
+class MailToTheHalted(Protocol):
+    """Path 1-2-3.  Node 1 halts in round 1.  In round 2 node 2 sends node 1
+    a Token and halts; then node 3 sends to node 2, so the engine's send
+    loop no longer holds the Token.  Node 3 records in round 3 whether the
+    Token is still alive, then halts."""
+
+    def __init__(self):
+        self.ref = None
+
+    def setup(self, node):
+        if node.self_id != 1:
+            node.schedule(2, "send")
+        if node.self_id == 3:
+            node.schedule(3, "check")
+
+    def step(self, node, rnd):
+        v = node.self_id
+        if rnd == 1:
+            return NO_SENDS, v == 1
+        if rnd == 2:
+            if v == 2:
+                token = Token()
+                self.ref = weakref.ref(token)
+                return [(1, token, CAT_CONTROL)], True
+            return [(2, ("late",), CAT_CONTROL)], False
+        node.output = self.ref() is None
+        return NO_SENDS, True
+
+
+def test_mail_to_a_halted_node_is_freed_before_the_next_round():
+    res = run(_graph("path", 3), MailToTheHalted())
+    assert res.outputs[3] is True
+    assert res.metrics.messages_total == 2 and res.metrics.rounds == 3
+
+
+def test_flood_counts_traces_and_digests_mail_to_halted_nodes():
+    g = _graph("erdos_renyi", 60, p=0.12, seed=4)
+    cfg = ModeConfig(record_trace=True, trace_digest=True)
+    res = run(g, Flood(min(g.nodes)), cfg)
+    assert res.metrics.messages_total == len(res.trace) == 2 * g.m
+    assert sorted((e.src, e.dst) for e in res.trace) == sorted(
+        (v, w) for v in g.nodes for w in g.adjacency[v])
+
+
+class LastWordToTheHalted(Protocol):
+    """Path 1-2-3: nodes 1 and 3 halt in round 1; node 2 sends node 1 one
+    message in round 2 and then halts if halts_after."""
+
+    def __init__(self, halts_after):
+        self.halts_after = halts_after
+
+    def setup(self, node):
+        if node.self_id == 2:
+            node.schedule(2, "send")
+
+    def step(self, node, rnd):
+        if node.self_id != 2:
+            return NO_SENDS, True
+        if rnd == 1:
+            return NO_SENDS, False
+        return [(1, ("bye",), CAT_CONTROL)], self.halts_after
+
+
+def test_last_sends_only_to_halted_nodes_end_the_run_halted():
+    res = run(_graph("path", 3), LastWordToTheHalted(True), ModeConfig(max_rounds=2))
+    assert res.end_reason == "halted"
+    assert res.metrics.rounds == 2 and res.metrics.messages_total == 1
+
+
+def test_stuck_names_the_last_active_round_not_a_round_of_dead_mail():
+    with pytest.raises(ProtocolStuck, match=r"after round 2$"):
+        run(_graph("path", 3), LastWordToTheHalted(False))
