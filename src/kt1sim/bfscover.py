@@ -89,6 +89,27 @@ def default_kappa(n: int) -> int:
     return max(1, DEFAULT_KAPPA_FACTOR * math.ceil(math.log2(max(n, 2))))
 
 
+def _relay_up(node: NodeContext, payload: Tuple, trees: Dict[int, RootedTree],
+              sends: List) -> None:
+    """Pass an id batch up toward its root, or hold it for this node's own
+    flush for that root if that is due this round."""
+    _, root, ids = payload
+    if ("flush", root) in node.due:
+        node.state["buf"].setdefault(root, []).extend(ids)
+    else:
+        sends.append((trees[root].parent[node.self_id], payload, CAT_CLUSTER_TREE))
+
+
+def _flush_up(node: NodeContext, kind: int, root: int, trees: Dict[int, RootedTree],
+              sends: List) -> None:
+    """Send this node's id and the ids it held for root, sorted, up root's tree."""
+    ids = node.state["buf"].pop(root, [])
+    ids.append(node.self_id)
+    ids.sort()
+    sends.append((trees[root].parent[node.self_id], (kind, root, tuple(ids)),
+                  CAT_CLUSTER_TREE))
+
+
 # ---------------------------------------------------------------------------
 # Home setup.
 # ---------------------------------------------------------------------------
@@ -116,7 +137,7 @@ class _HomeSetupProtocol(Protocol):
     def setup(self, node: NodeContext) -> None:
         st = node.state
         st["bits"] = {}
-        st["regbuf"] = {}
+        st["buf"] = {}
         st["registrants"] = set()
         node.output = {"home": None, "report_to": []}
         node.schedule(self.H + 2, ("home",))
@@ -143,14 +164,10 @@ class _HomeSetupProtocol(Protocol):
                 for c in self.kids[root].get(v, ()):
                     sends.append((c, payload, CAT_CLUSTER_TREE))
             elif kind == K_REG:
-                _, root, items = payload
-                if v == root:
-                    st["registrants"].update(items)
-                elif ("reg_flush", root) in node.due:
-                    st["regbuf"].setdefault(root, []).extend(items)
+                if v == payload[1]:
+                    st["registrants"].update(payload[2])
                 else:
-                    parent = self._trees[root].parent[v]
-                    sends.append((parent, payload, CAT_CLUSTER_TREE))
+                    _relay_up(node, payload, self._trees, sends)
             elif kind == K_REL:
                 _, root, (kids, relevant) = payload
                 if v in relevant:
@@ -174,12 +191,10 @@ class _HomeSetupProtocol(Protocol):
                     st["registrants"].add(v)
                 else:
                     d = self._trees[home].layer[v]
-                    node.schedule(self.H + 2 + (self.H - d), ("reg_flush", home))
-            elif kind == "reg_flush":
+                    node.schedule(self.H + 2 + (self.H - d), ("flush", home))
+            elif kind == "flush":
                 _, home = action
-                items = tuple(sorted(set(st["regbuf"].pop(home, [])) | {v}))
-                parent = self._trees[home].parent[v]
-                sends.append((parent, (K_REG, home, items), CAT_CLUSTER_TREE))
+                _flush_up(node, K_REG, home, self._trees, sends)
             elif kind == "wave_c":
                 sends.extend(self._wave_c(node))
             else:
@@ -209,16 +224,15 @@ class Preprocessed:
     """A cover with its home setup, built once per cover.  registrants maps
     each cluster root to the nodes that registered there (those whose home
     it is), and plan maps each node v to its report plan, one (root,
-    offset, flush) per root of report_to[v]: a phase starting in round s
-    reports v's join to root in round s + offset, by a flush up root's
-    tree, or at the root itself."""
+    offset) per root that v reports its BFS join to, its home among them:
+    a phase starting in round s reports v's join to root in round
+    s + offset, offset = H - (v's depth in root's tree), so every report of
+    the phase reaches its root in round s + H."""
 
     cover: Cover
     H: int
-    home: Dict[int, int]
-    report_to: Dict[int, Tuple[int, ...]]
     registrants: Dict[int, frozenset]
-    plan: Dict[int, Tuple[Tuple[int, int, bool], ...]]
+    plan: Dict[int, Tuple[Tuple[int, int], ...]]
     metrics: RunMetrics
     attempts: int = 1
 
@@ -227,21 +241,17 @@ def _home_setup(g: Graph, cover: Cover) -> Optional[Preprocessed]:
     H = max(t.depth for t in cover.clusters)
     proto = _HomeSetupProtocol(cover, H)
     res = run(g, proto, ModeConfig(allow_quiescence=True, max_rounds=3 * H + 10))
-    home: Dict[int, int] = {}
-    report_to: Dict[int, Tuple[int, ...]] = {}
-    plan: Dict[int, Tuple[Tuple[int, int, bool], ...]] = {}
+    plan: Dict[int, Tuple[Tuple[int, int], ...]] = {}
     for v in g.nodes:
         out = res.outputs[v]
         if out["home"] is None:
             return None
-        home[v] = out["home"]
-        report_to[v] = tuple(sorted(set(out["report_to"]) | {out["home"]}))
-        plan[v] = tuple((r, H, False) if r == v else (r, H - proto._trees[r].layer[v], True)
-                        for r in report_to[v])
+        plan[v] = tuple((r, H - proto._trees[r].layer[v])
+                        for r in sorted(set(out["report_to"]) | {out["home"]}))
     registrants = {r: frozenset(res.contexts[r].state["registrants"]) for r in proto.cov2}
     merged = cover.metrics.merged_with(res.metrics) if cover.metrics else res.metrics
-    return Preprocessed(cover=cover, H=H, home=home, report_to=report_to,
-                        registrants=registrants, plan=plan, metrics=merged)
+    return Preprocessed(cover=cover, H=H, registrants=registrants, plan=plan,
+                        metrics=merged)
 
 
 def preprocess(g: Graph, seed: int, kappa: Optional[int] = None,
@@ -288,7 +298,7 @@ class _BFSPhaseProtocol(Protocol):
     def setup(self, node: NodeContext) -> None:
         st = node.state
         v = node.self_id
-        st["pingbuf"] = {}
+        st["buf"] = {}
         if v in self._trees:
             # Root-side live view: members known to be in the BFS, and the
             # requesters of the current phase.
@@ -303,11 +313,11 @@ class _BFSPhaseProtocol(Protocol):
         """As the frontier of the phase starting in round phase_start,
         report the join to every cluster that asked (the home root, which
         knows its registrants, answers with an aggregate)."""
-        for root, offset, flush in self.pre.plan[node.self_id]:
-            node.schedule(phase_start + offset, ("ping_flush" if flush else "self_ping", root))
+        node.state["phase_start"] = phase_start
+        for root, offset in self.pre.plan[node.self_id]:
+            node.schedule(phase_start + offset, ("flush", root))
 
     def step(self, node: NodeContext, rnd: int):
-        st = node.state
         v = node.self_id
         sends: List = []
         root_touched = False
@@ -315,19 +325,15 @@ class _BFSPhaseProtocol(Protocol):
         for src, payload in node.inbox:
             kind = payload[0]
             if kind == K_PING:
-                _, root, ids = payload
-                if v == root:
+                if v == payload[1]:
                     root_touched = True
-                    self._root_absorb(node, ids)
-                elif ("ping_flush", root) in node.due:
-                    st["pingbuf"].setdefault(root, []).extend(ids)
+                    self._root_absorb(node, payload[2])
                 else:
-                    parent = self._trees[root].parent[v]
-                    sends.append((parent, payload, CAT_CLUSTER_TREE))
+                    _relay_up(node, payload, self._trees, sends)
             elif kind == K_AGG:
                 _, root, (kids, asking), agg = payload
                 if v in asking:
-                    self._consume_aggregate(node, rnd, agg)
+                    self._consume_aggregate(node, agg)
                 for c in kids.get(v, ()):
                     sends.append((c, payload, CAT_CLUSTER_TREE))
             elif kind == K_GROW:
@@ -346,16 +352,13 @@ class _BFSPhaseProtocol(Protocol):
 
         for action in node.due:
             kind = action[0]
-            if kind == "ping_flush":
+            if kind == "flush":
                 _, root = action
-                ids = st["pingbuf"].pop(root, [])
-                ids.append(v)
-                ids.sort()
-                parent = self._trees[root].parent[v]
-                sends.append((parent, (K_PING, root, tuple(ids)), CAT_CLUSTER_TREE))
-            elif kind == "self_ping":
-                root_touched = True
-                self._root_absorb(node, (v,))
+                if v == root:
+                    root_touched = True
+                    self._root_absorb(node, (v,))
+                else:
+                    _flush_up(node, K_PING, root, self._trees, sends)
             elif kind == "explore":
                 _, targets, layer = action
                 for w in targets:
@@ -364,7 +367,7 @@ class _BFSPhaseProtocol(Protocol):
                 raise BFSError(f"unknown scheduled action {action!r}")
 
         if root_touched:
-            sends.extend(self._root_answer(node, rnd))
+            sends.extend(self._root_answer(node))
         return sends, False
 
     # Root-side -----------------------------------------------------------
@@ -379,7 +382,7 @@ class _BFSPhaseProtocol(Protocol):
             if vid in registrants:
                 asking.append(vid)
 
-    def _root_answer(self, node: NodeContext, rnd: int) -> List:
+    def _root_answer(self, node: NodeContext) -> List:
         """All of this phase's pings arrive in one round; answer requesters
         with one route-mapped copy of (static topology, live joined set).
 
@@ -395,14 +398,14 @@ class _BFSPhaseProtocol(Protocol):
         st["asking"] = []
         agg = (self.pre.cover.root_knowledge[v], st["joined"])
         if v in asking:
-            self._consume_aggregate(node, rnd, agg)
+            self._consume_aggregate(node, agg)
         route = route_map(v, self._trees[v].parent,
                           dict.fromkeys((w for w in asking if w != v), True))
         payload = (K_AGG, v, route, agg)
         return [(c, payload, CAT_CLUSTER_TREE) for c in route[0].get(v, ())]
 
     # Frontier-side -------------------------------------------------------
-    def _consume_aggregate(self, node: NodeContext, rnd: int, agg) -> None:
+    def _consume_aggregate(self, node: NodeContext, agg) -> None:
         """Decide which unjoined neighbors this node must explore: it owns
         neighbor w exactly when v is the joined neighbor of w of least id
         (equivalently, (v,w) is the lexicographically first edge from a
@@ -428,9 +431,7 @@ class _BFSPhaseProtocol(Protocol):
         if targets:
             # Fixed send slot at the end of stage 2, uniform across all
             # requesters regardless of when their aggregate arrived.
-            phase_start = rnd - self.H - (self._trees[self.pre.home[v]].layer[v]
-                                          if self.pre.home[v] != v else 0)
-            send_at = phase_start + 2 * self.H + 2
+            send_at = node.state["phase_start"] + 2 * self.H + 2
             node.schedule(send_at, ("explore", tuple(targets), my_layer + 1))
 
 
@@ -441,19 +442,14 @@ class BFSResult:
     pre: Preprocessed
     grow_receipts: Dict[int, int] = field(default_factory=dict)
 
-    @property
-    def cover(self) -> Cover:
-        return self.pre.cover
-
 
 def _run_phases(g: Graph, root: int, pre: Preprocessed,
-                session: Optional[Session] = None) -> Tuple[RootedTree, RunMetrics, Dict[int, int]]:
-    """One BFS-phase run from root, on session's nodes when given; the
-    session is released once the outputs are read."""
+                session: Session) -> Tuple[RootedTree, RunMetrics, Dict[int, int]]:
+    """One BFS-phase run from root on session's nodes; the session is
+    released once the outputs are read."""
     proto = _BFSPhaseProtocol(root, pre)
     limit = (g.n + 2) * proto.window + 10
-    res = run(g if session is None else session, proto,
-              ModeConfig(allow_quiescence=True, max_rounds=limit))
+    res = run(session, proto, ModeConfig(allow_quiescence=True, max_rounds=limit))
     parent: Dict[int, int] = {}
     layer: Dict[int, int] = {root: 0}
     receipts: Dict[int, int] = {}
@@ -467,8 +463,7 @@ def _run_phases(g: Graph, root: int, pre: Preprocessed,
             raise BFSError(f"BFS from {root} never reached node {v}")
         parent[v] = out["parent"]
         layer[v] = out["layer"]
-    if session is not None:
-        session.release()  # free this run's node state before the caller's checks
+    session.release()  # free this run's node state before the caller's checks
     return RootedTree(root=root, parent=parent, layer=layer), res.metrics, receipts
 
 
@@ -484,7 +479,7 @@ def bfs_construction(g: Graph, root: int, seed: int = 0,
         raise BFSError(f"root {root} not in graph")
     if pre is None:
         pre = preprocess(g, seed, kappa)
-    tree, pm, receipts = _run_phases(g, root, pre)
+    tree, pm, receipts = _run_phases(g, root, pre, Session(g))
     tree.validate_spanning(g)
     metrics = pre.metrics.merged_with(pm)
     return BFSResult(tree=tree, metrics=metrics, pre=pre, grow_receipts=receipts)

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .clustercomm import ClusterState, ExplorationProtocol, RootedTree
+from .clustercomm import ExplorationProtocol, RootedTree
 from .netgraph import Graph, oracle_ball
 from .simengine import ModeConfig, NodeContext, RunMetrics, SimError, run
 
@@ -81,13 +81,10 @@ def phase_probability(kappa: int, n: int, i: int) -> float:
 
 @dataclass(frozen=True)
 class Cover:
-    clusters: Tuple[RootedTree, ...]
-    membership: Dict[int, Tuple[int, ...]]  # node -> indices into clusters
+    clusters: Tuple[RootedTree, ...]  # ascending root id
     params: CoverParams
-    root_index: Dict[int, int] = field(default_factory=dict)
     # root -> {member -> neighbor tuple}; what the root learned while growing.
     root_knowledge: Dict[int, Dict[int, Tuple[int, ...]]] = field(default_factory=dict)
-    phase_of: Dict[int, int] = field(default_factory=dict)  # root -> phase
     metrics: Optional[RunMetrics] = None
 
 
@@ -148,60 +145,37 @@ def cover_construction(g: Graph, params: CoverParams) -> Cover:
     cfg = ModeConfig(allow_quiescence=True, rng_seed=params.seed, max_rounds=limit)
     res = run(g, proto, cfg)
 
-    roots: List[int] = []
-    states: Dict[int, ClusterState] = {}
-    for v in g.nodes:
-        cs = res.contexts[v].state["clusters"].get(v)
-        if cs is not None:
-            roots.append(v)
-            states[v] = cs
-    roots.sort()
-
     clusters: List[RootedTree] = []
-    root_index: Dict[int, int] = {}
     root_knowledge: Dict[int, Dict[int, Tuple[int, ...]]] = {}
-    phase_of: Dict[int, int] = {}
     cap = params.max_tree_depth
-    for r in roots:
-        cs = states[r]
+    for r in g.nodes:  # ascending
+        cs = res.contexts[r].state["clusters"].get(r)
+        if cs is None:
+            continue
         tree = cs.tree()
         if tree.depth > cap:
             raise CoverError(f"cluster at {r} has depth {tree.depth} > {cap}")
         known = {m: nbrs for m, nbrs in cs.members.items() if nbrs is not None}
         if set(known) != set(tree.members):
             raise CoverError(f"root {r} lacks neighbor lists for some members")
-        root_index[r] = len(clusters)
         clusters.append(tree)
         root_knowledge[r] = known
-        phase_of[r] = res.outputs[r]["phase"]
 
-    membership: Dict[int, Tuple[int, ...]] = {}
     for v in g.nodes:
-        mem = res.outputs[v]["mem"]
-        idxs = sorted(root_index[r] for r in mem)
-        if not idxs:
+        if not res.outputs[v]["mem"]:
             raise CoverError(f"node {v} belongs to no cluster")
         if not res.outputs[v]["covered"]:
             raise CoverError(f"node {v} finished construction uncovered")
-        membership[v] = tuple(idxs)
 
-    return Cover(
-        clusters=tuple(clusters),
-        membership=membership,
-        params=params,
-        root_index=root_index,
-        root_knowledge=root_knowledge,
-        phase_of=phase_of,
-        metrics=res.metrics,
-    )
+    return Cover(clusters=tuple(clusters), params=params,
+                 root_knowledge=root_knowledge, metrics=res.metrics)
 
 
 def verify_cover(cover: Cover, g: Graph) -> CoverReport:
     """Centralized audit of the three cover properties.
 
-    Membership is recomputed from the trees themselves (the cover's own
-    index is not trusted), and the W-ball containment test uses the plain
-    graph oracle.
+    Membership is counted from the trees themselves, and the W-ball
+    containment test uses the plain graph oracle.
     """
     W = cover.params.W
     counts: Dict[int, int] = {v: 0 for v in g.nodes}

@@ -97,6 +97,8 @@ class ExperimentConfig:
                     raise HarnessError(f"seeds must be ints, got {s!r}")
         if not isinstance(self.output_path, (str, type(None))):
             raise HarnessError(f"output_path must be a string, got {self.output_path!r}")
+        if self.output_path and os.path.splitext(self.output_path)[1] == ".csv":
+            raise HarnessError(f"output_path {self.output_path!r} is the CSV rows' path")
 
     @property
     def trial_seeds(self) -> Tuple[int, ...]:
@@ -347,7 +349,7 @@ def _bfs_cover(st: _Stages, root: int, seed: int) -> Trial:
     g = st.graph
     res = bfscover.bfs_construction(g, root, pre=st.preprocessed(seed))
     return res.metrics, _layer_check(g, res.tree), {
-        "root": root, "kappa": res.cover.params.kappa, "clusters": len(res.cover.clusters)}
+        "root": root, "kappa": res.pre.cover.params.kappa, "clusters": len(res.pre.cover.clusters)}
 
 
 def _bfs_spanner(st: _Stages, root: int, seed: int) -> Trial:

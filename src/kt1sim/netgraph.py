@@ -183,6 +183,8 @@ class GraphGenSpec:
             raise GraphError(f"p must be a number, not {self.p!r}")
         if self.n < 1:
             raise GraphError("n must be >= 1")
+        if self.family == "cycle" and self.n < 3:
+            raise GraphError("cycle needs n >= 3")
         if self.family == "erdos_renyi":
             if self.p is None or not (0.0 < self.p <= 1.0):
                 raise GraphError("erdos_renyi requires p in (0, 1]")
@@ -221,8 +223,6 @@ def _family_edges(spec: GraphGenSpec) -> List[Edge]:
     if fam == "path":
         return [(i, i + 1) for i in range(n - 1)]
     if fam == "cycle":
-        if n < 3:
-            raise GraphError("cycle needs n >= 3")
         return [(i, (i + 1) % n) for i in range(n)]
     if fam == "star":
         return [(0, i) for i in range(1, n)]

@@ -199,13 +199,22 @@ def test_ownership_rule_is_first_joined_entry(nbrs, joined, data):
 
 
 def test_registrants_are_the_nodes_at_home():
-    """A root answers the pinged ids among its registrants: exactly the
-    nodes whose home it is, the ones that want its aggregate."""
+    """A root answers the pinged ids among its registrants, the nodes
+    whose home it is: each node registers at one root, reports its join
+    there among the roots of its plan, and reports to every root at
+    offset H less its depth in that root's tree."""
     g = make_graph("erdos_renyi", 60, seed=4, p=0.1, id_scheme="random_permutation")
     pre = preprocess(g, seed=1)
     assert set(pre.registrants) == {t.root for t in pre.cover.clusters}
-    for r, regs in pre.registrants.items():
-        assert regs == {v for v in g.nodes if pre.home[v] == r}
+    assert sum(map(len, pre.registrants.values())) == g.n
+    assert frozenset().union(*pre.registrants.values()) == set(g.nodes)
+    home = {v: r for r, regs in pre.registrants.items() for v in regs}
+    trees = {t.root: t for t in pre.cover.clusters}
+    for v in g.nodes:
+        assert [r for r, _ in pre.plan[v]] == sorted({r for r, _ in pre.plan[v]})
+        assert home[v] in {r for r, _ in pre.plan[v]}
+        for r, off in pre.plan[v]:
+            assert off == pre.H - trees[r].layer[v]
 
 
 # ---------------------------------------------------------------------------

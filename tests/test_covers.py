@@ -52,20 +52,8 @@ def ball_tree(g, root, radius):
 
 
 def manual_cover(g, trees, params):
-    membership = {}
-    for i, t in enumerate(trees):
-        for v in t.members:
-            membership.setdefault(v, []).append(i)
-    membership = {v: tuple(ix) for v, ix in membership.items()}
-    return Cover(
-        clusters=tuple(trees),
-        membership=membership,
-        params=params,
-        root_index={t.root: i for i, t in enumerate(trees)},
-        root_knowledge={},
-        phase_of={i: 1 for i in range(len(trees))},
-        metrics=RunMetrics(),
-    )
+    return Cover(clusters=tuple(trees), params=params, root_knowledge={},
+                 metrics=RunMetrics())
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +155,6 @@ def test_grid256_depth_budget():
     assert rep.neighborhood_ok
 
 
-def test_membership_matches_trees():
-    g = make_graph("erdos_renyi", 120, seed=5, p=0.06)
-    cov = cover_construction(g, CoverParams(kappa=4, W=1, seed=5))
-    for v in g.nodes:
-        from_trees = {i for i, t in enumerate(cov.clusters) if v in t.members}
-        assert set(cov.membership.get(v, ())) == from_trees
-        assert all(v in cov.clusters[i].members for i in cov.membership[v])
-
-
 def test_frozen_constant_budgets():
     for n, fam, p in ((256, "erdos_renyi", 0.045), (256, "grid", None)):
         kappa = 2 * math.ceil(math.log2(n))
@@ -244,7 +223,7 @@ def test_depth_bound_and_coverage(seed):
     rep = verify_cover(cov, g)
     assert rep.max_depth <= params.max_tree_depth
     for v in g.nodes:
-        assert v in cov.membership and cov.membership[v]
+        assert any(v in t.members for t in cov.clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +249,20 @@ def _recorded_cover(g, params):
 
 def _assert_least_id_bfs_clusters(g, cov, res):
     params = cov.params
-    for t in cov.clusters:
-        dist = oracle_bfs(g, t.root).dist
-        h = phase_depth(params.kappa, params.W, cov.phase_of[t.root])
-        assert t.members == oracle_ball(g, t.root, h)
+    trees = {t.root: t for t in cov.clusters}
+    assert list(trees) == sorted(trees)
+    for r, t in trees.items():
+        dist = oracle_bfs(g, r).dist
+        h = phase_depth(params.kappa, params.W, res.outputs[r]["phase"])
+        assert t.members == oracle_ball(g, r, h)
         assert t.layer == {v: dist[v] for v in t.members}
         for w, p in t.parent.items():
             assert p == min(u for u in g.adjacency[w] if dist[u] == dist[w] - 1)
     for v in g.nodes:
         mem = res.outputs[v]["mem"]
-        assert sorted(mem) == sorted(cov.clusters[i].root for i in cov.membership[v])
+        assert sorted(mem) == [r for r, t in trees.items() if v in t.members]
         for r, record in mem.items():
-            t = cov.clusters[cov.root_index[r]]
+            t = trees[r]
             assert record == ((None, 0) if v == r else (t.parent[v], t.layer[v]))
 
 
@@ -303,5 +284,5 @@ def test_cover_tie_goes_to_the_least_id_parent():
     # 1 reaches it over (2, 4), the lexicographically first of the two edges.
     g = Graph.from_edges([1, 2, 3, 4], [(1, 2), (1, 3), (2, 4), (3, 4)])
     cov, res = _recorded_cover(g, CoverParams(kappa=1, W=1))
-    assert cov.clusters[cov.root_index[1]].parent == {2: 1, 3: 1, 4: 2}
+    assert cov.clusters[0].root == 1 and cov.clusters[0].parent == {2: 1, 3: 1, 4: 2}
     _assert_least_id_bfs_clusters(g, cov, res)

@@ -94,6 +94,18 @@ def test_config_validation():
                          trials=3, seeds=(1, 2))
 
 
+def test_config_rejects_csv_output_path(tmp_path):
+    """The CSV rows go to the output path with its extension made .csv, so
+    a .csv output path would have the rows overwrite the JSON record."""
+    path = str(tmp_path / "res.csv")
+    with pytest.raises(HarnessError, match="CSV rows' path"):
+        ExperimentConfig(graph=spec("path", 4), algo="bfs_spanner", output_path=path)
+    with pytest.raises(HarnessError, match="CSV rows' path"):
+        ExperimentConfig.from_json(json.dumps(
+            {"graph": {"family": "path", "n": 4}, "algo": "bfs_spanner", "output_path": path}))
+    assert not os.path.exists(path)
+
+
 def test_config_seed_defaults():
     cfg = ExperimentConfig(graph=spec("path", 4), algo="bfs_cover", trials=4)
     assert cfg.trial_seeds == (0, 1, 2, 3)

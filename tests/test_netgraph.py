@@ -182,6 +182,9 @@ def test_bad_specs_rejected():
         GraphGenSpec(family="erdos_renyi", n=8)  # missing p
     with pytest.raises(GraphError):
         GraphGenSpec(family="path", n=8, p=0.5)
+    for n in (1, 2):
+        with pytest.raises(GraphError, match="cycle needs n >= 3"):
+            GraphGenSpec(family="cycle", n=n)
 
 
 def test_graph_rejects_asymmetric_adjacency():
