@@ -48,7 +48,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -64,7 +64,6 @@ from .simengine import (
     NodeContext,
     Protocol,
     RunMetrics,
-    Session,
     SimError,
     run,
 )
@@ -89,25 +88,22 @@ def default_kappa(n: int) -> int:
     return max(1, DEFAULT_KAPPA_FACTOR * math.ceil(math.log2(max(n, 2))))
 
 
-def _relay_up(node: NodeContext, payload: Tuple, trees: Dict[int, RootedTree],
-              sends: List) -> None:
+def _relay_up(node: NodeContext, payload: Tuple, sends: List) -> None:
     """Pass an id batch up toward its root, or hold it for this node's own
     flush for that root if that is due this round."""
     _, root, ids = payload
     if ("flush", root) in node.due:
         node.state["buf"].setdefault(root, []).extend(ids)
     else:
-        sends.append((trees[root].parent[node.self_id], payload, CAT_CLUSTER_TREE))
+        sends.append((node.known["mem"][root][0], payload, CAT_CLUSTER_TREE))
 
 
-def _flush_up(node: NodeContext, kind: int, root: int, trees: Dict[int, RootedTree],
-              sends: List) -> None:
+def _flush_up(node: NodeContext, kind: int, root: int, sends: List) -> None:
     """Send this node's id and the ids it held for root, sorted, up root's tree."""
     ids = node.state["buf"].pop(root, [])
     ids.append(node.self_id)
     ids.sort()
-    sends.append((trees[root].parent[node.self_id], (kind, root, tuple(ids)),
-                  CAT_CLUSTER_TREE))
+    sends.append((node.known["mem"][root][0], (kind, root, tuple(ids)), CAT_CLUSTER_TREE))
 
 
 # ---------------------------------------------------------------------------
@@ -115,63 +111,64 @@ def _flush_up(node: NodeContext, kind: int, root: int, trees: Dict[int, RootedTr
 # ---------------------------------------------------------------------------
 
 class _HomeSetupProtocol(Protocol):
+    """Leaves in node.known, reset by setup, "report_to": the ascending roots
+    a node reports its BFS join to, its home among them, and at a root
+    "registrants": the nodes whose home it is.  A node's output is its home."""
+
     name = "home_setup"
 
-    def __init__(self, cover: Cover, H: int):
-        self.cover = cover
+    def __init__(self, H: int):
         self.H = H
-        self._trees = {t.root: t for t in cover.clusters}
-        self.kids = {t.root: t.children() for t in cover.clusters}
-        # Each root's local computation: members whose whole 2-ball stays
-        # inside the cluster (possible because the root knows every
-        # member's neighbor list from the cover construction).  A holds the
-        # members whose 1-ball is inside; a member's 2-ball is inside
-        # exactly when all its neighbors are in A.
-        self.cov2: Dict[int, frozenset] = {}
-        for tree in cover.clusters:
-            know = cover.root_knowledge[tree.root]
-            inside = tree.members
-            A = {w for w, nbrs in know.items() if inside.issuperset(nbrs)}
-            self.cov2[tree.root] = frozenset(w for w in A if A.issuperset(know[w]))
 
     def setup(self, node: NodeContext) -> None:
         st = node.state
+        known = node.known
         st["bits"] = {}
         st["buf"] = {}
-        st["registrants"] = set()
-        node.output = {"home": None, "report_to": []}
+        known["report_to"] = []
         node.schedule(self.H + 2, ("home",))
-        if node.self_id in self.cov2:
+        cs = known["cluster"]
+        if cs is not None:
+            known["registrants"] = set()
+            # The root's local computation: members whose whole 2-ball stays
+            # inside the cluster (possible because its ledger holds every
+            # member's neighbor list).  A holds the members whose 1-ball is
+            # inside; a member's 2-ball is inside exactly when all its
+            # neighbors are in A.
+            know = cs.members
+            inside = frozenset(know)
+            A = {w for w, nbrs in know.items() if inside.issuperset(nbrs)}
+            st["cov2"] = frozenset(w for w in A if A.issuperset(know[w]))
             node.schedule(2 * self.H + 2, ("wave_c",))
 
     def step(self, node: NodeContext, rnd: int):
         st = node.state
+        known = node.known
         v = node.self_id
         sends: List = []
 
-        if rnd == 1 and v in self.cov2:
-            covset = self.cov2[v]
-            if covset:
-                st["bits"][v] = v in covset
-                for c in self.kids[v][v]:
-                    sends.append((c, (K_COV, v, covset), CAT_CLUSTER_TREE))
+        if rnd == 1 and st.get("cov2"):
+            covset = st["cov2"]
+            st["bits"][v] = v in covset
+            for c in known["kids"].get(v, ()):
+                sends.append((c, (K_COV, v, covset), CAT_CLUSTER_TREE))
 
         for src, payload in node.inbox:
             kind = payload[0]
             if kind == K_COV:
                 _, root, covset = payload
                 st["bits"][root] = v in covset
-                for c in self.kids[root].get(v, ()):
+                for c in known["kids"].get(root, ()):
                     sends.append((c, payload, CAT_CLUSTER_TREE))
             elif kind == K_REG:
                 if v == payload[1]:
-                    st["registrants"].update(payload[2])
+                    known["registrants"].update(payload[2])
                 else:
-                    _relay_up(node, payload, self._trees, sends)
+                    _relay_up(node, payload, sends)
             elif kind == K_REL:
                 _, root, (kids, relevant) = payload
-                if v in relevant:
-                    node.output["report_to"].append(root)
+                if v in relevant:  # the home root's notice always is
+                    insort(known["report_to"], root)
                 for c in kids.get(v, ()):
                     sends.append((c, payload, CAT_CLUSTER_TREE))
             else:
@@ -185,16 +182,15 @@ class _HomeSetupProtocol(Protocol):
                 homes = sorted(r for r, bit in st["bits"].items() if bit)
                 if not homes:
                     continue  # cover defect; preprocess() sees home=None and retries
-                home = homes[0]
-                node.output["home"] = home
+                home = node.output = homes[0]
                 if home == v:
-                    st["registrants"].add(v)
+                    known["registrants"].add(v)
                 else:
-                    d = self._trees[home].layer[v]
+                    d = known["mem"][home][1]
                     node.schedule(self.H + 2 + (self.H - d), ("flush", home))
             elif kind == "flush":
                 _, home = action
-                _flush_up(node, K_REG, home, self._trees, sends)
+                _flush_up(node, K_REG, home, sends)
             elif kind == "wave_c":
                 sends.extend(self._wave_c(node))
             else:
@@ -204,54 +200,43 @@ class _HomeSetupProtocol(Protocol):
     def _wave_c(self, node: NodeContext) -> List:
         """Root tells the union of registrants' 2-balls to report joins."""
         v = node.self_id
-        know = self.cover.root_knowledge[v]
-        ball1: Set[int] = set(node.state["registrants"])
-        for r in node.state["registrants"]:
+        known = node.known
+        know = known["cluster"].members
+        ball1: Set[int] = set(known["registrants"])
+        for r in known["registrants"]:
             ball1.update(know[r])
         relevant = set(ball1)
         for u in ball1:
             relevant.update(know[u])
         if v in relevant:
-            node.output["report_to"].append(v)
+            insort(known["report_to"], v)
         relevant.discard(v)
-        route = route_map(v, self._trees[v].parent, dict.fromkeys(relevant, True))
+        route = route_map(v, known["cluster"].parent, dict.fromkeys(relevant, True))
         payload = (K_REL, v, route)
         return [(c, payload, CAT_CLUSTER_TREE) for c in route[0].get(v, ())]
 
 
 @dataclass(frozen=True)
 class Preprocessed:
-    """A cover with its home setup, built once per cover.  registrants maps
-    each cluster root to the nodes that registered there (those whose home
-    it is), and plan maps each node v to its report plan, one (root,
-    offset) per root that v reports its BFS join to, its home among them:
-    a phase starting in round s reports v's join to root in round
-    s + offset, offset = H - (v's depth in root's tree), so every report of
-    the phase reaches its root in round s + H."""
+    """A cover whose home setup has run on its session (see
+    _HomeSetupProtocol).  A phase starting in round s reports a node's join
+    to each of its report roots r in round s + H - (its depth in r's tree),
+    so every report of the phase reaches its root in round s + H."""
 
     cover: Cover
     H: int
-    registrants: Dict[int, frozenset]
-    plan: Dict[int, Tuple[Tuple[int, int], ...]]
     metrics: RunMetrics
     attempts: int = 1
 
 
 def _home_setup(g: Graph, cover: Cover) -> Optional[Preprocessed]:
     H = max(t.depth for t in cover.clusters)
-    proto = _HomeSetupProtocol(cover, H)
-    res = run(g, proto, ModeConfig(allow_quiescence=True, max_rounds=3 * H + 10))
-    plan: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-    for v in g.nodes:
-        out = res.outputs[v]
-        if out["home"] is None:
-            return None
-        plan[v] = tuple((r, H - proto._trees[r].layer[v])
-                        for r in sorted(set(out["report_to"]) | {out["home"]}))
-    registrants = {r: frozenset(res.contexts[r].state["registrants"]) for r in proto.cov2}
-    merged = cover.metrics.merged_with(res.metrics) if cover.metrics else res.metrics
-    return Preprocessed(cover=cover, H=H, registrants=registrants, plan=plan,
-                        metrics=merged)
+    res = run(cover.session, _HomeSetupProtocol(H),
+              ModeConfig(allow_quiescence=True, max_rounds=3 * H + 10))
+    cover.session.release()
+    if None in res.outputs.values():
+        return None
+    return Preprocessed(cover=cover, H=H, metrics=cover.metrics.merged_with(res.metrics))
 
 
 def preprocess(g: Graph, seed: int, kappa: Optional[int] = None,
@@ -281,6 +266,13 @@ def preprocess(g: Graph, seed: int, kappa: Optional[int] = None,
     )
 
 
+def _check_graph(g: Graph, pre: Preprocessed) -> None:
+    """BFSError unless pre's session holds exactly g's nodes and neighbor lists."""
+    nodes = pre.cover.session.contexts
+    if {v: node.neighbor_ids for v, node in nodes.items()} != g.adjacency:
+        raise BFSError("the Preprocessed was built on another graph than g")
+
+
 # ---------------------------------------------------------------------------
 # Phased BFS growth.
 # ---------------------------------------------------------------------------
@@ -288,18 +280,16 @@ def preprocess(g: Graph, seed: int, kappa: Optional[int] = None,
 class _BFSPhaseProtocol(Protocol):
     name = "bfs_phases"
 
-    def __init__(self, root: int, pre: Preprocessed):
+    def __init__(self, root: int, H: int):
         self.bfs_root = root
-        self.pre = pre
-        self.H = pre.H
-        self.window = 2 * pre.H + 4
-        self._trees = {t.root: t for t in pre.cover.clusters}
+        self.H = H
+        self.window = 2 * H + 4
 
     def setup(self, node: NodeContext) -> None:
         st = node.state
         v = node.self_id
         st["buf"] = {}
-        if v in self._trees:
+        if node.known["cluster"] is not None:
             # Root-side live view: members known to be in the BFS, and the
             # requesters of the current phase.
             st["joined"] = set()
@@ -314,8 +304,9 @@ class _BFSPhaseProtocol(Protocol):
         report the join to every cluster that asked (the home root, which
         knows its registrants, answers with an aggregate)."""
         node.state["phase_start"] = phase_start
-        for root, offset in self.pre.plan[node.self_id]:
-            node.schedule(phase_start + offset, ("flush", root))
+        mem = node.known["mem"]
+        for root in node.known["report_to"]:
+            node.schedule(phase_start + self.H - mem[root][1], ("flush", root))
 
     def step(self, node: NodeContext, rnd: int):
         v = node.self_id
@@ -329,7 +320,7 @@ class _BFSPhaseProtocol(Protocol):
                     root_touched = True
                     self._root_absorb(node, payload[2])
                 else:
-                    _relay_up(node, payload, self._trees, sends)
+                    _relay_up(node, payload, sends)
             elif kind == K_AGG:
                 _, root, (kids, asking), agg = payload
                 if v in asking:
@@ -358,7 +349,7 @@ class _BFSPhaseProtocol(Protocol):
                     root_touched = True
                     self._root_absorb(node, (v,))
                 else:
-                    _flush_up(node, K_PING, root, self._trees, sends)
+                    _flush_up(node, K_PING, root, sends)
             elif kind == "explore":
                 _, targets, layer = action
                 for w in targets:
@@ -376,7 +367,7 @@ class _BFSPhaseProtocol(Protocol):
         st = node.state
         joined = st["joined"]
         asking = st["asking"]
-        registrants = self.pre.registrants[node.self_id]
+        registrants = node.known["registrants"]
         for vid in ids:
             joined.add(vid)
             if vid in registrants:
@@ -396,10 +387,11 @@ class _BFSPhaseProtocol(Protocol):
         if not asking:
             return []
         st["asking"] = []
-        agg = (self.pre.cover.root_knowledge[v], st["joined"])
+        cs = node.known["cluster"]
+        agg = (cs.members, st["joined"])
         if v in asking:
             self._consume_aggregate(node, agg)
-        route = route_map(v, self._trees[v].parent,
+        route = route_map(v, cs.parent,
                           dict.fromkeys((w for w in asking if w != v), True))
         payload = (K_AGG, v, route, agg)
         return [(c, payload, CAT_CLUSTER_TREE) for c in route[0].get(v, ())]
@@ -443,11 +435,12 @@ class BFSResult:
     grow_receipts: Dict[int, int] = field(default_factory=dict)
 
 
-def _run_phases(g: Graph, root: int, pre: Preprocessed,
-                session: Session) -> Tuple[RootedTree, RunMetrics, Dict[int, int]]:
-    """One BFS-phase run from root on session's nodes; the session is
+def _run_phases(g: Graph, root: int,
+                pre: Preprocessed) -> Tuple[RootedTree, RunMetrics, Dict[int, int]]:
+    """One BFS-phase run from root on the cover's session; the session is
     released once the outputs are read."""
-    proto = _BFSPhaseProtocol(root, pre)
+    session = pre.cover.session
+    proto = _BFSPhaseProtocol(root, pre.H)
     limit = (g.n + 2) * proto.window + 10
     res = run(session, proto, ModeConfig(allow_quiescence=True, max_rounds=limit))
     parent: Dict[int, int] = {}
@@ -473,13 +466,16 @@ def bfs_construction(g: Graph, root: int, seed: int = 0,
     """Exact BFS tree from root; cover + registration + phased growth.
 
     Metrics cover the whole pipeline including cover construction.  Pass a
-    Preprocessed to reuse one cover across many roots (leader election does).
+    Preprocessed of g to reuse one cover across many roots (leader election
+    does); one built on another graph is a BFSError.
     """
     if root not in g.adjacency:
         raise BFSError(f"root {root} not in graph")
     if pre is None:
         pre = preprocess(g, seed, kappa)
-    tree, pm, receipts = _run_phases(g, root, pre, Session(g))
+    else:
+        _check_graph(g, pre)
+    tree, pm, receipts = _run_phases(g, root, pre)
     tree.validate_spanning(g)
     metrics = pre.metrics.merged_with(pm)
     return BFSResult(tree=tree, metrics=metrics, pre=pre, grow_receipts=receipts)
@@ -516,8 +512,9 @@ def randomized_leader_election(g: Graph, seed: int = 0,
 
     Candidates sample themselves with probability min(1, 8 ln n / n) using
     the shared seed; a caller may force an explicit candidate set instead.
-    All candidate BFS runs reuse one cover and one engine Session (each
-    run starts from reset nodes), and their rounds overlap (the executions
+    All candidate BFS runs reuse one cover and run on its engine Session
+    (each run starts from reset nodes that keep their knowledge), and
+    their rounds overlap (the executions
     are disjoint in state, so the round count is preprocessing plus the
     slowest candidate while messages add up).  Pass a Preprocessed
     to reuse a cover built before (for a BFS on the same graph, say);
@@ -539,13 +536,14 @@ def randomized_leader_election(g: Graph, seed: int = 0,
 
     if pre is None:
         pre = preprocess(g, seed, kappa)
+    else:
+        _check_graph(g, pre)
     metrics = pre.metrics
     phase_metrics: Optional[RunMetrics] = None
     best_seen: Dict[int, int] = {v: -1 for v in g.nodes}
     ok = True
-    session = Session(g)  # one set of nodes for every candidate's run
     for c in cands:
-        tree, pm, _ = _run_phases(g, c, pre, session)
+        tree, pm, _ = _run_phases(g, c, pre)
         try:
             tree.validate_spanning(g)
         except ClusterError:

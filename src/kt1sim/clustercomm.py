@@ -74,29 +74,6 @@ class RootedTree:
         object.__setattr__(self, "members", frozenset(self.layer))
         object.__setattr__(self, "depth", max(self.layer.values(), default=0))
 
-    @staticmethod
-    def from_parent_map(root: int, parent: Mapping[int, int]) -> "RootedTree":
-        """The tree (root, parent) with layers derived; ClusterError if the
-        root has a parent or some parent chain never reaches the root."""
-        if root in parent:
-            raise ClusterError("root must not have a parent")
-        layer = {root: 0}
-        for v in parent:
-            chain = []
-            x = v
-            while x not in layer:
-                chain.append(x)
-                x = parent.get(x)
-                if x is None or len(chain) > len(parent):
-                    raise ClusterError(f"parent chain from {v} never reaches root {root}")
-            base = layer[x]
-            for i, y in enumerate(reversed(chain), start=1):
-                layer[y] = base + i
-        return RootedTree(root=root, parent=dict(parent), layer=layer)
-
-    def children(self) -> Dict[int, List[int]]:
-        return tree_children(self.root, self.parent)
-
     def validate(self, g: Graph) -> None:
         """ClusterError unless this is a tree of graph edges whose layers
         are depths below the root."""
@@ -310,8 +287,8 @@ class ClusterState:
                 self.members[w] = None
                 del self.best[w]
 
-    def tree(self) -> RootedTree:
-        return RootedTree(root=self.root, parent=dict(self.parent), layer=dict(self.depth))
+    def tree(self) -> RootedTree:  # shares this ledger's parent and depth maps
+        return RootedTree(root=self.root, parent=self.parent, layer=self.depth)
 
 
 class ExplorationProtocol(Protocol):
@@ -331,24 +308,25 @@ class ExplorationProtocol(Protocol):
     Every joining node reports, the final layer's too, so each root ends up
     knowing all its members' neighbor lists.  Subclasses decide who starts
     a cluster and when, through activate_cluster (see the cover builder).
+
+    A node keeps in node.known "mem" (root -> its (parent, depth) in that
+    cluster), "kids" (root -> its children there, ascending, recorded at its
+    one explore action; none at a leaf) and "cluster" (the ClusterState of
+    the cluster it roots, or None).
     """
 
     def on_joined(self, node: NodeContext, root: int, depth: int, extra: Any) -> None:
         """Hook: this node just joined root's cluster at the given depth."""
 
     def setup(self, node: NodeContext) -> None:
-        st = node.state
-        st["mem"] = {}
-        st["clusters"] = {}
-        node.output = {"mem": st["mem"]}
+        node.known = {"mem": {}, "kids": {}, "cluster": None}
 
     def activate_cluster(self, node: NodeContext, rnd: int, h: int, join_extra: Any = None) -> List:
         """Start a cluster rooted at this node; returns sends (always [])."""
-        st = node.state
+        known = node.known
         v = node.self_id
-        cs = ClusterState(v, node.neighbor_ids, h, join_extra)
-        st["clusters"][v] = cs
-        st["mem"][v] = (None, 0)
+        cs = known["cluster"] = ClusterState(v, node.neighbor_ids, h, join_extra)
+        known["mem"][v] = (None, 0)
         return self._grow(node, cs, 1, rnd)
 
     def _grow(self, node: NodeContext, cs: ClusterState, j: int, rnd: int) -> List:
@@ -371,7 +349,8 @@ class ExplorationProtocol(Protocol):
         return sends
 
     def step(self, node: NodeContext, rnd: int):
-        st = node.state
+        known = node.known
+        mem = known["mem"]
         v = node.self_id
         sends: List = []
         if node.inbox:
@@ -390,34 +369,33 @@ class ExplorationProtocol(Protocol):
                         sends.append((hop, payload, CAT_CLUSTER_TREE))
                 elif kind == K_JOIN:
                     _, root, depth, extra = payload
-                    if root in st["mem"]:
+                    if root in mem:
                         raise SimError(
                             f"node {v} received a second exploration message for cluster {root}"
                         )
-                    st["mem"][root] = (src, depth)
+                    mem[root] = (src, depth)
                     node.schedule(rnd + 2, ("up", root, depth + 1))
                     self.on_joined(node, root, depth, extra)
                 else:
                     raise SimError(f"unknown payload kind {kind!r} at node {v}")
             for (root, j), items in up_merge.items():
                 if root == v:
-                    cs = st["clusters"][root]
+                    cs = known["cluster"]
                     cs.absorb_reports(items)
                     sends.extend(self._grow(node, cs, j, rnd))
                 else:
-                    parent = st["mem"][root][0]
                     payload = (K_UP, root, j, tuple(items))
-                    sends.append((parent, payload, CAT_CLUSTER_TREE))
+                    sends.append((mem[root][0], payload, CAT_CLUSTER_TREE))
 
         for action in node.due:
             kind = action[0]
             if kind == "up":
                 _, root, j = action
-                parent = st["mem"][root][0]
                 payload = (K_UP, root, j, ((v, node.neighbor_ids),))
-                sends.append((parent, payload, CAT_CLUSTER_TREE))
+                sends.append((mem[root][0], payload, CAT_CLUSTER_TREE))
             elif kind == "explore":
                 _, root, j, ws, extra = action
+                known["kids"][root] = ws
                 for w in ws:
                     sends.append((w, (K_JOIN, root, j, extra), CAT_EXPLORATION))
             else:

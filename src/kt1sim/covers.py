@@ -20,21 +20,21 @@ All phases run in one engine execution; phase i starts at round
 1 + (i-1)*phase_budget(kappa, W) and the budget is wide enough that a phase's
 deepest exploration is quiescent before the next phase samples.  Because
 sources keep receiving upward reports for their final layer, every root ends
-the run knowing the full neighbor list of each member; that cached knowledge
-is exported in the Cover and is what later lets cover roots answer
-neighborhood queries without new communication.
+the run knowing the full neighbor list of each member; the Cover keeps that
+run's session, whose nodes keep what they learned for the later stages, and
+so cover roots answer neighborhood queries without new communication.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Tuple
 
 from .clustercomm import ExplorationProtocol, RootedTree
 from .netgraph import Graph, oracle_ball
-from .simengine import ModeConfig, NodeContext, RunMetrics, SimError, run
+from .simengine import ModeConfig, NodeContext, RunMetrics, Session, SimError, run
 
 
 class CoverError(SimError):
@@ -83,9 +83,8 @@ def phase_probability(kappa: int, n: int, i: int) -> float:
 class Cover:
     clusters: Tuple[RootedTree, ...]  # ascending root id
     params: CoverParams
-    # root -> {member -> neighbor tuple}; what the root learned while growing.
-    root_knowledge: Dict[int, Dict[int, Tuple[int, ...]]] = field(default_factory=dict)
-    metrics: Optional[RunMetrics] = None
+    session: Session  # the construction's nodes, with what they learned
+    metrics: RunMetrics
 
 
 @dataclass
@@ -108,8 +107,7 @@ class _CoverProtocol(ExplorationProtocol):
 
     def setup(self, node: NodeContext) -> None:
         super().setup(node)
-        node.output["covered"] = False
-        node.output["phase"] = None
+        node.output = {"covered": False, "phase": None}
         for i, start in self.phase_start.items():
             node.schedule(start, ("sample", i))
 
@@ -143,32 +141,31 @@ def cover_construction(g: Graph, params: CoverParams) -> Cover:
     proto = _CoverProtocol(g.n, params.kappa, params.W)
     limit = params.kappa * phase_budget(params.kappa, params.W) + 10
     cfg = ModeConfig(allow_quiescence=True, rng_seed=params.seed, max_rounds=limit)
-    res = run(g, proto, cfg)
+    session = Session(g)
+    res = run(session, proto, cfg)
 
     clusters: List[RootedTree] = []
-    root_knowledge: Dict[int, Dict[int, Tuple[int, ...]]] = {}
     cap = params.max_tree_depth
     for r in g.nodes:  # ascending
-        cs = res.contexts[r].state["clusters"].get(r)
+        cs = res.contexts[r].known["cluster"]
         if cs is None:
             continue
         tree = cs.tree()
         if tree.depth > cap:
             raise CoverError(f"cluster at {r} has depth {tree.depth} > {cap}")
-        known = {m: nbrs for m, nbrs in cs.members.items() if nbrs is not None}
-        if set(known) != set(tree.members):
+        if None in cs.members.values():
             raise CoverError(f"root {r} lacks neighbor lists for some members")
         clusters.append(tree)
-        root_knowledge[r] = known
 
     for v in g.nodes:
-        if not res.outputs[v]["mem"]:
+        if not res.contexts[v].known["mem"]:
             raise CoverError(f"node {v} belongs to no cluster")
         if not res.outputs[v]["covered"]:
             raise CoverError(f"node {v} finished construction uncovered")
+    session.release()  # the nodes keep only their knowledge
 
-    return Cover(clusters=tuple(clusters), params=params,
-                 root_knowledge=root_knowledge, metrics=res.metrics)
+    return Cover(clusters=tuple(clusters), params=params, session=session,
+                 metrics=res.metrics)
 
 
 def verify_cover(cover: Cover, g: Graph) -> CoverReport:
@@ -208,11 +205,6 @@ def verify_cover(cover: Cover, g: Graph) -> CoverReport:
 def sparsity_bound(n: int, kappa: int, c_s: float) -> float:
     """Membership guardrail c_s * kappa * n^(1/kappa) * ln n."""
     return c_s * kappa * (n ** (1.0 / kappa)) * math.log(max(n, 2))
-
-
-def message_bound(n: int, kappa: int, W: int, c_m: float) -> float:
-    """Construction traffic guardrail c_m * n * kappa^2 * W * n^(1/kappa) * ln n."""
-    return c_m * n * kappa * kappa * W * (n ** (1.0 / kappa)) * math.log(max(n, 2))
 
 
 def cover_to_json(cover: Cover) -> str:

@@ -31,7 +31,8 @@ clock back to their fresh values, so each run is exactly the run on the
 bare graph.  Session.release() does that reset early, to free a run's node
 state once its outputs are read.  run(graph, ...) is a one-run session.  A
 session run's RunResult.contexts are the session's own contexts, valid only
-until the next run or release on that session.
+until the next run or release on that session.  No reset touches a node's
+known slot: what it learned in one run and reads in a later one.
 """
 
 from __future__ import annotations
@@ -152,11 +153,11 @@ class _Clock:
 
 class NodeContext:
     """What one node is allowed to know: its id, its neighbors' ids, its own
-    mutable state bag, this round's inbox and due timer actions, and a
-    private seeded rng."""
+    mutable state bag, this round's inbox and due timer actions, a private
+    seeded rng, and known, what it kept from earlier runs on its session."""
 
     __slots__ = ("self_id", "neighbor_ids", "state", "inbox", "due", "output",
-                 "_rng", "_seed", "_clock")
+                 "known", "_rng", "_seed", "_clock")
 
     def __init__(self, self_id: int, neighbor_ids: Tuple[int, ...], seed: int,
                  clock: _Clock):
@@ -166,6 +167,7 @@ class NodeContext:
         self.inbox: List[Tuple[int, Any]] = []
         self.due: List[Any] = []
         self.output: Any = None
+        self.known: Any = None
         self._rng: Optional[random.Random] = None
         self._seed = seed
         self._clock = clock
@@ -203,9 +205,9 @@ class Session:
     """The nodes of one graph, built once and reused by every run() given
     this session.  A fresh session's contexts are used as built; a later run
     first resets each one's per-run slots and the shared clock, unless
-    release() already has.  Keep a session only as long as the call that
-    runs on it: it holds n contexts and n neighbor tables, and the state of
-    its last run until release()."""
+    release() already has.  It holds n contexts and n neighbor tables, and
+    the state of its last run until release(): keep it only while its runs
+    or its nodes' known slots are needed (a Cover keeps its own)."""
 
     __slots__ = ("ids", "contexts", "nbr_sets", "clock", "_used")
 
@@ -220,9 +222,9 @@ class Session:
 
     def release(self) -> None:
         """Free the last run's node state: put every node's per-run slots
-        (state, inbox, due, output, rng and its seed) and the clock back to
-        their fresh values.  The last run's contexts are emptied with them;
-        read its outputs first.  The next run starts without a reset."""
+        (state, inbox, due, output, rng and its seed; known is kept) and the
+        clock back to fresh values, emptying the last run's contexts: read
+        its outputs first.  The next run starts without a reset."""
         if not self._used:
             return
         self.clock.now = 0

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from kt1sim import bfscover
 from kt1sim.bfscover import (
     BFSError,
+    _BFSPhaseProtocol,
     _HomeSetupProtocol,
     bfs_construction,
     bfs_tree_from_json,
@@ -23,6 +24,7 @@ from kt1sim.clustercomm import ClusterError, RootedTree
 from kt1sim.covers import CoverParams, cover_construction
 from kt1sim.netgraph import (Graph, GraphGenSpec, er_connectivity_safe_p, generate_graph,
                              oracle_ball, oracle_bfs)
+from kt1sim.simengine import ModeConfig, NodeContext, run
 
 
 def make_graph(family, n, seed=0, p=None, id_scheme="sequential"):
@@ -178,10 +180,11 @@ def test_home_setup_cov2_matches_oracle_balls(family, n, seed):
     g = make_graph(family, n, seed=seed % 50, p=p, id_scheme="random_permutation")
     cover = cover_construction(g, CoverParams(kappa=2, W=2, seed=seed))
     H = max(t.depth for t in cover.clusters)
-    cov2 = _HomeSetupProtocol(cover, H).cov2
+    res = run(cover.session, _HomeSetupProtocol(H), ModeConfig(allow_quiescence=True))
     for tree in cover.clusters:
         want = {w for w in tree.members if oracle_ball(g, w, 2) <= tree.members}
-        assert cov2[tree.root] == want
+        assert res.contexts[tree.root].state["cov2"] == want
+    cover.session.release()
 
 
 @settings(max_examples=300, deadline=None)
@@ -198,23 +201,37 @@ def test_ownership_rule_is_first_joined_entry(nbrs, joined, data):
     assert (v in joined and joined.isdisjoint(nbrs[:bisect_left(nbrs, v)])) == (first == v)
 
 
-def test_registrants_are_the_nodes_at_home():
+def test_registrants_are_the_nodes_at_home(monkeypatch):
     """A root answers the pinged ids among its registrants, the nodes
     whose home it is: each node registers at one root, reports its join
-    there among the roots of its plan, and reports to every root at
-    offset H less its depth in that root's tree."""
+    there among its ascending report roots, and in a BFS phase reports to
+    every root H less its depth in that root's tree rounds into the phase."""
     g = make_graph("erdos_renyi", 60, seed=4, p=0.1, id_scheme="random_permutation")
     pre = preprocess(g, seed=1)
-    assert set(pre.registrants) == {t.root for t in pre.cover.clusters}
-    assert sum(map(len, pre.registrants.values())) == g.n
-    assert frozenset().union(*pre.registrants.values()) == set(g.nodes)
-    home = {v: r for r, regs in pre.registrants.items() for v in regs}
     trees = {t.root: t for t in pre.cover.clusters}
+    known = {v: node.known for v, node in pre.cover.session.contexts.items()}
+    registrants = {r: known[r]["registrants"] for r in trees}
+    assert sum(map(len, registrants.values())) == g.n
+    assert set().union(*registrants.values()) == set(g.nodes)
+    assert not [v for v in g.nodes if v not in trees and "registrants" in known[v]]
+    home = {v: r for r, regs in registrants.items() for v in regs}
     for v in g.nodes:
-        assert [r for r, _ in pre.plan[v]] == sorted({r for r, _ in pre.plan[v]})
-        assert home[v] in {r for r, _ in pre.plan[v]}
-        for r, off in pre.plan[v]:
-            assert off == pre.H - trees[r].layer[v]
+        assert known[v]["report_to"] == sorted(set(known[v]["report_to"]))
+        assert home[v] in known[v]["report_to"]
+
+    flushes = []
+    real_schedule = NodeContext.schedule
+
+    def schedule(node, rnd, action):
+        if action[0] == "flush":
+            flushes.append((node.self_id, action[1], rnd - node.state["phase_start"]))
+        real_schedule(node, rnd, action)
+
+    monkeypatch.setattr(NodeContext, "schedule", schedule)
+    bfs_construction(g, min(g.nodes), pre=pre)
+    for v in g.nodes:  # once per report root, ascending, at offset H - layer
+        assert [(r, off) for u, r, off in flushes if u == v] == \
+            [(r, pre.H - trees[r].layer[v]) for r in known[v]["report_to"]]
 
 
 # ---------------------------------------------------------------------------
@@ -292,25 +309,71 @@ def test_election_json():
 
 
 def test_election_frees_each_candidates_node_state_before_checking_its_tree(monkeypatch):
-    sessions = []
-    real_session = bfscover.Session
+    """Every candidate runs on the cover's session, and each run's node
+    state is freed before its tree is checked; the nodes' knowledge stays."""
+    g = make_graph("grid", 36)
+    pre = preprocess(g, seed=2)
+    nodes = pre.cover.session.contexts.values()
+    graphs = []
+    real_run = bfscover.run
 
-    def tracked(g):
-        sessions.append(real_session(g))
-        return sessions[-1]
+    def recording_run(graph, protocol, config=None):
+        graphs.append(graph)
+        return real_run(graph, protocol, config)
 
     real_validate = RootedTree.validate_spanning
     checked = []
 
     def validate(tree, g):
-        if sessions:
-            checked.append(all(not node.state for s in sessions
-                               for node in s.contexts.values()))
+        checked.append(all(not node.state and node.known["report_to"] for node in nodes))
         return real_validate(tree, g)
 
-    monkeypatch.setattr(bfscover, "Session", tracked)
+    monkeypatch.setattr(bfscover, "run", recording_run)
     monkeypatch.setattr(RootedTree, "validate_spanning", validate)
-    g = make_graph("grid", 36)
-    res = randomized_leader_election(g, seed=2, candidates=[1, 17, 36])
-    assert res.unanimous and len(sessions) == 1
+    res = randomized_leader_election(g, seed=2, candidates=[1, 17, 36], pre=pre)
+    assert res.unanimous and len(graphs) == 3
+    assert all(graph is pre.cover.session for graph in graphs)
     assert checked == [True, True, True]
+
+
+def test_stage_protocols_hold_only_ints(monkeypatch):
+    """The home setup and the BFS phases keep no per-node map of their own:
+    every attribute of the instances a BFS builds is an int."""
+    protocols = []
+    real_run = bfscover.run
+
+    def recording_run(graph, protocol, config=None):
+        protocols.append(protocol)
+        return real_run(graph, protocol, config)
+
+    monkeypatch.setattr(bfscover, "run", recording_run)
+    g = make_graph("erdos_renyi", 60, seed=4, p=0.1, id_scheme="random_permutation")
+    bfs_construction(g, min(g.nodes), seed=1)
+    assert [type(p) for p in protocols] == [_HomeSetupProtocol, _BFSPhaseProtocol]
+    for p in protocols:
+        assert vars(p) and all(type(x) is int for x in vars(p).values()), vars(p)
+
+
+def _another_graphs_preprocessing():
+    """A preprocessing of grid-36, and graphs that it does not fit: ER-36
+    on other ids, and the cycle on grid-36's own ids."""
+    pre = preprocess(make_graph("grid", 36), seed=0)
+    er = make_graph("erdos_renyi", 36, p=er_connectivity_safe_p(36),
+                    id_scheme="random_permutation")
+    return pre, (er, make_graph("cycle", 36))
+
+
+def test_bfs_refuses_another_graphs_preprocessing(monkeypatch):
+    pre, others = _another_graphs_preprocessing()
+    monkeypatch.setattr(bfscover, "run", None)  # no run may start
+    for g in others:
+        with pytest.raises(BFSError, match="another graph"):
+            bfs_construction(g, min(g.nodes), pre=pre)
+
+
+def test_election_refuses_another_graphs_preprocessing(monkeypatch):
+    pre, others = _another_graphs_preprocessing()
+    monkeypatch.setattr(bfscover, "run", None)  # no run may start
+    for g in others:
+        with pytest.raises(BFSError, match="another graph"):
+            randomized_leader_election(g, pre=pre, candidates=[min(g.nodes)])

@@ -10,8 +10,8 @@ from kt1sim.clustercomm import (
     ClusterError,
     ClusterState,
     ExplorationProtocol,
-    RootedTree,
     TreeWaveProtocol,
+    tree_children,
 )
 from kt1sim.gossipspanner import solve_global
 from kt1sim.harness import oracle_mst
@@ -24,6 +24,8 @@ from kt1sim.netgraph import (
 )
 from kt1sim.simengine import ModeConfig, run
 
+from support import tree_from_parent_map
+
 
 def _graph(family, n, **kw):
     return generate_graph(GraphGenSpec(family=family, n=n, **kw))
@@ -32,37 +34,37 @@ def _graph(family, n, **kw):
 # --- RootedTree ------------------------------------------------------------
 
 def test_from_parent_map_depths():
-    t = RootedTree.from_parent_map(1, {2: 1, 3: 2, 4: 2})
+    t = tree_from_parent_map(1, {2: 1, 3: 2, 4: 2})
     assert t.depth == 2
     assert t.layer == {1: 0, 2: 1, 3: 2, 4: 2}
     assert t.members == frozenset({1, 2, 3, 4})
-    assert t.children()[2] == [3, 4]
+    assert tree_children(t.root, t.parent)[2] == [3, 4]
 
 
 def test_from_parent_map_rejects_cycle():
     with pytest.raises(ClusterError):
-        RootedTree.from_parent_map(1, {2: 3, 3: 2})
+        tree_from_parent_map(1, {2: 3, 3: 2})
 
 
 def test_from_parent_map_rejects_rooted_root():
     with pytest.raises(ClusterError):
-        RootedTree.from_parent_map(1, {1: 2, 2: 1})
+        tree_from_parent_map(1, {1: 2, 2: 1})
 
 
 def test_validate_needs_graph_edges():
     g = _graph("path", 4)
-    bad = RootedTree.from_parent_map(1, {3: 1})
+    bad = tree_from_parent_map(1, {3: 1})
     with pytest.raises(ClusterError):
         bad.validate(g)
 
 
 def test_cluster_tree_validates_but_does_not_span():
     g = _graph("path", 4)
-    t = RootedTree.from_parent_map(1, {2: 1, 3: 2})
+    t = tree_from_parent_map(1, {2: 1, 3: 2})
     t.validate(g)
     with pytest.raises(ClusterError, match="span"):
         t.validate_spanning(g)
-    RootedTree.from_parent_map(1, {2: 1, 3: 2, 4: 3}).validate_spanning(g)
+    tree_from_parent_map(1, {2: 1, 3: 2, 4: 3}).validate_spanning(g)
 
 
 # --- tree wave -------------------------------------------------------------
@@ -104,7 +106,7 @@ def test_tree_wave_costs_exact(n, seed, rootpick):
     dist = oracle_bfs(g, root).dist
     parent = {v: min(u for u in g.adjacency[v] if dist[u] == dist[v] - 1)
               for v in g.nodes if v != root}
-    tree = RootedTree.from_parent_map(root, parent)
+    tree = tree_from_parent_map(root, parent)
     depth = tree.depth
 
     res = _wave_with_exact_costs(g, _SumWave(root, parent), depth)
@@ -166,7 +168,7 @@ def _broadcast(g, tree, payload):
 
 def test_broadcast_singleton():
     g = _graph("path", 1)
-    t = RootedTree.from_parent_map(1, {})
+    t = tree_from_parent_map(1, {})
     _, outputs, halves, _ = _broadcast(g, t, "hello")
     assert halves["dn"] == (0, 1)
     assert outputs == {1: "hello"}
@@ -174,7 +176,7 @@ def test_broadcast_singleton():
 
 def test_broadcast_path4_three_rounds_three_messages():
     g = _graph("path", 4)
-    t = RootedTree.from_parent_map(1, {2: 1, 3: 2, 4: 3})
+    t = tree_from_parent_map(1, {2: 1, 3: 2, 4: 3})
     _, outputs, halves, _ = _broadcast(g, t, ("payload",))
     # the root sends in its solve round; the fourth round delivers to node 4
     assert halves["dn"] == (3, 4)
@@ -183,7 +185,7 @@ def test_broadcast_path4_three_rounds_three_messages():
 
 def test_broadcast_star5_one_round_four_messages():
     g = _graph("star", 5)
-    t = RootedTree.from_parent_map(1, {v: 1 for v in (2, 3, 4, 5)})
+    t = tree_from_parent_map(1, {v: 1 for v in (2, 3, 4, 5)})
     _, outputs, halves, _ = _broadcast(g, t, 7)
     assert halves["dn"] == (4, 2)
     assert set(outputs.values()) == {7}
@@ -191,7 +193,7 @@ def test_broadcast_star5_one_round_four_messages():
 
 def test_broadcast_messages_by_category():
     g = _graph("star", 5)
-    t = RootedTree.from_parent_map(1, {v: 1 for v in (2, 3, 4, 5)})
+    t = tree_from_parent_map(1, {v: 1 for v in (2, 3, 4, 5)})
     _, _, _, cats = _broadcast(g, t, 7)
     assert cats[("dn", "cluster_tree")] == 4
     assert sum(k for (tag, _), k in cats.items() if tag == "dn") == 4
@@ -199,14 +201,14 @@ def test_broadcast_messages_by_category():
 
 def test_convergecast_singleton():
     g = _graph("path", 1)
-    t = RootedTree.from_parent_map(1, {})
+    t = tree_from_parent_map(1, {})
     value, _, halves, _ = _halves(g, t, {1: {1}}, lambda a, b: a | b)
     assert value == {1} and halves["up"] == (0, 1)
 
 
 def test_convergecast_path4_union():
     g = _graph("path", 4)
-    t = RootedTree.from_parent_map(1, {2: 1, 3: 2, 4: 3})
+    t = tree_from_parent_map(1, {2: 1, 3: 2, 4: 3})
     value, _, halves, _ = _halves(g, t, {v: {v} for v in t.members}, lambda a, b: a | b)
     assert value == {1, 2, 3, 4}
     assert halves["up"] == (3, 4)
@@ -214,7 +216,7 @@ def test_convergecast_path4_union():
 
 def test_convergecast_balanced_binary_7():
     g = _graph("balanced_binary_tree", 7)
-    t = RootedTree.from_parent_map(1, {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3})
+    t = tree_from_parent_map(1, {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3})
     value, _, halves, _ = _halves(g, t, {v: 1 for v in t.members}, lambda a, b: a + b)
     assert value == 7
     assert halves["up"] == (6, 3)
@@ -324,17 +326,23 @@ class _Ball(ExplorationProtocol):
 
 def _explore(g, root, h):
     """The tree an exploration of depth h from root grows, and its run.
-    Every member's own record agrees with the root's ledger."""
+    Every member's own record in node.known (its parent and depth, and its
+    children) agrees with the root's ledger, kept in the root's node.known;
+    no other node roots a cluster, and a node outside records nothing."""
     res = run(g, _Ball(root, h), ModeConfig(allow_quiescence=True))
-    tree = res.contexts[root].state["clusters"][root].tree()
+    tree = res.contexts[root].known["cluster"].tree()
+    children = tree_children(root, tree.parent)
     for v in g.nodes:
-        mem = res.outputs[v]["mem"]
+        known = res.contexts[v].known
+        assert (known["cluster"] is not None) == (v == root)
         if v not in tree.members:
-            assert mem == {}
-        elif v == root:
-            assert mem == {root: (None, 0)}
+            assert known["mem"] == {} and known["kids"] == {}
+            continue
+        if v == root:
+            assert known["mem"] == {root: (None, 0)}
         else:
-            assert mem == {root: (tree.parent[v], tree.layer[v])}
+            assert known["mem"] == {root: (tree.parent[v], tree.layer[v])}
+        assert list(known["kids"].get(root, ())) == children[v]
     return tree, res
 
 

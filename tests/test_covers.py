@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kt1sim import covers
-from kt1sim.clustercomm import RootedTree
+from kt1sim.clustercomm import RootedTree, tree_children
 from kt1sim.covers import (
     Cover,
     CoverError,
     CoverParams,
     cover_construction,
-    message_bound,
     phase_budget,
     phase_cover_radius,
     phase_depth,
@@ -28,7 +27,9 @@ from kt1sim.netgraph import (
     oracle_ball,
     oracle_bfs,
 )
-from kt1sim.simengine import RunMetrics
+from kt1sim.simengine import RunMetrics, Session
+
+from support import message_bound, tree_from_parent_map
 
 # Frozen after calibration over erdos_renyi and grid at n in {256, 1024}
 # (worst observed: 0.26 and 0.08).  The acceptance suite reuses these.
@@ -48,11 +49,11 @@ def ball_tree(g, root, radius):
     members = {v for v, d in dist.items() if d <= radius}
     parent = {v: min(u for u in g.neighbors(v) if u in members and dist[u] == dist[v] - 1)
               for v in sorted(members) if v != root}
-    return RootedTree.from_parent_map(root, parent)
+    return tree_from_parent_map(root, parent)
 
 
 def manual_cover(g, trees, params):
-    return Cover(clusters=tuple(trees), params=params, root_knowledge={},
+    return Cover(clusters=tuple(trees), params=params, session=Session(g),
                  metrics=RunMetrics())
 
 
@@ -165,6 +166,22 @@ def test_frozen_constant_budgets():
         assert cov.metrics.messages_total <= message_bound(n, kappa, 2, MESSAGE_CONST)
 
 
+@pytest.mark.parametrize("family, n, p", [("erdos_renyi", 256, 0.045), ("grid", 256, None)])
+def test_each_node_records_its_children_in_every_cluster(family, n, p):
+    """The children a node records at its explore action in each cluster,
+    kept on the cover's session, are its children in that cluster's tree."""
+    g = make_graph(family, n, seed=2, p=p, id_scheme="random_permutation")
+    cov = cover_construction(g, CoverParams(kappa=2 * math.ceil(math.log2(n)), W=2, seed=2))
+    known = {v: node.known for v, node in cov.session.contexts.items()}
+    for t in cov.clusters:
+        assert known[t.root]["cluster"].tree() == t
+        for v, kids in tree_children(t.root, t.parent).items():
+            assert list(known[v]["kids"].get(t.root, ())) == kids
+    for v in g.nodes:
+        assert known[v]["kids"].keys() <= known[v]["mem"].keys()
+        assert (known[v]["cluster"] is None) == (v not in known[v]["mem"])
+
+
 # ---------------------------------------------------------------------------
 # verification of hand-built covers
 
@@ -259,7 +276,7 @@ def _assert_least_id_bfs_clusters(g, cov, res):
         for w, p in t.parent.items():
             assert p == min(u for u in g.adjacency[w] if dist[u] == dist[w] - 1)
     for v in g.nodes:
-        mem = res.outputs[v]["mem"]
+        mem = res.contexts[v].known["mem"]
         assert sorted(mem) == [r for r, t in trees.items() if v in t.members]
         for r, record in mem.items():
             t = trees[r]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kt1sim import gossipspanner
-from kt1sim.clustercomm import ClusterError, RootedTree, bfs_tree_to_json
+from kt1sim.clustercomm import ClusterError, bfs_tree_to_json
 from kt1sim.gossipspanner import (
     Spanner,
     SpannerError,
@@ -37,6 +37,8 @@ from kt1sim.netgraph import (
     oracle_bfs,
 )
 from kt1sim.simengine import ModeConfig, gossip_check, run
+
+from support import tree_from_parent_map
 
 
 def make_graph(family, n, seed=0, p=None, id_scheme="sequential"):
@@ -555,7 +557,7 @@ def test_non_spanning_tree_rejected(monkeypatch):
     engine_runs = []
     monkeypatch.setattr(gossipspanner, "run", lambda *a, **k: engine_runs.append(a))
     with pytest.raises(ClusterError):
-        solve_global(g, RootedTree.from_parent_map(1, {2: 1}))
+        solve_global(g, tree_from_parent_map(1, {2: 1}))
     assert engine_runs == []
 
 

@@ -1,11 +1,13 @@
 """The package's surface: no module, and no test module, imports a name it
-never uses, and `kt1sim.__all__` names only what exists.  Parsing the
-sources with `ast` keeps the check in the standard library and in the fast
-tier."""
+never uses, no function or method is defined that the package never names,
+and `kt1sim.__all__` names only what exists.  Parsing the sources with `ast`
+keeps the check in the standard library and in the fast tier."""
 
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,12 @@ TEST_MODULES = sorted(p.stem for p in TESTS.glob("*.py") if p.stem != "test_acce
 
 # Names a module imports only so that they can be imported from it.
 RE_EXPORTS = {"bfscover": {"bfs_tree_from_json", "bfs_tree_to_json"}}
+
+# Functions named only from outside the package: the acceptance gate imports
+# the first four, and _clear_stages is the tests' way to empty the harness
+# stage memo.
+CALLED_FROM_OUTSIDE = {"election_to_json", "sparsity_bound", "cover_to_json", "run_digest",
+                       "_clear_stages"}
 
 # Library pieces that no pipeline or CLI command reached, since removed.
 REMOVED = (
@@ -62,6 +70,33 @@ def test_unused_import_check_sees_a_dead_import():
     tree = ast.parse("from __future__ import annotations\nimport json, os.path\n"
                      "from typing import Any, List\nx: List[int] = []\n")
     assert _unused_imports(tree) == {"json", "os", "Any"}
+
+
+def _unnamed_functions(sources: dict) -> set:
+    """Top-level functions and class methods, other than dunders, whose name
+    occurs as a word exactly once in all of sources (module -> text), that
+    is only where it is defined.  Comments and docstrings count as
+    occurrences, so the scan can miss a dead name, but it flags no name
+    that the package itself uses."""
+    words = Counter(re.findall(r"\w+", "\n".join(sources.values())))
+    defined = set()
+    for source in sources.values():
+        for stmt in ast.parse(source).body:
+            body = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+            defined.update(f.name for f in body if isinstance(f, ast.FunctionDef))
+    return {name for name in defined if not name.startswith("__") and words[name] == 1}
+
+
+def test_every_function_is_named_in_the_package():
+    sources = {m: (SRC / f"{m}.py").read_text() for m in MODULES}
+    assert _unnamed_functions(sources) == CALLED_FROM_OUTSIDE
+
+
+def test_unnamed_function_check_sees_a_dead_method():
+    sources = {"a": "class A:\n    def used(self):\n        return self.helper()\n\n"
+                    "    def helper(self):\n        pass\n\n    def dead(self):\n        pass\n",
+               "b": "def __getattr__(name):\n    pass\n\ndef orphan():\n    pass\n"}
+    assert _unnamed_functions(sources) == {"used", "dead", "orphan"}
 
 
 def test_all_names_resolve_and_removed_names_stay_out():

@@ -601,6 +601,35 @@ def test_session_run_returns_the_session_contexts():
     assert again.contexts[2].state == {} and session.clock.now == 0
 
 
+class Learns(Protocol):
+    """Round 1: every node counts the run in node.known, pings its
+    neighbors and sets a timer; round 2: it outputs its id and halts, so
+    its state, inbox, due and output are all filled when the run ends."""
+
+    def step(self, node, rnd):
+        if rnd == 1:
+            node.known = (node.known or 0) + 1
+            node.state["pinged"] = True
+            node.schedule(2, ("tick",))
+            return [(w, ("ping",), CAT_CONTROL) for w in node.neighbor_ids], False
+        node.output = node.self_id
+        return NO_SENDS, True
+
+
+def test_release_clears_the_run_slots_and_keeps_known():
+    g = _graph("path", 3)
+    session = Session(g)
+    nodes = session.contexts.values()
+    assert all(node.known is None for node in nodes)
+    run(session, Learns())
+    assert all(node.state and node.inbox and node.due and node.output for node in nodes)
+    session.release()
+    assert [(node.state, node.inbox, node.due, node.output, node.known) for node in nodes] \
+        == [({}, [], [], None, 1)] * 3
+    run(session, Learns())  # the reset before a run keeps known too
+    assert [node.known for node in nodes] == [2, 2, 2]
+
+
 @pytest.mark.parametrize("n", [256, 2048])
 def test_session_neighbor_tables_stay_small(n):
     """dicts take about 41 bytes per directed edge at these degrees, the
