@@ -335,6 +335,7 @@ class ExplorationProtocol(Protocol):
             return []
         if j > cs.h or not cs.best:
             cs.done = True
+            cs.best = {}  # an emptied dict keeps the table it grew to
             return []
         assign = cs.assignments()
         explore_round = rnd + j + 1

@@ -23,15 +23,20 @@ anywhere is still missing a rumor.  A hard iteration cap of
 instead of a hang.
 
 A node's rumor set is one int bitset K_v, and R_v is its neighbor mask
-minus K_v.  Each link keeps a watermark, the mask last sent over it; a
-message carries the delta K_v & ~watermark and is absorbed with one OR.
-Two simulator-side representations stand behind the bitsets, neither of
-them node knowledge: the id -> bit table shared by all nodes of a run
-(bit i is the i-th smallest id, so the lowest set bit of R_v is its
-lowest-id missing neighbor), and the id -> rumor lookup that turns a set
-of origins back into rumors.  A rumor's content is a pure function of its
-origin id, so a payload names origins only; message counts and rounds are
-what they would be if the contents travelled along.
+minus K_v.  Each link keeps a watermark, the mask last sent over it.  K_v
+only grows and every watermark is a mask K_v once held, so a message
+carries the delta K_v ^ watermark (= K_v & ~watermark) and is absorbed
+with one OR.  Every partner a node activates or answers gets a
+watermark, so at the end of a run the watermark keys are the node's
+H-partners.  Two simulator-side representations stand behind the
+bitsets, neither of them node knowledge: the id -> bit table shared by
+all nodes of a run (the i-th smallest id has bit 1 << i, so the lowest
+set bit of R_v is its lowest-id missing neighbor, and a neighbor mask is
+the sum of its neighbors' bits), and the bit index -> rumor lookup that
+turns a set of origins back into rumors.  A rumor's content is a pure
+function of its origin id, so a payload names origins only; message
+counts and rounds are what they would be if the contents travelled
+along.
 
 The spanner H is the union of all activated links.  Known-rumor flow
 implies every graph edge's endpoints are connected inside H, so H spans
@@ -120,7 +125,8 @@ class _GossipProtocol(Protocol):
         # every node sees the same value.)
         self.pending = 0
         # Simulator-side tables, filled by setup in ascending id order:
-        # id -> bit index, and bit index -> rumor (origin, neighbor list).
+        # id -> its bit (a power of two), and bit index -> rumor (origin,
+        # neighbor list).
         self.bit: Dict[int, int] = {}
         self.rumors: List[Tuple[int, Tuple[int, ...]]] = []
         self.plans: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
@@ -131,13 +137,11 @@ class _GossipProtocol(Protocol):
             raise SpannerError(f"gossip setup of node {v} after node "
                                f"{self.rumors[-1][0]}: ids must ascend")
         st = node.state
-        self.bit[v] = len(self.rumors)
-        st["K"] = 1 << len(self.rumors)
+        st["K"] = self.bit[v] = 1 << len(self.rumors)
         self.rumors.append((v, node.neighbor_ids))
         st["R"] = None  # the neighbor mask needs every bit: built in step
         st["E"] = []
         st["wm"] = {}
-        st["incident"] = set()
         st["last_act"] = None
         st["last_rwork"] = 0
         node.schedule(1, ("iter", 1))
@@ -165,38 +169,30 @@ class _GossipProtocol(Protocol):
     def step(self, node: NodeContext, rnd: int):
         st = node.state
         R = st["R"]
-        if R is None:
-            R = 0
-            for w in node.neighbor_ids:
-                R |= 1 << self.bit[w]
+        if R is None:  # the neighbors' bits are distinct, so sum is OR
+            R = st["R"] = sum(map(self.bit.__getitem__, node.neighbor_ids))
         pre = K = st["K"]
-        incident = st["incident"]
-        sends: List = []
-        acts_in = []
-
-        for src, (kind, delta) in node.inbox:
-            K |= delta
-            incident.add(src)
-            if kind == GOSSIP_ACT:
-                acts_in.append(src)
-            elif kind != GOSSIP_RSP:
-                raise SpannerError(f"unknown gossip payload kind {kind!r}")
-        if K != pre:
-            st["K"] = K
-            if R:
-                R &= ~K
-                if not R:
-                    self.pending -= 1
-        st["R"] = R
-        # Responses reflect only what was known before this round's mail.
-        # A mutual same-slot activation needs no reply.
         wm = st["wm"]
-        last = st["last_act"]
-        for src in acts_in:
-            if last is not None and last == (src, rnd - 1):
-                continue
-            sends.append((src, (GOSSIP_RSP, pre & ~wm.get(src, 0)), CAT_GOSSIP))
-            wm[src] = pre
+        sends: List = []
+
+        if node.inbox:
+            # Responses reflect only what was known before this round's
+            # mail.  A mutual same-slot activation needs no reply.
+            last = st["last_act"]
+            for src, (kind, delta) in node.inbox:
+                K |= delta
+                if kind == GOSSIP_ACT:
+                    if last != (src, rnd - 1):
+                        sends.append((src, (GOSSIP_RSP, pre ^ wm.get(src, 0)), CAT_GOSSIP))
+                        wm[src] = pre
+                elif kind != GOSSIP_RSP:
+                    raise SpannerError(f"unknown gossip payload kind {kind!r}")
+            if K != pre:
+                st["K"] = K
+                if R:
+                    R = st["R"] = R & ~K
+                    if not R:
+                        self.pending -= 1
 
         for action in node.due:
             if action[0] == "iter":
@@ -208,9 +204,7 @@ class _GossipProtocol(Protocol):
                     # The appended link is first exchanged by the opening
                     # reverse sweep below, not by a separate activation.
                     st["last_rwork"] = i
-                    target = self.rumors[(R & -R).bit_length() - 1][0]
-                    E.append(target)
-                    incident.add(target)
+                    E.append(self.rumors[(R & -R).bit_length() - 1][0])
                 # Slot 1 is this round: that sweep joins node.due and runs
                 # right after this action.
                 for slot, idx in self._sweep_plan(i, len(E)):
@@ -220,8 +214,7 @@ class _GossipProtocol(Protocol):
             elif action[0] == "sweep":
                 _, partner = action
                 st["last_act"] = (partner, rnd)
-                sends.append((partner, (GOSSIP_ACT, K & ~wm.get(partner, 0)),
-                              CAT_GOSSIP))
+                sends.append((partner, (GOSSIP_ACT, K ^ wm.get(partner, 0)), CAT_GOSSIP))
                 wm[partner] = K
             else:
                 raise SpannerError(f"unknown scheduled action {action!r}")
@@ -234,7 +227,8 @@ class GossipResult:
     complete: bool
     cap: int
     activated: Dict[int, Tuple[int, ...]]   # v -> partners in activation order
-    incident: Dict[int, Tuple[int, ...]]    # v -> all H-partners v observed
+    # v -> its H-partners, ascending: every node it activated or answered
+    incident: Dict[int, Tuple[int, ...]]
     # v -> the rumors (origin, neighbors) v holds, in ascending origin order
     known: Dict[int, Tuple[Tuple[int, Tuple[int, ...]], ...]]
     metrics: RunMetrics
@@ -257,7 +251,7 @@ def gossip_local_broadcast(g: Graph, record_trace: bool = False) -> GossipResult
     for v in g.nodes:
         st = res.contexts[v].state
         activated[v] = tuple(st["E"])
-        incident[v] = tuple(sorted(st["incident"]))
+        incident[v] = tuple(sorted(st["wm"]))  # every partner has a watermark
         mask = st["K"]
         rumors = decoded.get(mask)
         if rumors is None:

@@ -110,9 +110,6 @@ class Graph:
     def nodes(self) -> Tuple[int, ...]:
         return tuple(sorted(self.adjacency))
 
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -154,9 +151,6 @@ class DistanceMap:
         for layer in out.values():
             layer.sort()
         return out
-
-    def eccentricity(self) -> int:
-        return max(self.dist.values())
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Tests for sparse neighborhood cover construction and verification."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,7 +48,7 @@ def ball_tree(g, root, radius):
     """Min-id-parent BFS tree of the radius-ball around root (oracle-built)."""
     dist = oracle_bfs(g, root).dist
     members = {v for v, d in dist.items() if d <= radius}
-    parent = {v: min(u for u in g.neighbors(v) if u in members and dist[u] == dist[v] - 1)
+    parent = {v: min(u for u in g.adjacency[v] if u in members and dist[u] == dist[v] - 1)
               for v in sorted(members) if v != root}
     return tree_from_parent_map(root, parent)
 
@@ -180,6 +181,19 @@ def test_each_node_records_its_children_in_every_cluster(family, n, p):
     for v in g.nodes:
         assert known[v]["kids"].keys() <= known[v]["mem"].keys()
         assert (known[v]["cluster"] is None) == (v not in known[v]["mem"])
+
+
+@pytest.mark.parametrize("family", ["erdos_renyi", "grid"])
+def test_finished_clusters_drop_their_edge_tables(family):
+    """A done cluster's best map is a fresh empty dict, not the emptied
+    table it grew to, so the cover's session does not keep the tables."""
+    p = 3 * math.log(256) / 256 if family == "erdos_renyi" else None
+    g = make_graph(family, 256, seed=0, p=p, id_scheme="random_permutation")
+    cov = cover_construction(g, CoverParams(kappa=16, W=2, seed=0))
+    for t in cov.clusters:
+        cs = cov.session.contexts[t.root].known["cluster"]
+        assert cs.done and cs.best == {}
+        assert sys.getsizeof(cs.best) == sys.getsizeof({})
 
 
 # ---------------------------------------------------------------------------

@@ -93,10 +93,40 @@ def test_one_local_completeness():
     assert gossip_check(res.raw.trace).ok
     for v in g.nodes:
         origins = {r[0] for r in res.known[v]}
-        assert set(g.neighbors(v)) <= origins
+        assert set(g.adjacency[v]) <= origins
         # rumor payloads are faithful neighbor lists
         for origin, nbrs in res.known[v]:
-            assert nbrs == g.neighbors(origin)
+            assert nbrs == g.adjacency[origin]
+
+
+@pytest.mark.parametrize("family,n,seeds", [
+    ("grid", 64, (0, 1)), ("grid", 121, (2,)), ("erdos_renyi", 96, (0, 1, 2)),
+    ("erdos_renyi", 128, (3, 4)), ("star", 33, (0, 1)), ("path", 40, (0, 1)),
+    ("cycle", 57, (0, 1)), ("complete", 24, (0, 1)),
+])
+def test_watermarks_stay_inside_the_known_mask(family, n, seeds):
+    """Every watermark is a mask its node once held, so it lies inside the
+    node's final K (the XOR delta sends only new bits); each rumor crosses
+    a link at most once per direction; and a node's partners are its
+    watermark keys."""
+    for seed in seeds:
+        p = er_connectivity_safe_p(n) if family == "erdos_renyi" else None
+        g = make_graph(family, n, seed=seed, p=p, id_scheme="random_permutation")
+        res = gossip_local_broadcast(g, record_trace=True)
+        sent = {}
+        for env in res.raw.trace:
+            link = (env.src, env.dst)
+            assert sent.get(link, 0) & env.payload[1] == 0
+            sent[link] = sent.get(link, 0) | env.payload[1]
+        for v in g.nodes:
+            st = res.raw.contexts[v].state
+            K, wm = st["K"], st["wm"]
+            for partner, mark in wm.items():
+                assert mark & ~K == 0
+                # Each delta is the mask minus the link's watermark, so what
+                # crossed the link adds up to the last mask sent over it.
+                assert sent[v, partner] == mark
+            assert res.incident[v] == tuple(sorted(wm))
 
 
 def test_iteration_cap_formula_and_respecting():

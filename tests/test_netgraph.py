@@ -343,7 +343,7 @@ def test_diameter_matches_all_roots_sweep_every_family(family, n, seed, scheme):
         n = max(n, 3)
     p = er_connectivity_safe_p(n) if family == "erdos_renyi" else None
     g = generate_graph(_spec(family, n, seed=seed, id_scheme=scheme, p=p))
-    want = max(oracle_bfs(g, r).eccentricity() for r in g.nodes)
+    want = max(max(oracle_bfs(g, r).dist.values()) for r in g.nodes)
     assert diameter(g) == want
 
 
