@@ -446,7 +446,7 @@ def _run_phases(g: Graph, root: int,
     parent: Dict[int, int] = {}
     layer: Dict[int, int] = {root: 0}
     receipts: Dict[int, int] = {}
-    for v in g.nodes:
+    for v in session.ids:
         out = res.outputs[v]
         if out["grow_msgs"]:
             receipts[v] = out["grow_msgs"]
@@ -540,7 +540,7 @@ def randomized_leader_election(g: Graph, seed: int = 0,
         _check_graph(g, pre)
     metrics = pre.metrics
     phase_metrics: Optional[RunMetrics] = None
-    best_seen: Dict[int, int] = {v: -1 for v in g.nodes}
+    best_seen: Dict[int, int] = dict.fromkeys(pre.cover.session.ids, -1)
     ok = True
     for c in cands:
         tree, pm, _ = _run_phases(g, c, pre)

@@ -18,7 +18,15 @@ ones, and the measured membership counts are the guardrail for the choice.
 
 All phases run in one engine execution; phase i starts at round
 1 + (i-1)*phase_budget(kappa, W) and the budget is wide enough that a phase's
-deepest exploration is quiescent before the next phase samples.  Because
+deepest exploration is quiescent before the next phase samples.  Sampling
+timers are chained: setup schedules each node's samples for phases 1 and
+kappa only, and a still uncovered node whose phase-i sample (i < kappa - 1)
+does not promote it schedules its phase-(i+1) sample then.  A covered node
+thus never wakes again before phase kappa, and the calendar holds at most
+two samples per node instead of kappa.  Every node keeps its
+phase-kappa sample, covered or not: that round is active in every run, and
+it is often the run's last active round (when no node is left uncovered),
+so the rounds count is the one an every-phase schedule gives.  Because
 sources keep receiving upward reports for their final layer, every root ends
 the run knowing the full neighbor list of each member; the Cover keeps that
 run's session, whose nodes keep what they learned for the later stages, and
@@ -100,6 +108,7 @@ class _CoverProtocol(ExplorationProtocol):
 
     def __init__(self, n: int, kappa: int, W: int):
         B = phase_budget(kappa, W)
+        self.kappa = kappa
         self.phase_start = {i: 1 + (i - 1) * B for i in range(1, kappa + 1)}
         self.phase_h = {i: phase_depth(kappa, W, i) for i in range(1, kappa + 1)}
         self.phase_radius = {i: phase_cover_radius(kappa, W, i) for i in range(1, kappa + 1)}
@@ -108,8 +117,9 @@ class _CoverProtocol(ExplorationProtocol):
     def setup(self, node: NodeContext) -> None:
         super().setup(node)
         node.output = {"covered": False, "phase": None}
-        for i, start in self.phase_start.items():
-            node.schedule(start, ("sample", i))
+        node.schedule(self.phase_start[1], ("sample", 1))
+        if self.kappa > 1:
+            node.schedule(self.phase_start[self.kappa], ("sample", self.kappa))
 
     def on_joined(self, node: NodeContext, root: int, depth: int, extra: Any) -> None:
         if depth <= extra:
@@ -124,6 +134,8 @@ class _CoverProtocol(ExplorationProtocol):
             return []
         p = self.phase_p[i]
         if p < 1.0 and node.rng.random() >= p:
+            if i + 1 < self.kappa:  # phase kappa's sample is already due
+                node.schedule(self.phase_start[i + 1], ("sample", i + 1))
             return []
         node.output["covered"] = True
         node.output["phase"] = i

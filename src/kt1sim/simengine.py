@@ -14,6 +14,9 @@ stepped in round r.  One calendar (round -> {node: actions}, plus a heap of
 its rounds) yields a due round whole; a halted node's timers are dropped
 like its mail, and a round with only such timers is never visited.  Idle
 rounds are skipped in O(1) while still counting toward the round total.
+A step's node.inbox and node.due are the engine's own sequences and are
+read-only; a step with no mail or no due timer gets the shared empty
+tuple EMPTY there, so an idle slot allocates nothing.
 
 The send loop checks each message's edge, counts it and delivers it; in
 gossip mode it also polices each step that sent more than one message.
@@ -42,7 +45,7 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .netgraph import Graph
 
@@ -57,6 +60,10 @@ CATEGORY_NAMES = ("exploration", "cluster_tree", "gossip", "control")
 # engine relies on it to police the one-activation-per-node-per-round rule.
 GOSSIP_ACT = "act"
 GOSSIP_RSP = "rsp"
+
+# The inbox and due of a node's step with no mail or no due timer: one
+# shared, immutable empty, so an idle slot allocates nothing.
+EMPTY: Tuple[()] = ()
 
 _RNG_MIX = 0x9E3779B97F4A7C15
 _RNG_MASK = (1 << 64) - 1
@@ -153,8 +160,9 @@ class _Clock:
 
 class NodeContext:
     """What one node is allowed to know: its id, its neighbors' ids, its own
-    mutable state bag, this round's inbox and due timer actions, a private
-    seeded rng, and known, what it kept from earlier runs on its session."""
+    mutable state bag, this round's inbox and due timer actions (read-only,
+    EMPTY when there are none), a private seeded rng, and known, what it
+    kept from earlier runs on its session."""
 
     __slots__ = ("self_id", "neighbor_ids", "state", "inbox", "due", "output",
                  "known", "_rng", "_seed", "_clock")
@@ -164,8 +172,8 @@ class NodeContext:
         self.self_id = self_id
         self.neighbor_ids = neighbor_ids
         self.state: Dict[str, Any] = {}
-        self.inbox: List[Tuple[int, Any]] = []
-        self.due: List[Any] = []
+        self.inbox: Sequence[Tuple[int, Any]] = []
+        self.due: Sequence[Any] = []
         self.output: Any = None
         self.known: Any = None
         self._rng: Optional[random.Random] = None
@@ -181,7 +189,8 @@ class NodeContext:
     def schedule(self, rnd: int, action: Any) -> None:
         """Have action appear in self.due when this node is stepped in round
         rnd.  An action for the round being processed joins the live
-        self.due; one for a past round is a SimError."""
+        self.due (a new list if the step had no due timer, so read
+        self.due after scheduling); one for a past round is a SimError."""
         clock = self._clock
         now = clock.now
         if rnd > now:
@@ -196,7 +205,10 @@ class NodeContext:
                 else:
                     acts.append(action)
         elif rnd == now and now > 0:
-            self.due.append(action)
+            if self.due is EMPTY:
+                self.due = [action]
+            else:
+                self.due.append(action)
         else:
             raise SimError(f"node {self.self_id} scheduled round {rnd} in round {now}")
 
@@ -386,8 +398,8 @@ def run(graph: Union[Graph, Session], protocol: Protocol,
         violation: Optional[GossipViolation] = None
         for v in order:
             node = nodes[v]
-            node.inbox = inboxes.get(v) or []
-            node.due = due.get(v) or []
+            node.inbox = inboxes.get(v, EMPTY)
+            node.due = due.get(v) or EMPTY  # None: the round-1 wake
             sends, halt = step(node, rnd)
             if sends:
                 allowed = nbr_sets[v]

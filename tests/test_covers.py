@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kt1sim import covers
+from kt1sim import bfscover, covers
 from kt1sim.clustercomm import RootedTree, tree_children
 from kt1sim.covers import (
     Cover,
@@ -28,7 +28,7 @@ from kt1sim.netgraph import (
     oracle_ball,
     oracle_bfs,
 )
-from kt1sim.simengine import RunMetrics, Session
+from kt1sim.simengine import ModeConfig, RunMetrics, Session, run_digest
 
 from support import message_bound, tree_from_parent_map
 
@@ -317,3 +317,101 @@ def test_cover_tie_goes_to_the_least_id_parent():
     cov, res = _recorded_cover(g, CoverParams(kappa=1, W=1))
     assert cov.clusters[0].root == 1 and cov.clusters[0].parent == {2: 1, 3: 1, 4: 2}
     _assert_least_id_bfs_clusters(g, cov, res)
+
+
+# ---------------------------------------------------------------------------
+# chained sampling timers against the every-phase schedule they replaced
+
+
+class _EveryPhaseCover(covers._CoverProtocol):
+    """The schedule before chaining: every node's sample for every phase is
+    on the calendar from setup on, and a covered node wakes in each later
+    phase to do nothing."""
+
+    def setup(self, node):
+        super().setup(node)  # phases 1 and kappa
+        for i in range(2, self.kappa):
+            node.schedule(self.phase_start[i], ("sample", i))
+
+    def run_action(self, node, rnd, action):
+        if action[0] != "sample":
+            return super().run_action(node, rnd, action)
+        _, i = action
+        if node.output["covered"]:
+            return []
+        p = self.phase_p[i]
+        if p < 1.0 and node.rng.random() >= p:
+            return []
+        node.output["covered"] = True
+        node.output["phase"] = i
+        return self.activate_cluster(node, rnd, self.phase_h[i],
+                                     join_extra=self.phase_radius[i])
+
+
+def _pending_samples(clock):
+    return sum(a[0] == "sample" for bucket in clock.cal.values()
+               for acts in bucket.values() if acts for a in acts)
+
+
+def _cover_with(proto_cls, g, params):
+    """cover_construction(g, params) built by proto_cls: the cover, the
+    engine result, its node steps and the most sample actions the calendar
+    held at the start of any round."""
+    seen = {"steps": 0, "round": 0, "peak": 0}
+
+    class Watched(proto_cls):
+        def step(self, node, rnd):
+            seen["steps"] += 1
+            if rnd != seen["round"]:
+                seen["round"] = rnd
+                seen["peak"] = max(seen["peak"], _pending_samples(node._clock))
+            return super().step(node, rnd)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covers, "_CoverProtocol", Watched)
+        cov, res = _recorded_cover(g, params)
+    return cov, res, seen["steps"], seen["peak"]
+
+
+def _known_view(known):
+    cs = known["cluster"]
+    return (known["mem"], known["kids"],
+            None if cs is None else tuple(getattr(cs, s) for s in cs.__slots__))
+
+
+@pytest.mark.parametrize("family, n, p", [
+    ("path", 12, None), ("grid", 36, None), ("erdos_renyi", 40, 0.15),
+    ("star", 10, None), ("complete", 8, None)])
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("kappa", [1, 2, None])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_chained_sampling_matches_the_every_phase_schedule(family, n, p, seed, kappa,
+                                                           sparse, monkeypatch):
+    # The real ramp covers these small graphs in phase 1 (its sources
+    # explore 2*kappa*W hops); with sparse sampling nodes stay uncovered
+    # through the middle phases, so their chained samples are exercised.
+    if sparse:
+        real = covers.phase_probability
+        monkeypatch.setattr(covers, "phase_probability",
+                            lambda kappa, n, i: real(kappa, n, i) if i >= kappa else 0.05)
+    g = make_graph(family, n, seed=seed, p=p, id_scheme="random_permutation")
+    kap = kappa if kappa is not None else bfscover.default_kappa(n)
+    params = CoverParams(kappa=kap, W=2, seed=seed)
+    cov, res, steps, peak = _cover_with(covers._CoverProtocol, g, params)
+    ref, ref_res, ref_steps, ref_peak = _cover_with(_EveryPhaseCover, g, params)
+
+    assert cov.metrics == ref.metrics
+    assert cov.clusters == ref.clusters
+    assert res.outputs == ref_res.outputs
+    for v in g.nodes:
+        assert _known_view(res.contexts[v].known) == _known_view(ref_res.contexts[v].known)
+    cfg = ModeConfig(allow_quiescence=True, rng_seed=seed,
+                     max_rounds=kap * phase_budget(kap, 2) + 10)
+    assert run_digest(g, lambda: covers._CoverProtocol(g.n, kap, 2), cfg) \
+        == run_digest(g, lambda: _EveryPhaseCover(g.n, kap, 2), cfg)
+
+    # Only no-op wake-ups go: at most two samples per node are pending.
+    assert peak <= 2 * g.n
+    assert steps <= ref_steps
+    if kap >= 3:
+        assert ref_peak > 2 * g.n and steps < ref_steps

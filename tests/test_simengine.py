@@ -8,12 +8,13 @@ import weakref
 
 import pytest
 
-from kt1sim import bfscover, covers, gossipspanner
+from kt1sim import bfscover, covers, gossipspanner, harness
 from kt1sim.netgraph import GraphGenSpec, er_connectivity_safe_p, generate_graph
 from kt1sim.simengine import (
     CAT_CONTROL,
     CAT_EXPLORATION,
     CAT_GOSSIP,
+    EMPTY,
     GOSSIP_ACT,
     GOSSIP_RSP,
     Envelope,
@@ -176,6 +177,36 @@ def test_timers_order_live_due_and_halt_drops_them():
     res = run(_graph("path", 1), Timers())
     assert res.contexts[1].state["seen"] == [(2, "a"), (2, "a-now"), (3, "b"), (3, "c")]
     assert res.metrics.rounds == 3 and res.end_reason == "halted"
+
+
+def test_idle_slots_get_the_shared_empty_and_a_same_round_timer_still_runs():
+    class NowFromIdle(Protocol):
+        """Round 1 has no due timer and no mail: the step schedules for
+        this very round and must still run that action in the same step."""
+
+        def step(self, node, rnd):
+            assert node.inbox is EMPTY and node.due is EMPTY
+            node.schedule(rnd, "now")
+            node.schedule(rnd, "again")
+            node.output = [(rnd, action) for action in node.due]
+            return NO_SENDS, True
+
+    res = run(_graph("path", 2), NowFromIdle())
+    assert res.outputs == {1: [(1, "now"), (1, "again")], 2: [(1, "now"), (1, "again")]}
+    assert EMPTY == ()
+
+
+def test_the_shared_empty_stays_empty_after_every_pipeline():
+    """Protocols only read node.inbox and node.due: a pipeline whose
+    protocol appended to an idle slot would fail here on the immutable
+    EMPTY, and EMPTY is still the empty tuple after all of them."""
+    spec = GraphGenSpec(family="grid", n=36)
+    for algo in harness.ALGOS:
+        harness._clear_stages()
+        record = harness.run_experiment(harness.ExperimentConfig(graph=spec, algo=algo))
+        assert all(t.ok for t in record.trials), algo
+        assert type(EMPTY) is tuple and EMPTY == (), algo
+    harness._clear_stages()
 
 
 class HaltWithTimer(Protocol):
