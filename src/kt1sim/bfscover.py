@@ -28,12 +28,13 @@ static member topology plus the live joined set), and each frontier node
 locally picks, for every unjoined neighbor w, the edge from the joined
 neighbor of w of least id (equivalently, the lexicographically first edge
 from a joined node to w) — sending the one exploration message only if it
-owns that edge.  Every registrant's 2-ball is inside its home cluster
-and inside that cluster's report set, so all frontier nodes examining the
-same w see the same fresh candidate set and elect the same winner: each
-node joins the BFS through exactly one exploration message, at its true
-BFS layer.  A phase with an empty frontier sends nothing and the run ends
-by quiescence.
+owns that edge.  The owner is the first joined entry of w's sorted
+neighbor tuple, found by one ascending scan that stops there.  Every
+registrant's 2-ball is inside its home cluster and inside that cluster's
+report set, so all frontier nodes examining the same w see the same fresh
+candidate set and elect the same winner: each node joins the BFS through
+exactly one exploration message, at its true BFS layer.  A phase with an
+empty frontier sends nothing and the run ends by quiescence.
 
 Leader election: sample candidates with probability min(1, 8 ln n / n),
 build one shared cover + registration, then run one BFS per candidate.
@@ -48,7 +49,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -402,8 +403,9 @@ class _BFSPhaseProtocol(Protocol):
         neighbor w exactly when v is the joined neighbor of w of least id
         (equivalently, (v,w) is the lexicographically first edge from a
         joined node to w: for fixed w the pair (min(x,w), max(x,w)) grows
-        with x).  topo[w] is w's sorted neighbor list, so v owns w when v
-        has joined and no entry of topo[w] below v has.  All frontier
+        with x).  topo[w] is w's sorted neighbor list, so one ascending
+        scan of it finds the first joined entry, and v owns w exactly when
+        that entry is v (never, if v has not joined).  All frontier
         neighbors of w see the same candidate set, so the winner is
         unique."""
         topo, joined = agg
@@ -418,8 +420,11 @@ class _BFSPhaseProtocol(Protocol):
                 raise BFSError(
                     f"home cluster of {v} lacks neighbor {w}: 2-ball not covered"
                 )
-            if v in joined and joined.isdisjoint(nbrs[:bisect_left(nbrs, v)]):
-                targets.append(w)
+            for x in nbrs:
+                if x in joined:
+                    if x == v:
+                        targets.append(w)
+                    break
         if targets:
             # Fixed send slot at the end of stage 2, uniform across all
             # requesters regardless of when their aggregate arrived.

@@ -7,7 +7,7 @@ from bisect import bisect_left
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kt1sim import bfscover
+from kt1sim import bfscover, simengine
 from kt1sim.bfscover import (
     BFSError,
     _BFSPhaseProtocol,
@@ -191,14 +191,55 @@ def test_home_setup_cov2_matches_oracle_balls(family, n, seed):
 @given(nbrs=st.lists(st.integers(1, 40), unique=True, min_size=1).map(sorted).map(tuple),
        joined=st.sets(st.integers(1, 40)), data=st.data())
 def test_ownership_rule_is_first_joined_entry(nbrs, joined, data):
-    """The BFS phases' ownership test (v owns w when v has joined and no
+    """The least-id ownership test (v owns w when v has joined and no
     entry of w's sorted neighbor tuple below v has) is "the first joined
-    entry of the tuple is v", also when v itself has not joined."""
+    entry of the tuple is v", the rule the BFS phases scan for, also when
+    v itself has not joined."""
     v = data.draw(st.sampled_from(nbrs))
     if data.draw(st.booleans()):
         joined = joined - {v}
-    first = next((x for x in nbrs if x in joined), None)
-    assert (v in joined and joined.isdisjoint(nbrs[:bisect_left(nbrs, v)])) == (first == v)
+    assert (v in joined and joined.isdisjoint(nbrs[:bisect_left(nbrs, v)])) == \
+        (_first_joined(nbrs, joined) == v)
+
+
+def _first_joined(nbrs, joined):
+    return next((x for x in nbrs if x in joined), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), v_joined=st.booleans(), layer=st.integers(0, 6),
+       H=st.integers(1, 5), phase_start=st.integers(1, 60))
+def test_consume_aggregate_schedules_exactly_the_owned_neighbors(data, v_joined, layer, H,
+                                                                 phase_start):
+    """_consume_aggregate explores exactly the unjoined neighbors whose
+    sorted neighbor tuple has v as its first joined entry, at the phase's
+    fixed send slot, and raises BFSError when an unjoined neighbor's tuple
+    is missing from the aggregate, whether or not v has joined."""
+    ids = st.integers(1, 30)
+    v = data.draw(ids)
+    nbrs = tuple(sorted(data.draw(st.sets(ids.filter(lambda x: x != v), max_size=8))))
+    topo = {w: tuple(sorted({v} | data.draw(st.sets(ids.filter(lambda x, w=w: x != w)))))
+            for w in nbrs}
+    joined = data.draw(st.sets(ids)) - {v} | ({v} if v_joined else set())
+    for w in data.draw(st.sets(st.sampled_from(nbrs))) if nbrs else ():
+        del topo[w]
+
+    clock = simengine._Clock()
+    node = NodeContext(v, nbrs, 0, clock)
+    node.output = {"layer": layer, "parent": None, "grow_msgs": 0}
+    node.state["phase_start"] = phase_start
+    proto = _BFSPhaseProtocol(v, H)
+    if any(w not in joined and w not in topo for w in nbrs):
+        with pytest.raises(BFSError):
+            proto._consume_aggregate(node, (topo, joined))
+        return
+    proto._consume_aggregate(node, (topo, joined))
+    owned = [w for w in nbrs if w not in joined and _first_joined(topo[w], joined) == v]
+    if owned:
+        assert clock.cal == {phase_start + 2 * H + 2:
+                             {v: [("explore", tuple(owned), layer + 1)]}}
+    else:
+        assert clock.cal == {}
 
 
 def test_registrants_are_the_nodes_at_home(monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for sparse neighborhood cover construction and verification."""
 
+import dataclasses
 import math
 import sys
 
@@ -229,6 +230,80 @@ def test_verify_flags_missing_node():
     rep = verify_cover(cov, g)
     assert not rep.neighborhood_ok
     assert victim in rep.uncovered
+
+
+def _reference_report(cover, g):
+    """verify_cover by brute force: every node's W-ball against every cluster."""
+    counts = [sum(v in t.members for t in cover.clusters) for v in g.nodes]
+    uncovered = [v for v in g.nodes
+                 if not any(oracle_ball(g, v, cover.params.W) <= t.members
+                            for t in cover.clusters)]
+    return covers.CoverReport(max_depth=max((t.depth for t in cover.clusters), default=0),
+                              max_membership=max(counts, default=0),
+                              neighborhood_ok=not uncovered, uncovered=uncovered)
+
+
+def _spans(tree, g):
+    return tree.members >= g.adjacency.keys()
+
+
+def _audit(cover, g, monkeypatch):
+    """verify_cover's report, and the nodes whose ball it built."""
+    balls = []
+    monkeypatch.setattr(covers, "oracle_ball",
+                        lambda g, v, W: balls.append(v) or oracle_ball(g, v, W))
+    return verify_cover(cover, g), balls
+
+
+@pytest.mark.parametrize("family, n, p, kappa, spanning", [
+    ("erdos_renyi", 60, 0.1, None, True), ("complete", 12, None, None, True),
+    ("grid", 144, None, 1, False), ("grid", 144, None, 2, False),
+    ("path", 40, None, 1, False), ("path", 40, None, 2, False),
+    ("cycle", 40, None, 1, False), ("cycle", 40, None, 2, False)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_cover_matches_the_brute_force_audit(family, n, p, kappa, spanning, seed,
+                                                    monkeypatch):
+    g = make_graph(family, n, seed=seed, p=p, id_scheme="random_permutation")
+    kap = kappa if kappa is not None else bfscover.default_kappa(n)
+    cov = cover_construction(g, CoverParams(kappa=kap, W=2, seed=seed))
+    assert any(_spans(t, g) for t in cov.clusters) == spanning
+    rep, balls = _audit(cov, g, monkeypatch)
+    assert rep == _reference_report(cov, g)
+    assert rep.neighborhood_ok
+    assert balls == ([] if spanning else sorted(g.nodes))
+
+    # Without the clusters that hold the least id's ball (the spanning ones
+    # among them), that node is uncovered and the audit probes every node.
+    victim = min(g.nodes)
+    ball = oracle_ball(g, victim, 2)
+    pruned = dataclasses.replace(
+        cov, clusters=tuple(t for t in cov.clusters if not ball <= t.members))
+    rep, balls = _audit(pruned, g, monkeypatch)
+    assert rep == _reference_report(pruned, g)
+    assert victim in rep.uncovered and balls == sorted(g.nodes)
+
+
+def test_verify_cover_spanning_is_a_superset_test(monkeypatch):
+    """A tree that holds every node and an id outside g spans g, and one
+    that misses a single node does not."""
+    g = make_graph("path", 8)
+    params = CoverParams(kappa=1, W=2)
+    whole = ball_tree(g, 1, g.n)
+    outside = max(g.nodes) + 1
+    extra = RootedTree(root=1, parent={**whole.parent, outside: 1},
+                       layer={**whole.layer, outside: 1})
+    small = [ball_tree(g, v, 1) for v in (2, 5)]
+    cov = manual_cover(g, [extra, *small], params)
+    rep, balls = _audit(cov, g, monkeypatch)
+    assert rep == _reference_report(cov, g)
+    assert rep.neighborhood_ok and balls == []
+
+    short = ball_tree(g, 1, g.n - 2)  # misses node 8
+    assert short.members == set(g.nodes) - {8}
+    cov = manual_cover(g, [short, *small], params)
+    rep, balls = _audit(cov, g, monkeypatch)
+    assert rep == _reference_report(cov, g)
+    assert rep.uncovered == [6, 7, 8] and balls == sorted(g.nodes)
 
 
 # ---------------------------------------------------------------------------
