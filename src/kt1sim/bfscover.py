@@ -50,7 +50,7 @@ import json
 import math
 import random
 from bisect import insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 # bfs_tree_from_json and bfs_tree_to_json are re-exported from here.
@@ -77,7 +77,6 @@ K_AGG = 21   # BFS: route-mapped aggregate answer to requesters
 K_GROW = 22  # BFS: the one exploration message a node ever receives
 
 DEFAULT_KAPPA_FACTOR = 2
-COVER_ATTEMPTS = 5
 CANDIDATE_LOG_FACTOR = 8.0  # expected candidates ~ 8 ln n
 
 
@@ -114,7 +113,9 @@ def _flush_up(node: NodeContext, kind: int, root: int, sends: List) -> None:
 class _HomeSetupProtocol(Protocol):
     """Leaves in node.known, reset by setup, "report_to": the ascending roots
     a node reports its BFS join to, its home among them, and at a root
-    "registrants": the nodes whose home it is.  A node's output is its home."""
+    "registrants": the nodes whose home it is.  A node's output is its home,
+    the least root whose announced set holds it; a node that no announced
+    set holds is a BFSError naming it."""
 
     name = "home_setup"
 
@@ -124,7 +125,7 @@ class _HomeSetupProtocol(Protocol):
     def setup(self, node: NodeContext) -> None:
         st = node.state
         known = node.known
-        st["bits"] = {}
+        st["home"] = None  # the least announcing root seen that holds this node
         st["buf"] = {}
         known["report_to"] = []
         node.schedule(self.H + 2, ("home",))
@@ -150,7 +151,8 @@ class _HomeSetupProtocol(Protocol):
 
         if rnd == 1 and st.get("cov2"):
             covset = st["cov2"]
-            st["bits"][v] = v in covset
+            if v in covset:  # before any announcement arrives
+                st["home"] = v
             for c in known["kids"].get(v, ()):
                 sends.append((c, (K_COV, v, covset), CAT_CLUSTER_TREE))
 
@@ -158,7 +160,8 @@ class _HomeSetupProtocol(Protocol):
             kind = payload[0]
             if kind == K_COV:
                 _, root, covset = payload
-                st["bits"][root] = v in covset
+                if v in covset and (st["home"] is None or root < st["home"]):
+                    st["home"] = root
                 for c in known["kids"].get(root, ()):
                     sends.append((c, payload, CAT_CLUSTER_TREE))
             elif kind == K_REG:
@@ -180,10 +183,9 @@ class _HomeSetupProtocol(Protocol):
         for action in node.due:
             kind = action[0]
             if kind == "home":
-                homes = sorted(r for r, bit in st["bits"].items() if bit)
-                if not homes:
-                    continue  # cover defect; preprocess() sees home=None and retries
-                home = node.output = homes[0]
+                home = node.output = st["home"]
+                if home is None:
+                    raise BFSError(f"node {v} has no home: no cluster holds its 2-ball")
                 if home == v:
                     known["registrants"].add(v)
                 else:
@@ -227,51 +229,36 @@ class Preprocessed:
     cover: Cover
     H: int
     metrics: RunMetrics
-    attempts: int = 1
-
-
-def _home_setup(g: Graph, cover: Cover) -> Optional[Preprocessed]:
-    H = max(t.depth for t in cover.clusters)
-    res = run(cover.session, _HomeSetupProtocol(H),
-              ModeConfig(allow_quiescence=True, max_rounds=3 * H + 10))
-    cover.session.release()
-    if None in res.outputs.values():
-        return None
-    return Preprocessed(cover=cover, H=H, metrics=cover.metrics.merged_with(res.metrics))
 
 
 def preprocess(g: Graph, seed: int, kappa: Optional[int] = None,
-               covers: Optional[Dict[CoverParams, Cover]] = None) -> Preprocessed:
-    """Build the cover plus home registration; retried with a fresh seed on
-    the (never yet observed) chance that some node ends up homeless.
+               cover: Optional[Cover] = None) -> Preprocessed:
+    """Home setup, once, on the given cover of g (one of another graph is a
+    BFSError) or on the (kappa, 2) cover built from seed; kappa defaults to
+    default_kappa(g.n) and is read only when building.
 
-    ``covers`` maps parameters to covers of g already built; an attempt
-    whose parameters are there uses that cover, and every cover built is
-    added, so a caller keeping the mapping builds each cover of g once."""
-    kap = kappa if kappa is not None else default_kappa(g.n)
-    covers = {} if covers is None else covers
-    last = None
-    for attempt in range(COVER_ATTEMPTS):
-        params = CoverParams(kappa=kap, W=2, seed=seed + attempt)
-        cover = covers.get(params)
-        if cover is None:
-            cover = covers[params] = cover_construction(g, params)
-        pre = _home_setup(g, cover)
-        if pre is not None:
-            return replace(pre, attempts=attempt + 1)
-        last = cover
-    raise BFSError(
-        f"no covering home for some node after {COVER_ATTEMPTS} cover attempts "
-        f"(n={g.n}, kappa={kap}, seed={seed}); last cover had "
-        f"{len(last.clusters) if last else 0} clusters"
-    )
+    The cover's last phase samples with p = 1, so every node's 2-ball lies
+    in some cluster and every node finds a home; a node that finds none is
+    a BFSError naming it."""
+    if cover is None:
+        kap = kappa if kappa is not None else default_kappa(g.n)
+        cover = cover_construction(g, CoverParams(kappa=kap, W=2, seed=seed))
+    else:
+        _check_graph(g, cover)
+    H = max(t.depth for t in cover.clusters)
+    try:
+        res = run(cover.session, _HomeSetupProtocol(H),
+                  ModeConfig(allow_quiescence=True, max_rounds=3 * H + 10))
+    finally:  # a homeless node's BFSError leaves no run state on the cover
+        cover.session.release()
+    return Preprocessed(cover=cover, H=H, metrics=cover.metrics.merged_with(res.metrics))
 
 
-def _check_graph(g: Graph, pre: Preprocessed) -> None:
-    """BFSError unless pre's session holds exactly g's nodes and neighbor lists."""
-    nodes = pre.cover.session.contexts
+def _check_graph(g: Graph, cover: Cover) -> None:
+    """BFSError unless cover's session holds exactly g's nodes and neighbor lists."""
+    nodes = cover.session.contexts
     if {v: node.neighbor_ids for v, node in nodes.items()} != g.adjacency:
-        raise BFSError("the Preprocessed was built on another graph than g")
+        raise BFSError("the cover was built on another graph than g")
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +461,12 @@ def bfs_construction(g: Graph, root: int, seed: int = 0,
     Preprocessed of g to reuse one cover across many roots (leader election
     does); one built on another graph is a BFSError.
     """
-    if root not in g.adjacency:
-        raise BFSError(f"root {root} not in graph")
+    if type(root) is not int or root not in g.adjacency:
+        raise BFSError(f"root {root!r} is not a node id of g")
     if pre is None:
         pre = preprocess(g, seed, kappa)
     else:
-        _check_graph(g, pre)
+        _check_graph(g, pre.cover)
     tree, pm, receipts = _run_phases(g, root, pre)
     tree.validate_spanning(g)
     metrics = pre.metrics.merged_with(pm)
@@ -530,9 +517,10 @@ def randomized_leader_election(g: Graph, seed: int = 0,
         rng = random.Random((seed * 0x9E3779B97F4A7C15 + 0xC2B2AE35) & (2 ** 64 - 1))
         cands = tuple(v for v in g.nodes if rng.random() < p)
     else:
+        bad = [c for c in candidates if type(c) is not int or c not in g.adjacency]
+        if bad:  # checked before sorting: a str or a list does not compare or hash
+            raise BFSError(f"explicit candidate {bad[0]!r} is not a node id of g")
         cands = tuple(sorted(set(candidates)))
-        if any(c not in g.adjacency for c in cands):
-            raise BFSError("explicit candidate outside the graph")
 
     if not cands:
         return ElectionResult(success=False, leader=None, unanimous=False,
@@ -542,7 +530,7 @@ def randomized_leader_election(g: Graph, seed: int = 0,
     if pre is None:
         pre = preprocess(g, seed, kappa)
     else:
-        _check_graph(g, pre)
+        _check_graph(g, pre.cover)
     metrics = pre.metrics
     phase_metrics: Optional[RunMetrics] = None
     best_seen: Dict[int, int] = dict.fromkeys(pre.cover.session.ids, -1)

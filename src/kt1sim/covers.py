@@ -18,7 +18,9 @@ ones, and the measured membership counts are the guardrail for the choice.
 
 All phases run in one engine execution; phase i starts at round
 1 + (i-1)*phase_budget(kappa, W) and the budget is wide enough that a phase's
-deepest exploration is quiescent before the next phase samples.  Sampling
+deepest exploration is quiescent before the next phase samples.  The builder
+holds only ints (n, kappa, W, the budget): a phase's start, depth, cover
+radius and probability are computed from its number when it samples.  Sampling
 timers are chained: setup schedules each node's samples for phases 1 and
 kappa only, and a still uncovered node whose phase-i sample (i < kappa - 1)
 does not promote it schedules its phase-(i+1) sample then.  A covered node
@@ -107,19 +109,17 @@ class _CoverProtocol(ExplorationProtocol):
     name = "cover_construction"
 
     def __init__(self, n: int, kappa: int, W: int):
-        B = phase_budget(kappa, W)
+        self.n = n
         self.kappa = kappa
-        self.phase_start = {i: 1 + (i - 1) * B for i in range(1, kappa + 1)}
-        self.phase_h = {i: phase_depth(kappa, W, i) for i in range(1, kappa + 1)}
-        self.phase_radius = {i: phase_cover_radius(kappa, W, i) for i in range(1, kappa + 1)}
-        self.phase_p = {i: phase_probability(kappa, n, i) for i in range(1, kappa + 1)}
+        self.W = W
+        self.budget = phase_budget(kappa, W)
 
     def setup(self, node: NodeContext) -> None:
         super().setup(node)
         node.output = {"covered": False, "phase": None}
-        node.schedule(self.phase_start[1], ("sample", 1))
+        node.schedule(1, ("sample", 1))
         if self.kappa > 1:
-            node.schedule(self.phase_start[self.kappa], ("sample", self.kappa))
+            node.schedule(1 + (self.kappa - 1) * self.budget, ("sample", self.kappa))
 
     def on_joined(self, node: NodeContext, root: int, depth: int, extra: Any) -> None:
         if depth <= extra:
@@ -132,15 +132,15 @@ class _CoverProtocol(ExplorationProtocol):
         _, i = action
         if node.output["covered"]:
             return []
-        p = self.phase_p[i]
+        p = phase_probability(self.kappa, self.n, i)
         if p < 1.0 and node.rng.random() >= p:
             if i + 1 < self.kappa:  # phase kappa's sample is already due
-                node.schedule(self.phase_start[i + 1], ("sample", i + 1))
+                node.schedule(1 + i * self.budget, ("sample", i + 1))
             return []
         node.output["covered"] = True
         node.output["phase"] = i
-        return self.activate_cluster(node, rnd, self.phase_h[i],
-                                     join_extra=self.phase_radius[i])
+        return self.activate_cluster(node, rnd, phase_depth(self.kappa, self.W, i),
+                                     join_extra=phase_cover_radius(self.kappa, self.W, i))
 
 
 def cover_construction(g: Graph, params: CoverParams) -> Cover:

@@ -665,8 +665,8 @@ def deterministic_bfs(g: Graph, root: int,
     computation at the root; the solution is (parent, layer).  Without a
     spanner it is extracted from gossip, which is run first when not given;
     metrics include the gossip phase whenever there is one."""
-    if root not in g.adjacency:
-        raise SpannerError(f"root {root} not in graph")
+    if type(root) is not int or root not in g.adjacency:
+        raise SpannerError(f"root {root!r} is not a node id of g")
     spanner, gossip = _spanner_of(g, spanner, gossip)
     solution, metrics = _solve(g, _FloodCollectProtocol(root, spanner.incident), 8 * g.n + 20)
     tree = RootedTree(root, *solution)

@@ -13,10 +13,11 @@ are recorded in the output with diagnostics rather than swallowed, and the
 record is self-contained enough to re-derive each verdict.
 
 A private memo shares deterministic stages between trials: the generated
-graph of a spec, and for one trial seed at a time the (kappa, 2) covers and
-the cover preprocessing that ``cover_only``, ``bfs_cover`` and ``le_rand``
-start from.  It holds one spec; a new spec drops the old stages before its
-graph is generated, and a stage that raises stores nothing.  Only stage
+graph of a spec, and for one trial seed at a time its one (kappa, 2) cover
+and the preprocessing of that cover, which ``cover_only``, ``bfs_cover``
+and ``le_rand`` start from.  It holds one spec; a new spec drops the old
+stages before its graph is generated, a new seed drops the old seed's
+before its cover is built, and a stage that raises stores nothing.  Only stage
 results are shared: every trial still runs its own verdict, and its record
 is the one it would get from an empty memo.
 """
@@ -29,7 +30,7 @@ import json
 import math
 import os
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import bfscover, covers, gossipspanner
@@ -166,13 +167,7 @@ class ExperimentRecord:
             "config": self.config.to_jsonable(),
             "n": self.n,
             "passed": self.passed,
-            "trials": [
-                {"seed": t.seed, "ok": t.ok, "rounds": t.rounds,
-                 "messages": t.messages, "by_category": t.by_category,
-                 "ratio": t.ratio, "diagnostics": t.diagnostics,
-                 "extra": t.extra}
-                for t in self.trials
-            ],
+            "trials": [asdict(t) for t in self.trials],
         }
 
     def csv_rows(self) -> List[Dict[str, Any]]:
@@ -214,8 +209,8 @@ class _FloodProtocol(Protocol):
 
 def flood_baseline_bfs(g: Graph, root: int) -> Tuple[RootedTree, RunMetrics]:
     """Reference point: BFS by flooding over every edge (about 2m messages)."""
-    if root not in g.adjacency:
-        raise HarnessError(f"root {root} not in graph")
+    if type(root) is not int or root not in g.adjacency:
+        raise HarnessError(f"root {root!r} is not a node id of g")
     res = run(g, _FloodProtocol(root), ModeConfig(max_rounds=2 * g.n + 10))
     parent, layer = {}, {}
     for v in g.nodes:
@@ -267,35 +262,30 @@ def oracle_mst(g: Graph) -> Tuple[Tuple[int, int], ...]:
 # ---------------------------------------------------------------------------
 
 class _Stages:
-    """The stages built so far on one generated graph."""
+    """The stages built so far on one generated graph: one trial seed, its
+    cover and that cover's preprocessing."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self.seed: Optional[int] = None  # the trial seed cover_at and pre belong to
-        self.cover_at: Dict[covers.CoverParams, covers.Cover] = {}
+        self.seed: Optional[int] = None  # set only together with _cover
+        self._cover: Optional[covers.Cover] = None
         self.pre: Optional[bfscover.Preprocessed] = None
 
-    def _hold_seed(self, seed: int) -> None:
-        if seed != self.seed:
-            self.seed, self.cover_at, self.pre = seed, {}, None
-
     def cover(self, seed: int) -> covers.Cover:
-        """The cover that bfscover.preprocess(graph, seed) tries first."""
-        self._hold_seed(seed)
-        params = covers.CoverParams(kappa=bfscover.default_kappa(self.graph.n), W=2,
-                                    seed=seed)
-        cover = self.cover_at.get(params)
-        if cover is None:
-            cover = self.cover_at[params] = covers.cover_construction(self.graph, params)
-        return cover
+        """The cover that bfscover.preprocess(graph, seed) builds."""
+        if seed != self.seed:
+            self.seed = self._cover = self.pre = None  # freed before the build
+            params = covers.CoverParams(kappa=bfscover.default_kappa(self.graph.n), W=2,
+                                        seed=seed)
+            self._cover = covers.cover_construction(self.graph, params)
+            self.seed = seed
+        return self._cover
 
     def preprocessed(self, seed: int) -> bfscover.Preprocessed:
-        """bfscover.preprocess(graph, seed), on the seed's covers."""
-        self._hold_seed(seed)
+        """bfscover.preprocess(graph, seed), on the seed's cover."""
+        cover = self.cover(seed)
         if self.pre is None:
-            built = dict(self.cover_at)  # kept only if preprocess returns
-            self.pre = bfscover.preprocess(self.graph, seed, covers=built)
-            self.cover_at = built
+            self.pre = bfscover.preprocess(self.graph, seed, cover=cover)
         return self.pre
 
 
@@ -496,16 +486,7 @@ class ScalingTable:
     flagged: bool
 
     def csv_rows(self) -> List[Dict[str, Any]]:
-        out = []
-        for r in self.rows:
-            out.append({"family": r.family, "algo": r.algo, "n": r.n,
-                        "diam": r.diam, "trials": r.trials,
-                        "median_rounds": r.median_rounds,
-                        "median_messages": r.median_messages,
-                        "message_ratio": r.message_ratio,
-                        "round_ratio": r.round_ratio,
-                        "flagged": int(self.flagged)})
-        return out
+        return [{**asdict(r), "flagged": int(self.flagged)} for r in self.rows]
 
 
 def _graph_spec(family: str, n: int, seed: int) -> GraphGenSpec:

@@ -7,7 +7,7 @@ from bisect import bisect_left
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kt1sim import bfscover, simengine
+from kt1sim import bfscover, covers, simengine
 from kt1sim.bfscover import (
     BFSError,
     _BFSPhaseProtocol,
@@ -124,25 +124,56 @@ def test_preprocessed_reuse_across_roots():
         assert res.tree.layer == oracle_bfs(g, root).dist
 
 
-def test_preprocess_takes_and_fills_the_cover_mapping(monkeypatch):
+def test_preprocess_on_a_given_cover_builds_none(monkeypatch):
     g = make_graph("grid", 36)
-    built = {}
-    first = preprocess(g, seed=4, covers=built)
-    assert list(built) == [CoverParams(kappa=default_kappa(g.n), W=2, seed=4)]
-    assert built[first.cover.params] is first.cover
+    first = preprocess(g, seed=4)
+    assert first.cover.params == CoverParams(kappa=default_kappa(g.n), W=2, seed=4)
 
     def no_cover(*args):
-        raise AssertionError("cover rebuilt although the mapping holds it")
+        raise AssertionError("cover built although one was given")
 
     monkeypatch.setattr(bfscover, "cover_construction", no_cover)
-    again = preprocess(g, seed=4, covers=built)
+    again = preprocess(g, seed=4, cover=first.cover)
     assert again.cover is first.cover and again == first
+    # The given cover is used whatever seed and kappa say.
+    assert preprocess(g, seed=9, kappa=1, cover=first.cover) == first
+
+
+def test_preprocess_refuses_another_graphs_cover(monkeypatch):
+    cover = cover_construction(make_graph("grid", 36), CoverParams(kappa=2, W=2))
+    monkeypatch.setattr(bfscover, "run", None)  # no run may start
+    for g in (make_graph("cycle", 36), make_graph("grid", 49)):
+        with pytest.raises(BFSError, match="another graph"):
+            preprocess(g, seed=0, cover=cover)
+
+
+def test_homeless_node_is_a_bfs_error_naming_it(monkeypatch):
+    """No cover built here leaves a node homeless (its last phase samples
+    with p = 1); one whose every announced set misses node 7 does."""
+    g = make_graph("grid", 36)
+    real_setup = _HomeSetupProtocol.setup
+
+    def setup_without_7(self, node):
+        real_setup(self, node)
+        if "cov2" in node.state:
+            node.state["cov2"] = node.state["cov2"] - {7}
+
+    monkeypatch.setattr(_HomeSetupProtocol, "setup", setup_without_7)
+    with pytest.raises(BFSError, match=r"^node 7 has no home"):
+        preprocess(g, seed=0)
+    cover = cover_construction(g, CoverParams(kappa=2, W=2))
+    with pytest.raises(BFSError, match=r"^node 7 has no home"):
+        preprocess(g, seed=0, cover=cover)
+    # The failed run's node state is released; what the nodes learned stays.
+    nodes = cover.session.contexts.values()
+    assert all(not node.state and node.output is None and node.known["mem"] for node in nodes)
 
 
 def test_preprocessed_is_frozen():
     pre = preprocess(make_graph("path", 6), seed=0)
+    assert [f.name for f in dataclasses.fields(pre)] == ["cover", "H", "metrics"]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        pre.attempts = 2
+        pre.H = 2
     with pytest.raises(dataclasses.FrozenInstanceError):
         pre.cover.metrics = None
 
@@ -151,6 +182,23 @@ def test_bad_root_rejected():
     g = make_graph("path", 4)
     with pytest.raises(BFSError):
         bfs_construction(g, 99)
+
+
+@pytest.mark.parametrize("root", [1.0, True, "1", None, [1]])
+def test_root_must_be_an_int_node_id(root, monkeypatch):
+    # 1.0 and True equal and hash like node 1; a tree rooted there would not
+    # survive its own JSON round trip.
+    monkeypatch.setattr(bfscover, "run", None)  # no run may start
+    with pytest.raises(BFSError, match="is not a node id of g"):
+        bfs_construction(make_graph("path", 4), root)
+
+
+@pytest.mark.parametrize("candidates", [[1, "a"], [[1]], [1.0], [2, True], [None]])
+def test_candidates_must_be_int_node_ids(candidates, monkeypatch):
+    # Checked before sorting: [1, "a"] does not sort and [[1]] does not hash.
+    monkeypatch.setattr(bfscover, "run", None)  # no run may start
+    with pytest.raises(BFSError, match="is not a node id of g"):
+        randomized_leader_election(make_graph("path", 4), candidates=candidates)
 
 
 def test_same_seed_same_run():
@@ -378,8 +426,9 @@ def test_election_frees_each_candidates_node_state_before_checking_its_tree(monk
 
 
 def test_stage_protocols_hold_only_ints(monkeypatch):
-    """The home setup and the BFS phases keep no per-node map of their own:
-    every attribute of the instances a BFS builds is an int."""
+    """The cover builder, the home setup and the BFS phases keep no
+    per-node or per-phase map of their own: every attribute of the
+    instances a BFS builds is an int."""
     protocols = []
     real_run = bfscover.run
 
@@ -388,9 +437,11 @@ def test_stage_protocols_hold_only_ints(monkeypatch):
         return real_run(graph, protocol, config)
 
     monkeypatch.setattr(bfscover, "run", recording_run)
+    monkeypatch.setattr(covers, "run", recording_run)
     g = make_graph("erdos_renyi", 60, seed=4, p=0.1, id_scheme="random_permutation")
     bfs_construction(g, min(g.nodes), seed=1)
-    assert [type(p) for p in protocols] == [_HomeSetupProtocol, _BFSPhaseProtocol]
+    assert [type(p) for p in protocols] == [covers._CoverProtocol, _HomeSetupProtocol,
+                                            _BFSPhaseProtocol]
     for p in protocols:
         assert vars(p) and all(type(x) is int for x in vars(p).values()), vars(p)
 

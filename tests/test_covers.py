@@ -401,12 +401,15 @@ def test_cover_tie_goes_to_the_least_id_parent():
 class _EveryPhaseCover(covers._CoverProtocol):
     """The schedule before chaining: every node's sample for every phase is
     on the calendar from setup on, and a covered node wakes in each later
-    phase to do nothing."""
+    phase to do nothing.  Phase i starts in round 1 + (i - 1) * budget, and
+    its probability, depth and cover radius are the closed forms of
+    covers (looked up at call time, so a patched probability applies)."""
 
     def setup(self, node):
         super().setup(node)  # phases 1 and kappa
+        budget = phase_budget(self.kappa, self.W)
         for i in range(2, self.kappa):
-            node.schedule(self.phase_start[i], ("sample", i))
+            node.schedule(1 + (i - 1) * budget, ("sample", i))
 
     def run_action(self, node, rnd, action):
         if action[0] != "sample":
@@ -414,13 +417,13 @@ class _EveryPhaseCover(covers._CoverProtocol):
         _, i = action
         if node.output["covered"]:
             return []
-        p = self.phase_p[i]
+        p = covers.phase_probability(self.kappa, self.n, i)
         if p < 1.0 and node.rng.random() >= p:
             return []
         node.output["covered"] = True
         node.output["phase"] = i
-        return self.activate_cluster(node, rnd, self.phase_h[i],
-                                     join_extra=self.phase_radius[i])
+        return self.activate_cluster(node, rnd, covers.phase_depth(self.kappa, self.W, i),
+                                     join_extra=covers.phase_cover_radius(self.kappa, self.W, i))
 
 
 def _pending_samples(clock):

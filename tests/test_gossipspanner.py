@@ -376,6 +376,13 @@ def test_bfs_bad_root():
         deterministic_bfs(make_graph("path", 3), 44)
 
 
+@pytest.mark.parametrize("root", [1.0, True, "1"])
+def test_bfs_root_must_be_an_int_node_id(root, monkeypatch):
+    monkeypatch.setattr(gossipspanner, "run", None)  # no gossip may start
+    with pytest.raises(SpannerError, match="is not a node id of g"):
+        deterministic_bfs(make_graph("path", 3), root)
+
+
 def test_bfs_over_a_spanner_that_misses_a_node_names_it():
     sp = Spanner(edges=frozenset({(1, 2)}), iterations=1, incident={1: (2,), 2: (1,)})
     with pytest.raises(SpannerError, match="never reached node 3$"):

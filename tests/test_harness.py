@@ -157,6 +157,13 @@ def test_flood_single_node():
     assert metrics.messages_total == 0
 
 
+@pytest.mark.parametrize("root", [1.0, True, "1", 99])
+def test_flood_root_must_be_an_int_node_id(root, monkeypatch):
+    monkeypatch.setattr(harness, "run", None)  # no run may start
+    with pytest.raises(HarnessError, match="is not a node id of g"):
+        flood_baseline_bfs(make_graph("path", 3), root)
+
+
 def test_oracle_mst_small():
     assert oracle_mst(make_graph("cycle", 3)) == ((1, 2), (1, 3))
     star = make_graph("star", 5)
@@ -289,8 +296,40 @@ def test_memo_holds_one_trial_seed():
     run_experiment(ExperimentConfig(graph=MEMO_SPECS["er40"], algo="le_rand",
                                     seeds=(0, 1, 2), trials=3))
     held = harness._memo[MEMO_SPECS["er40"]]
-    assert held.seed == 2
-    assert {p.seed for p in held.cover_at} == {2} and held.pre.cover.params.seed == 2
+    assert held.seed == 2 and held._cover.params.seed == 2
+    assert held.pre.cover is held._cover
+
+
+def _count_builds(monkeypatch):
+    """Calls of covers.cover_construction and bfscover.preprocess from now on."""
+    builds = []
+    for module, name in ((covers, "cover_construction"), (bfscover, "preprocess")):
+        def counted(*args, _name=name, _real=getattr(module, name), **kw):
+            builds.append(_name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(module, name, counted)
+    return builds
+
+
+def test_failed_cover_build_leaves_no_cover_behind(monkeypatch):
+    harness._clear_stages()
+    gspec = MEMO_SPECS["grid36"]
+    run_experiment(ExperimentConfig(graph=gspec, algo="bfs_cover", seeds=(0,)))
+    held = harness._memo[gspec]
+
+    def no_cover(*args):
+        raise covers.CoverError("cover build failed")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(covers, "cover_construction", no_cover)
+        with pytest.raises(covers.CoverError):
+            run_experiment(ExperimentConfig(graph=gspec, algo="bfs_cover", seeds=(1,)))
+    # The old seed's stages went before the build; the new seed was not kept.
+    assert held.seed is None and held._cover is None and held.pre is None
+    builds = _count_builds(monkeypatch)
+    assert run_experiment(ExperimentConfig(graph=gspec, algo="bfs_cover", seeds=(1,))).all_ok
+    assert builds == ["cover_construction", "preprocess"]
+    assert held.seed == 1 and held.pre.cover is held._cover
 
 
 def test_failed_preprocess_leaves_nothing_behind(monkeypatch):
@@ -298,18 +337,29 @@ def test_failed_preprocess_leaves_nothing_behind(monkeypatch):
     gspec = MEMO_SPECS["grid36"]
     run_experiment(ExperimentConfig(graph=gspec, algo="cover_only"))
     held = harness._memo[gspec]
-    before = dict(held.cover_at)
-    monkeypatch.setattr(bfscover, "_home_setup", lambda g, cover: None)
-    with pytest.raises(BFSError):
-        run_experiment(ExperimentConfig(graph=gspec, algo="bfs_cover"))
-    assert held.cover_at == before and held.pre is None
+    cover = held._cover
+    real_setup = bfscover._HomeSetupProtocol.setup
+
+    def setup_without_5(self, node):  # node 5 finds no home
+        real_setup(self, node)
+        if "cov2" in node.state:
+            node.state["cov2"] = node.state["cov2"] - {5}
+
+    with monkeypatch.context() as mp:
+        mp.setattr(bfscover._HomeSetupProtocol, "setup", setup_without_5)
+        with pytest.raises(BFSError, match="node 5 has no home"):
+            run_experiment(ExperimentConfig(graph=gspec, algo="bfs_cover"))
+    assert held._cover is cover and held.pre is None
+    builds = _count_builds(monkeypatch)
+    assert run_experiment(ExperimentConfig(graph=gspec, algo="bfs_cover")).all_ok
+    assert builds == ["preprocess"] and held.pre.cover is cover
 
 
 def test_memo_cover_is_frozen():
     harness._clear_stages()
     gspec = MEMO_SPECS["grid36"]
     run_experiment(ExperimentConfig(graph=gspec, algo="cover_only"))
-    (cover,) = harness._memo[gspec].cover_at.values()
+    cover = harness._memo[gspec]._cover
     with pytest.raises(dataclasses.FrozenInstanceError):
         cover.clusters = ()
 
