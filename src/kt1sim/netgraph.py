@@ -74,15 +74,15 @@ class Graph:
         # Neighbor sets, built on first lookup, keep the symmetry check O(m).
         nbr_sets: Dict[int, frozenset] = {}
         for v, nbrs in adj.items():
-            if not isinstance(v, int) or v < 1 or v > id_cap:
+            if type(v) is not int or v < 1 or v > id_cap:  # not bool
                 raise GraphError(f"node id {v!r} outside [1, n^3] for n={n}")
             if list(nbrs) != sorted(set(nbrs)):
                 raise GraphError(f"neighbor list of {v} not sorted/deduplicated")
             for u in nbrs:
                 if u == v:
                     raise GraphError(f"self loop at {v}")
-                if u not in adj:
-                    raise GraphError(f"edge ({v},{u}) points outside the node set")
+                if type(u) is not int or u not in adj:
+                    raise GraphError(f"edge ({v},{u!r}) points outside the node set")
                 back = nbr_sets.get(u)
                 if back is None:
                     back = nbr_sets[u] = frozenset(adj[u])
@@ -193,7 +193,7 @@ def _structural_adjacency(spec: GraphGenSpec, rng: random.Random) -> Dict[int, L
     if spec.family != "erdos_renyi":
         return _positions(n, _family_edges(spec))
     for _ in range(ER_RETRY_BUDGET):
-        adj = _positions(n, _er_draw(n, spec.p, rng))
+        adj = _er_draw(n, spec.p, rng)
         if _connected(adj):
             return adj
     raise GraphError(
@@ -246,10 +246,11 @@ _PAIR = struct.Struct("<II")
 _CANDIDATE = re.compile(b"\x00")
 
 
-def _er_draw(n: int, p: float, rng: random.Random) -> List[Tuple[int, int]]:
-    """The edges (i, j), i < j, in row-major order, that the per-pair loop
+def _er_draw(n: int, p: float, rng: random.Random) -> Dict[int, List[int]]:
+    """The neighbor lists that `_positions` builds from the edges (i, j),
+    i < j, in row-major order, that the per-pair loop
     ``[(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]``
-    returns, leaving rng in the same state.
+    returns, leaving rng in the same state; no edge list is built.
 
     CPython's ``random()`` is K / 2^53 with K = (a >> 5) * 2^26 + (b >> 6),
     where a and b are the next two 32-bit Mersenne Twister words, and
@@ -270,7 +271,7 @@ def _er_draw(n: int, p: float, rng: random.Random) -> List[Tuple[int, int]]:
     bound = (t - 1) >> 45
     marks = bytes(c > bound for c in range(256))
     unpack = _PAIR.unpack_from
-    edges: List[Tuple[int, int]] = []
+    adj: Dict[int, List[int]] = {i: [] for i in range(n)}
     i, row_end = 0, n - 1  # row i holds flat pair indices [.., row_end)
     total = n * (n - 1) // 2
     for start in range(0, total, _ER_CHUNK):
@@ -287,8 +288,10 @@ def _er_draw(n: int, p: float, rng: random.Random) -> List[Tuple[int, int]]:
             while f >= row_end:
                 i += 1
                 row_end += n - 1 - i
-            edges.append((i, n - row_end + f))
-    return edges
+            j = n - row_end + f
+            adj[i].append(j)
+            adj[j].append(i)
+    return adj
 
 
 def _near_square_rows(n: int) -> int:
@@ -345,8 +348,8 @@ def generate_graph(spec: GraphGenSpec) -> Graph:
 def oracle_bfs(g: Graph, root: int) -> DistanceMap:
     """Centralized breadth-first distances; the ground truth every
     distributed BFS in this package is judged against."""
-    if root not in g.adjacency:
-        raise GraphError(f"root {root} not in graph")
+    if type(root) is not int or root not in g.adjacency:
+        raise GraphError(f"root {root!r} not in graph")
     dist = {root: 0}
     frontier = [root]
     d = 0

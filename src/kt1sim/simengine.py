@@ -18,24 +18,30 @@ A step's node.inbox and node.due are the engine's own sequences and are
 read-only; a step with no mail or no due timer gets the shared empty
 tuple EMPTY there, so an idle slot allocates nothing.
 
-The send loop checks each message's edge, counts it and delivers it; in
-gossip mode it also polices each step that sent more than one message.
+The send loop checks each message's edge against the sender's neighbor
+table (a dict keyed by its neighbor ids, built on the node's first send and
+dropped when it halts, so a flood holds tables only for nodes that can
+still send), counts it and delivers it; in gossip mode it also polices each
+step that sent more than one message.  Consecutive sends of one step with
+the same payload object share one inbox entry (src, payload): a broadcast
+to d neighbors builds one tuple, not d.
 Trace recording and digesting are a second pass over the same sends, made
 only when record_trace or trace_digest is on.  Mail to a node that has
 already halted is checked, counted, traced and digested when it is sent,
 and then dropped: no node can ever read it.
 
-A Session holds one graph's nodes (sorted ids, one NodeContext and one
-neighbor table per node, a dict keyed by the neighbor ids, and one clock),
-built once for a sequence of runs on that graph: run() accepts a Session in
-place of a Graph, and from the session's second run on it first puts every
-node's per-run slots (state, inbox, due, output, rng and its seed) and the
-clock back to their fresh values, so each run is exactly the run on the
-bare graph.  Session.release() does that reset early, to free a run's node
-state once its outputs are read.  run(graph, ...) is a one-run session.  A
-session run's RunResult.contexts are the session's own contexts, valid only
-until the next run or release on that session.  No reset touches a node's
-known slot: what it learned in one run and reads in a later one.
+A Session holds one graph's nodes (sorted ids, one NodeContext per node,
+the neighbor tables of the nodes that have sent and not halted since, and
+one clock), built once for a sequence of runs on that graph: run() accepts
+a Session in place of a Graph, and from the session's second run on it
+first puts every node's per-run slots (state, inbox, due, output, rng and
+its seed) and the clock back to their fresh values, so each run is exactly
+the run on the bare graph.  Session.release() does that reset early, to
+free a run's node state once its outputs are read.  run(graph, ...) is a
+one-run session.  A session run's RunResult.contexts are the session's own
+contexts, valid only until the next run or release on that session.  No
+reset touches a node's known slot: what it learned in one run and reads in
+a later one.
 """
 
 from __future__ import annotations
@@ -64,6 +70,9 @@ GOSSIP_RSP = "rsp"
 # The inbox and due of a node's step with no mail or no due timer: one
 # shared, immutable empty, so an idle slot allocates nothing.
 EMPTY: Tuple[()] = ()
+
+# Matches no payload: the send loop's "no entry built yet in this step".
+_UNSENT = object()
 
 _RNG_MIX = 0x9E3779B97F4A7C15
 _RNG_MASK = (1 << 64) - 1
@@ -217,9 +226,10 @@ class Session:
     """The nodes of one graph, built once and reused by every run() given
     this session.  A fresh session's contexts are used as built; a later run
     first resets each one's per-run slots and the shared clock, unless
-    release() already has.  It holds n contexts and n neighbor tables, and
-    the state of its last run until release(): keep it only while its runs
-    or its nodes' known slots are needed (a Cover keeps its own)."""
+    release() already has.  It holds n contexts, the neighbor tables of
+    the nodes that have sent and not halted since, and the state of its
+    last run until release(): keep it only while its runs or its nodes'
+    known slots are needed (a Cover keeps its own)."""
 
     __slots__ = ("ids", "contexts", "nbr_sets", "clock", "_used")
 
@@ -228,8 +238,7 @@ class Session:
         self.clock = clock = _Clock()
         adj = graph.adjacency
         self.contexts = {v: NodeContext(v, adj[v], 0, clock) for v in self.ids}
-        # dicts, not frozensets: the same lookup time at about half the size
-        self.nbr_sets = {v: dict.fromkeys(adj[v]) for v in self.ids}
+        self.nbr_sets: Dict[int, Dict[int, None]] = {}
         self._used = False
 
     def release(self) -> None:
@@ -402,7 +411,10 @@ def run(graph: Union[Graph, Session], protocol: Protocol,
             node.due = due.get(v) or EMPTY  # None: the round-1 wake
             sends, halt = step(node, rnd)
             if sends:
-                allowed = nbr_sets[v]
+                allowed = nbr_sets.get(v)
+                if allowed is None:  # a dict, not a frozenset: half the size
+                    allowed = nbr_sets[v] = dict.fromkeys(node.neighbor_ids)
+                last = _UNSENT
                 for dst, payload, cat in sends:
                     if dst not in allowed:
                         raise ModelViolation(
@@ -411,11 +423,14 @@ def run(graph: Union[Graph, Session], protocol: Protocol,
                     counts[cat] += 1
                     if halted and dst in halted:
                         continue  # counted (and traced below) but never read
+                    if payload is not last:  # a broadcast shares one entry
+                        last = payload
+                        entry = (v, payload)
                     box = pending.get(dst)
                     if box is None:
-                        pending[dst] = [(v, payload)]
+                        pending[dst] = [entry]
                     else:
-                        box.append((v, payload))
+                        box.append(entry)
                 # One send cannot break the rule; the lowest violator is
                 # raised once the round is stepped.
                 if gossip_mode and violation is None and len(sends) > 1:
@@ -433,6 +448,7 @@ def run(graph: Union[Graph, Session], protocol: Protocol,
                             hasher.update(_canon(payload))
             if halt:
                 halted.add(v)
+                nbr_sets.pop(v, None)
 
         if violation is not None:
             raise violation

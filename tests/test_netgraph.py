@@ -28,7 +28,7 @@ from kt1sim.netgraph import (
     read_edge_list,
     write_edge_list,
 )
-from kt1sim.netgraph import _er_draw, _structural_adjacency
+from kt1sim.netgraph import _er_draw, _positions, _structural_adjacency
 
 
 def _spec(family, n, **kw):
@@ -98,7 +98,9 @@ def test_bulk_er_draw_equals_per_pair_draw(n, p):
         p = er_connectivity_safe_p(n)
     for seed in (0, 1, 2, 12345):
         bulk, ref = random.Random(seed), random.Random(seed)
-        assert _er_draw(n, p, bulk) == _per_pair_draw(n, p, ref)
+        # Dict equality ignores key order; the item lists do not.
+        got, want = _er_draw(n, p, bulk), _positions(n, _per_pair_draw(n, p, ref))
+        assert list(got.items()) == list(want.items())
         assert bulk.getstate() == ref.getstate()
         # So the ids drawn next are the same too.
         assert bulk.sample(range(1, n ** 3 + 1), n) == ref.sample(range(1, n ** 3 + 1), n)
@@ -204,6 +206,19 @@ def test_graph_reports_first_adjacency_defect(adj, says):
     assert str(exc.value) == says
 
 
+@pytest.mark.parametrize("adj, says", [
+    ({True: (2,), 2: (True,)}, "node id True outside [1, n^3] for n=2"),
+    ({1: (2,), 2: (True,)}, "edge (2,True) points outside the node set"),
+    ({1: (2,), 2: (1.0,)}, "edge (2,1.0) points outside the node set"),
+])
+def test_graph_takes_only_int_node_ids(adj, says):
+    """True == 1 and 1.0 == 1, and both hash alike, so only the type tells
+    them apart from node 1."""
+    with pytest.raises(GraphError) as exc:
+        Graph(adjacency=adj)
+    assert str(exc.value) == says
+
+
 def test_oracle_bfs_path():
     g = generate_graph(_spec("path", 3))
     assert oracle_bfs(g, 1).dist == {1: 0, 2: 1, 3: 2}
@@ -220,6 +235,14 @@ def test_oracle_bfs_unknown_root():
     g = generate_graph(_spec("path", 3))
     with pytest.raises(GraphError):
         oracle_bfs(g, 99)
+
+
+@pytest.mark.parametrize("root", [1.0, True, "a"])
+def test_oracle_bfs_root_must_be_an_int_node_id(root):
+    """1.0 and True equal node 1 and hash alike, but are no node id."""
+    g = generate_graph(_spec("path", 3))
+    with pytest.raises(GraphError, match=f"^root {root!r} not in graph$"):
+        oracle_bfs(g, root)
 
 
 def test_oracle_bfs_vs_matrix_powers():

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import random
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -661,13 +662,126 @@ def test_release_clears_the_run_slots_and_keeps_known():
     assert [node.known for node in nodes] == [2, 2, 2]
 
 
+class PingForever(Protocol):
+    """Every node pings its neighbors in round 1; the nodes in halting
+    halt right after, the others never halt."""
+
+    def __init__(self, halting=()):
+        self.halting = halting
+
+    def step(self, node, rnd):
+        if rnd == 1:
+            sends = [(w, ("ping",), CAT_CONTROL) for w in node.neighbor_ids]
+            return sends, node.self_id in self.halting
+        return NO_SENDS, False
+
+
+QUIET = ModeConfig(allow_quiescence=True)
+
+
 @pytest.mark.parametrize("n", [256, 2048])
 def test_session_neighbor_tables_stay_small(n):
     """dicts take about 41 bytes per directed edge at these degrees, the
-    frozensets they replaced 74-86."""
+    frozensets they replaced 74-86.  Every node sends and none halts, so
+    every node's table is there to measure."""
     g = _graph("erdos_renyi", n, p=er_connectivity_safe_p(n))
-    tables = Session(g).nbr_sets
+    session = Session(g)
+    assert session.nbr_sets == {}
+    run(session, PingForever(), QUIET)
+    tables = session.nbr_sets
+    assert sorted(tables) == list(g.nodes)
+    assert all(list(tables[v]) == list(g.adjacency[v]) for v in g.nodes)
     assert sum(map(sys.getsizeof, tables.values())) <= 48 * 2 * g.m
+
+
+def test_a_halted_nodes_table_is_dropped_and_rebuilt_on_its_next_send():
+    session = Session(_graph("path", 3))
+    run(session, PingForever(halting={2}), QUIET)
+    tables = session.nbr_sets
+    assert sorted(tables) == [1, 3]
+    kept = tables[1]
+    run(session, PingForever(), QUIET)
+    assert tables[2] == dict.fromkeys((1, 3))
+    assert tables[1] is kept  # a node that never halts keeps its table
+    run(session, Silent())  # halting drops a table even with no send
+    assert tables == {}
+
+
+class StrayFirst(Protocol):
+    """Node 1's first send goes to node 3, which is no neighbor on a path."""
+
+    def step(self, node, rnd):
+        if node.self_id == 1:
+            return [(3, ("x",), CAT_CONTROL)], True
+        return NO_SENDS, True
+
+
+def test_a_first_send_and_a_send_after_a_rebuild_are_edge_checked():
+    session = Session(_graph("path", 3))
+    with pytest.raises(ModelViolation, match="node 1 sent to non-neighbor 3"):
+        run(session, StrayFirst())  # no table yet on a fresh session
+    run(session, PingForever(halting={1, 2, 3}))
+    assert session.nbr_sets == {}
+    with pytest.raises(ModelViolation, match="node 1 sent to non-neighbor 3"):
+        run(session, StrayFirst())  # the table is rebuilt, then checked
+
+
+class SharedEntries(Protocol):
+    """Star, centre 1 and leaves 2..5.  In round 1 the centre sends one
+    payload object to every leaf, then an equal but distinct one to leaf 2,
+    None to leaf 3 and the empty tuple to leaves 4 and 5; leaf 2 sends None
+    to the centre and leaf 3 the empty tuple, each as its first send.  In
+    round 2 every node keeps its inbox as its output and halts."""
+
+    def __init__(self):
+        self.payload = ("b",)
+        self.twin = tuple(["b"])
+
+    def step(self, node, rnd):
+        if rnd == 2:
+            node.output = list(node.inbox)
+            return NO_SENDS, True
+        v = node.self_id
+        if v == 1:
+            sends = [(w, self.payload, CAT_CONTROL) for w in node.neighbor_ids]
+            sends += [(2, self.twin, CAT_CONTROL), (3, None, CAT_CONTROL),
+                      (4, (), CAT_CONTROL), (5, (), CAT_CONTROL)]
+            return sends, False
+        if v in (2, 3):
+            return [(1, None if v == 2 else (), CAT_CONTROL)], False
+        return NO_SENDS, False
+
+
+def test_a_broadcast_shares_one_inbox_entry_and_odd_payloads_arrive_intact():
+    proto = SharedEntries()
+    res = run(_graph("star", 5), proto, ModeConfig(record_trace=True))
+    out = res.outputs
+    first = out[2][0]
+    assert first == (1, ("b",)) and first[1] is proto.payload
+    assert all(out[w][0] is first for w in (3, 4, 5))
+    assert out[2][1] == (1, ("b",)) and out[2][1] is not first
+    assert out[2][1][1] is proto.twin
+    assert out[3][1] == (1, None)
+    assert out[4][1] == (1, ()) and out[5][1] is out[4][1]
+    assert out[1] == [(2, None), (3, ())]
+    assert [(e.src, e.dst, e.payload) for e in res.trace if e.round_no == 1] == [
+        (1, 2, ("b",)), (1, 3, ("b",)), (1, 4, ("b",)), (1, 5, ("b",)),
+        (1, 2, ("b",)), (1, 3, None), (1, 4, ()), (1, 5, ()),
+        (2, 1, None), (3, 1, ())]
+
+
+def test_flood_heap_peak_above_the_graph_stays_small():
+    """A flood holds tables only for the nodes that have not halted, and
+    one inbox entry per broadcast: on ER-2048 its heap peak is about
+    1.7 MB, where one table per node and one entry per message took 4.8."""
+    g = generate_graph(harness._graph_spec("erdos_renyi", 2048, 0))
+    tracemalloc.start()
+    try:
+        harness.flood_baseline_bfs(g, min(g.nodes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
 
 
 class Token:
