@@ -19,29 +19,30 @@ read-only; a step with no mail or no due timer gets the shared empty
 tuple EMPTY there, so an idle slot allocates nothing.
 
 The send loop checks each message's edge against the sender's neighbor
-table (a dict keyed by its neighbor ids, built on the node's first send and
-dropped when it halts, so a flood holds tables only for nodes that can
-still send), counts it and delivers it; in gossip mode it also polices each
-step that sent more than one message.  Consecutive sends of one step with
-the same payload object share one inbox entry (src, payload): a broadcast
-to d neighbors builds one tuple, not d.
+table (a dict keyed by its neighbor ids in the graph, not in the node's own
+neighbor_ids slot, which a step could rebind; built on the node's first
+send and dropped when it halts, so a flood holds tables only for nodes that
+can still send), counts it and delivers it; in gossip mode it also polices
+each step that sent more than one message.  Consecutive sends of one step
+with the same payload object share one inbox entry (src, payload): a
+broadcast to d neighbors builds one tuple, not d.
 Trace recording and digesting are a second pass over the same sends, made
 only when record_trace or trace_digest is on.  Mail to a node that has
 already halted is checked, counted, traced and digested when it is sent,
 and then dropped: no node can ever read it.
 
-A Session holds one graph's nodes (sorted ids, one NodeContext per node,
-the neighbor tables of the nodes that have sent and not halted since, and
-one clock), built once for a sequence of runs on that graph: run() accepts
-a Session in place of a Graph, and from the session's second run on it
-first puts every node's per-run slots (state, inbox, due, output, rng and
-its seed) and the clock back to their fresh values, so each run is exactly
-the run on the bare graph.  Session.release() does that reset early, to
-free a run's node state once its outputs are read.  run(graph, ...) is a
-one-run session.  A session run's RunResult.contexts are the session's own
-contexts, valid only until the next run or release on that session.  No
-reset touches a node's known slot: what it learned in one run and reads in
-a later one.
+A Session holds one graph's nodes (sorted ids, the graph's adjacency, one
+NodeContext per node, the neighbor tables of the nodes that have sent and
+not halted since, and one clock), built once for a sequence of runs on that
+graph: run() accepts a Session in place of a Graph, and from the session's
+second run on it first puts every node's per-run slots (state, inbox, due,
+output, rng and its seed) and the clock back to their fresh values, so each
+run is exactly the run on the bare graph.  Session.release() does that reset
+early, to free a run's node state once its outputs are read.  run(graph,
+...) is a one-run session.  A session run's RunResult.contexts are the
+session's own contexts, valid only until the next run or release on that
+session.  No reset touches a node's known slot: what it learned in one run
+and reads in a later one.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .netgraph import Graph
@@ -155,7 +157,7 @@ class RunMetrics:
 
 class _Clock:
     """Engine-side timers shared by a run's nodes: the round being
-    processed, cal (round -> {node: actions in scheduling order, or None
+    processed, cal (round -> {node: actions in scheduling order, or EMPTY
     for a node that steps in round 1 with no action}) and a heap holding
     each round of cal once."""
 
@@ -209,7 +211,7 @@ class NodeContext:
                 heapq.heappush(clock.heap, rnd)
             else:
                 acts = bucket.get(self.self_id)
-                if acts is None:
+                if not acts:  # None, or EMPTY: the round-1 wake
                     bucket[self.self_id] = [action]
                 else:
                     acts.append(action)
@@ -226,19 +228,20 @@ class Session:
     """The nodes of one graph, built once and reused by every run() given
     this session.  A fresh session's contexts are used as built; a later run
     first resets each one's per-run slots and the shared clock, unless
-    release() already has.  It holds n contexts, the neighbor tables of
-    the nodes that have sent and not halted since, and the state of its
-    last run until release(): keep it only while its runs or its nodes'
-    known slots are needed (a Cover keeps its own)."""
+    release() already has.  It holds the graph's adjacency, n contexts,
+    the neighbor tables of the nodes that have sent and not halted since,
+    and the state of its last run until release(): keep it only while its
+    runs or its nodes' known slots are needed (a Cover keeps its own)."""
 
-    __slots__ = ("ids", "contexts", "nbr_sets", "clock", "_used")
+    __slots__ = ("ids", "adj", "contexts", "nbr_sets", "clock", "_used")
 
     def __init__(self, graph: Graph):
         self.ids = graph.nodes
         self.clock = clock = _Clock()
-        adj = graph.adjacency
+        self.adj = adj = graph.adjacency  # edge checks read this, not node slots
         self.contexts = {v: NodeContext(v, adj[v], 0, clock) for v in self.ids}
-        self.nbr_sets: Dict[int, Dict[int, None]] = {}
+        # None until the node's first send, and again once it halts
+        self.nbr_sets: Dict[int, Optional[Dict[int, None]]] = dict.fromkeys(self.ids)
         self._used = False
 
     def release(self) -> None:
@@ -260,7 +263,7 @@ class Session:
 
     def _start(self, seed: int) -> None:
         """Ready the nodes for a run whose rngs use seed.  Every node steps
-        in round 1: its round-1 calendar entry is None until a setup
+        in round 1: its round-1 calendar entry is EMPTY until a setup
         schedules an action for that round."""
         self.release()
         if seed:  # fresh contexts hold seed 0
@@ -268,7 +271,7 @@ class Session:
                 node._seed = seed
         self._used = True
         clock = self.clock
-        clock.cal = {1: dict.fromkeys(self.ids)}
+        clock.cal = {1: dict.fromkeys(self.ids, EMPTY)}
         clock.heap = [1]
 
 
@@ -345,12 +348,15 @@ def run(graph: Union[Graph, Session], protocol: Protocol,
     ids = session.ids
     nodes = session.contexts
     nbr_sets = session.nbr_sets
+    adj = session.adj
     clock = session.clock
     for v in ids:
         protocol.setup(nodes[v])
     cal = clock.cal  # filled by NodeContext.schedule
     timer_heap = clock.heap
 
+    # No comprehension in this function reads halted, counts, nodes or v:
+    # one would make them closure cells, slower to read in the send loop.
     halted: set = set()
     n_total = len(ids)
     counts = [0, 0, 0, 0]
@@ -358,6 +364,7 @@ def run(graph: Union[Graph, Session], protocol: Protocol,
     hasher = hashlib.blake2b(digest_size=16) if config.trace_digest else None
     gossip_mode = config.gossip_mode
     observed = trace is not None or hasher is not None
+    policed = gossip_mode or observed
     step = protocol.step  # after any per-instance shadowing of step
     no_timers: Dict[int, List[Any]] = {}
 
@@ -397,9 +404,10 @@ def run(graph: Union[Graph, Session], protocol: Protocol,
         due = cal.pop(rnd, no_timers)
         if due is not no_timers:
             heapq.heappop(timer_heap)  # rnd, the heap's least round
-        order = sorted(inboxes.keys() | due.keys()) if due else sorted(inboxes)
+        order = inboxes.keys() | due.keys() if due else inboxes
         if halted:  # mail and timers of halted nodes are dropped
-            order = [v for v in order if v not in halted]
+            order = filterfalse(halted.__contains__, order)
+        order = sorted(order)
         if not order:
             continue
         last_active = rnd
@@ -408,19 +416,19 @@ def run(graph: Union[Graph, Session], protocol: Protocol,
         for v in order:
             node = nodes[v]
             node.inbox = inboxes.get(v, EMPTY)
-            node.due = due.get(v) or EMPTY  # None: the round-1 wake
+            node.due = due.get(v, EMPTY) if due else EMPTY  # most rounds: none
             sends, halt = step(node, rnd)
             if sends:
-                allowed = nbr_sets.get(v)
+                allowed = nbr_sets[v]
                 if allowed is None:  # a dict, not a frozenset: half the size
-                    allowed = nbr_sets[v] = dict.fromkeys(node.neighbor_ids)
+                    allowed = nbr_sets[v] = dict.fromkeys(adj[v])
                 last = _UNSENT
                 for dst, payload, cat in sends:
                     if dst not in allowed:
                         raise ModelViolation(
                             f"round {rnd}: node {v} sent to non-neighbor {dst}"
                         )
-                    counts[cat] += 1
+                    counts[cat] = counts[cat] + 1  # fewer opcodes than +=
                     if halted and dst in halted:
                         continue  # counted (and traced below) but never read
                     if payload is not last:  # a broadcast shares one entry
@@ -431,24 +439,27 @@ def run(graph: Union[Graph, Session], protocol: Protocol,
                         pending[dst] = [entry]
                     else:
                         box.append(entry)
-                # One send cannot break the rule; the lowest violator is
-                # raised once the round is stepped.
-                if gossip_mode and violation is None and len(sends) > 1:
-                    links = [(v, dst) for dst, payload, cat in sends
-                             if cat == CAT_GOSSIP and isinstance(payload, tuple)
-                             and payload and payload[0] == GOSSIP_ACT]
-                    if len(links) > 1:
-                        violation = GossipViolation(rnd, v, links)
-                if observed:  # trace and digest, in send order
-                    for dst, payload, cat in sends:
-                        if trace is not None:
-                            trace.append(Envelope(rnd, v, dst, payload, CATEGORY_NAMES[cat]))
-                        if hasher is not None:
-                            hasher.update(b"%d|%d|%d|%d|" % (rnd, v, dst, cat))
-                            hasher.update(_canon(payload))
+                if policed:  # one test for both, off in most runs
+                    # One send cannot break the rule; the lowest violator is
+                    # raised once the round is stepped.
+                    if gossip_mode and violation is None and len(sends) > 1:
+                        links = []
+                        for dst, payload, cat in sends:
+                            if (cat == CAT_GOSSIP and isinstance(payload, tuple)
+                                    and payload and payload[0] == GOSSIP_ACT):
+                                links.append((v, dst))
+                        if len(links) > 1:
+                            violation = GossipViolation(rnd, v, links)
+                    if observed:  # trace and digest, in send order
+                        for dst, payload, cat in sends:
+                            if trace is not None:
+                                trace.append(Envelope(rnd, v, dst, payload, CATEGORY_NAMES[cat]))
+                            if hasher is not None:
+                                hasher.update(b"%d|%d|%d|%d|" % (rnd, v, dst, cat))
+                                hasher.update(_canon(payload))
             if halt:
                 halted.add(v)
-                nbr_sets.pop(v, None)
+                nbr_sets[v] = None
 
         if violation is not None:
             raise violation
@@ -456,10 +467,10 @@ def run(graph: Union[Graph, Session], protocol: Protocol,
     metrics = RunMetrics(
         rounds=last_active,
         messages_total=sum(counts),
-        messages_by_category={CATEGORY_NAMES[i]: counts[i] for i in range(4)},
+        messages_by_category=dict(zip(CATEGORY_NAMES, counts)),
     )
     return RunResult(
-        outputs={v: nodes[v].output for v in ids},
+        outputs={v: node.output for v, node in nodes.items()},
         metrics=metrics,
         end_reason=reason,
         trace=trace,

@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from kt1sim import bfscover, covers, gossipspanner, harness
+from kt1sim import bfscover, covers, gossipspanner, harness, simengine
 from kt1sim.netgraph import GraphGenSpec, er_connectivity_safe_p, generate_graph
 from kt1sim.simengine import (
     CAT_CONTROL,
@@ -679,6 +679,11 @@ class PingForever(Protocol):
 QUIET = ModeConfig(allow_quiescence=True)
 
 
+def _built(session):
+    """The nodes whose neighbor table the session holds."""
+    return sorted(v for v, table in session.nbr_sets.items() if table is not None)
+
+
 @pytest.mark.parametrize("n", [256, 2048])
 def test_session_neighbor_tables_stay_small(n):
     """dicts take about 41 bytes per directed edge at these degrees, the
@@ -686,10 +691,10 @@ def test_session_neighbor_tables_stay_small(n):
     every node's table is there to measure."""
     g = _graph("erdos_renyi", n, p=er_connectivity_safe_p(n))
     session = Session(g)
-    assert session.nbr_sets == {}
+    assert _built(session) == []
     run(session, PingForever(), QUIET)
     tables = session.nbr_sets
-    assert sorted(tables) == list(g.nodes)
+    assert _built(session) == list(g.nodes)
     assert all(list(tables[v]) == list(g.adjacency[v]) for v in g.nodes)
     assert sum(map(sys.getsizeof, tables.values())) <= 48 * 2 * g.m
 
@@ -698,13 +703,13 @@ def test_a_halted_nodes_table_is_dropped_and_rebuilt_on_its_next_send():
     session = Session(_graph("path", 3))
     run(session, PingForever(halting={2}), QUIET)
     tables = session.nbr_sets
-    assert sorted(tables) == [1, 3]
+    assert _built(session) == [1, 3]
     kept = tables[1]
     run(session, PingForever(), QUIET)
     assert tables[2] == dict.fromkeys((1, 3))
     assert tables[1] is kept  # a node that never halts keeps its table
     run(session, Silent())  # halting drops a table even with no send
-    assert tables == {}
+    assert _built(session) == []
 
 
 class StrayFirst(Protocol):
@@ -721,9 +726,30 @@ def test_a_first_send_and_a_send_after_a_rebuild_are_edge_checked():
     with pytest.raises(ModelViolation, match="node 1 sent to non-neighbor 3"):
         run(session, StrayFirst())  # no table yet on a fresh session
     run(session, PingForever(halting={1, 2, 3}))
-    assert session.nbr_sets == {}
+    assert _built(session) == []
     with pytest.raises(ModelViolation, match="node 1 sent to non-neighbor 3"):
         run(session, StrayFirst())  # the table is rebuilt, then checked
+
+
+class Widens(Protocol):
+    """Node 1 adds node 3 to its own neighbor_ids slot, then sends to it."""
+
+    def step(self, node, rnd):
+        if node.self_id == 1:
+            node.neighbor_ids += (3,)
+            return [(3, ("x",), CAT_CONTROL)], True
+        return NO_SENDS, True
+
+
+def test_the_edge_check_reads_the_graph_not_the_node_slot():
+    session = Session(_graph("path", 3))
+    with pytest.raises(ModelViolation, match="node 1 sent to non-neighbor 3"):
+        run(session, Widens())  # before node 1's first send
+    assert list(session.nbr_sets[1]) == [2]
+    run(session, Silent())  # node 1 halts: its table is dropped
+    assert _built(session) == []
+    with pytest.raises(ModelViolation, match="node 1 sent to non-neighbor 3"):
+        run(session, Widens())  # and when its table is rebuilt
 
 
 class SharedEntries(Protocol):
@@ -773,7 +799,7 @@ def test_a_broadcast_shares_one_inbox_entry_and_odd_payloads_arrive_intact():
 def test_flood_heap_peak_above_the_graph_stays_small():
     """A flood holds tables only for the nodes that have not halted, and
     one inbox entry per broadcast: on ER-2048 its heap peak is about
-    1.7 MB, where one table per node and one entry per message took 4.8."""
+    1.8 MB, where one table per node and one entry per message took 4.8."""
     g = generate_graph(harness._graph_spec("erdos_renyi", 2048, 0))
     tracemalloc.start()
     try:
@@ -782,6 +808,13 @@ def test_flood_heap_peak_above_the_graph_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5e6
+
+
+def test_the_send_loop_reads_no_closure_cell():
+    """A comprehension in run() that read one of its send-loop names would
+    turn that name into a closure cell, read through one more indirection
+    on every send."""
+    assert simengine.run.__code__.co_cellvars == ()
 
 
 class Token:
