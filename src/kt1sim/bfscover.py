@@ -8,7 +8,8 @@ root that watched its cluster grow already knows every member's neighbor
 list, so the only live information it needs is which members have joined
 the BFS so far.
 
-Preprocessing (once per cover, not per BFS phase):
+Preprocessing (``preprocess(g, cover)``, once per cover, not per BFS phase;
+the pipelines run it on ``default_cover(g, seed)``):
 
 * every root announces which members' 2-balls lie wholly inside its cluster
   (it can tell from its cached topology);
@@ -231,20 +232,19 @@ class Preprocessed:
     metrics: RunMetrics
 
 
-def preprocess(g: Graph, seed: int, kappa: Optional[int] = None,
-               cover: Optional[Cover] = None) -> Preprocessed:
-    """Home setup, once, on the given cover of g (one of another graph is a
-    BFSError) or on the (kappa, 2) cover built from seed; kappa defaults to
-    default_kappa(g.n) and is read only when building.
+def default_cover(g: Graph, seed: int) -> Cover:
+    """The (default_kappa(g.n), 2) cover of g drawn from seed: the one every
+    pipeline of the package runs on."""
+    return cover_construction(g, CoverParams(kappa=default_kappa(g.n), W=2, seed=seed))
+
+
+def preprocess(g: Graph, cover: Cover) -> Preprocessed:
+    """Home setup, once, on a cover of g (one of another graph is a BFSError).
 
     The cover's last phase samples with p = 1, so every node's 2-ball lies
     in some cluster and every node finds a home; a node that finds none is
     a BFSError naming it."""
-    if cover is None:
-        kap = kappa if kappa is not None else default_kappa(g.n)
-        cover = cover_construction(g, CoverParams(kappa=kap, W=2, seed=seed))
-    else:
-        _check_graph(g, cover)
+    _check_graph(g, cover)
     H = max(t.depth for t in cover.clusters)
     try:
         res = run(cover.session, _HomeSetupProtocol(H),
@@ -255,10 +255,17 @@ def preprocess(g: Graph, seed: int, kappa: Optional[int] = None,
 
 
 def _check_graph(g: Graph, cover: Cover) -> None:
-    """BFSError unless cover's session holds exactly g's nodes and neighbor lists."""
-    nodes = cover.session.contexts
-    if {v: node.neighbor_ids for v, node in nodes.items()} != g.adjacency:
+    """BFSError unless cover's session was built on g's adjacency."""
+    if cover.session.adj != g.adjacency:
         raise BFSError("the cover was built on another graph than g")
+
+
+def _preprocessed(g: Graph, seed: int, pre: Optional[Preprocessed]) -> Preprocessed:
+    """pre, checked to be of g, or the default cover of g from seed, preprocessed."""
+    if pre is None:
+        return preprocess(g, default_cover(g, seed))
+    _check_graph(g, pre.cover)
+    return pre
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +460,17 @@ def _run_phases(g: Graph, root: int,
 
 
 def bfs_construction(g: Graph, root: int, seed: int = 0,
-                     kappa: Optional[int] = None,
                      pre: Optional[Preprocessed] = None) -> BFSResult:
     """Exact BFS tree from root; cover + registration + phased growth.
 
-    Metrics cover the whole pipeline including cover construction.  Pass a
-    Preprocessed of g to reuse one cover across many roots (leader election
-    does); one built on another graph is a BFSError.
+    Metrics cover the whole pipeline including cover construction, of
+    default_cover(g, seed) unless a Preprocessed of g is passed to reuse one
+    cover across many roots (leader election does; another graph's is a
+    BFSError).
     """
-    if type(root) is not int or root not in g.adjacency:
+    if not g.has_node(root):
         raise BFSError(f"root {root!r} is not a node id of g")
-    if pre is None:
-        pre = preprocess(g, seed, kappa)
-    else:
-        _check_graph(g, pre.cover)
+    pre = _preprocessed(g, seed, pre)
     tree, pm, receipts = _run_phases(g, root, pre)
     tree.validate_spanning(g)
     metrics = pre.metrics.merged_with(pm)
@@ -498,26 +502,24 @@ def election_to_json(res: ElectionResult) -> str:
 
 def randomized_leader_election(g: Graph, seed: int = 0,
                                candidates: Optional[Sequence[int]] = None,
-                               kappa: Optional[int] = None,
                                pre: Optional[Preprocessed] = None) -> ElectionResult:
     """Elect the max-id BFS candidate.
 
     Candidates sample themselves with probability min(1, 8 ln n / n) using
     the shared seed; a caller may force an explicit candidate set instead.
-    All candidate BFS runs reuse one cover and run on its engine Session
-    (each run starts from reset nodes that keep their knowledge), and
-    their rounds overlap (the executions
+    All candidate BFS runs reuse one cover, default_cover(g, seed) unless a
+    Preprocessed of g is passed (its preprocessing still counts in the
+    metrics), and run on its engine Session (each run starts from reset
+    nodes that keep their knowledge).  Their rounds overlap (the executions
     are disjoint in state, so the round count is preprocessing plus the
-    slowest candidate while messages add up).  Pass a Preprocessed
-    to reuse a cover built before (for a BFS on the same graph, say);
-    metrics still include its preprocessing.
+    slowest candidate while messages add up).
     """
     if candidates is None:
         p = min(1.0, CANDIDATE_LOG_FACTOR * math.log(max(g.n, 2)) / g.n)
         rng = random.Random((seed * 0x9E3779B97F4A7C15 + 0xC2B2AE35) & (2 ** 64 - 1))
         cands = tuple(v for v in g.nodes if rng.random() < p)
     else:
-        bad = [c for c in candidates if type(c) is not int or c not in g.adjacency]
+        bad = [c for c in candidates if not g.has_node(c)]
         if bad:  # checked before sorting: a str or a list does not compare or hash
             raise BFSError(f"explicit candidate {bad[0]!r} is not a node id of g")
         cands = tuple(sorted(set(candidates)))
@@ -527,10 +529,7 @@ def randomized_leader_election(g: Graph, seed: int = 0,
                               candidates=(), leader_at={}, metrics=RunMetrics(),
                               failure="no candidate sampled")
 
-    if pre is None:
-        pre = preprocess(g, seed, kappa)
-    else:
-        _check_graph(g, pre.cover)
+    pre = _preprocessed(g, seed, pre)
     metrics = pre.metrics
     phase_metrics: Optional[RunMetrics] = None
     best_seen: Dict[int, int] = dict.fromkeys(pre.cover.session.ids, -1)

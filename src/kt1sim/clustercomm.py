@@ -167,7 +167,7 @@ class TreeWaveProtocol(Protocol):
     reported, value being gather(node) folded with the children's values in
     ascending child id by combine.  The root turns its value into a payload
     with solve; every member forwards ("dn", payload) to its children in id
-    order, calls deliver (whose sends follow) and halts.  Nodes outside the
+    order, takes the payload as its output and halts.  Nodes outside the
     tree halt at once.  The default gather/combine collect (id, neighbor
     list) pairs, i.e. the topology of the tree, at the root.
     """
@@ -188,10 +188,6 @@ class TreeWaveProtocol(Protocol):
 
     def solve(self, node: NodeContext, value: Any) -> Any:
         return value
-
-    def deliver(self, node: NodeContext, payload: Any) -> List:
-        node.output = payload
-        return []
 
     def setup(self, node: NodeContext) -> None:
         node.state["acc"] = {}
@@ -225,9 +221,8 @@ class TreeWaveProtocol(Protocol):
         return [(parent, ("up", value), CAT_CLUSTER_TREE)], False
 
     def _down(self, node: NodeContext, children: List[int], payload: Any):
-        sends = [(c, ("dn", payload), CAT_CLUSTER_TREE) for c in children]
-        sends.extend(self.deliver(node, payload))
-        return sends, True
+        node.output = payload
+        return [(c, ("dn", payload), CAT_CLUSTER_TREE) for c in children], True
 
 
 # ---------------------------------------------------------------------------

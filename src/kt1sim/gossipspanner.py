@@ -439,18 +439,18 @@ class _ElectProtocol(Protocol):
                     continue
                 st["echoed"] = True
                 total = st["tally"] + 1
-                if st["best"] == v and st["cand"]:
+                if st["best"] == v:  # only a candidate's own phase sets it
                     if total == self.n:
                         node.output = {"leader": v}
                         for w in self._hn(v):
                             sends.append((w, ("halt", v), CAT_CONTROL))
                         return sends, True
+                    if j + 1 == len(self.starts):
+                        raise SpannerError(f"candidate {v} tallied {total} of n={self.n} "
+                                           f"nodes in the last phase, {j}")
                     node.schedule(rnd + 1, ("phase", j + 1))
-                elif st["best"] == v:
-                    pass
                 else:
-                    if st["cand"]:
-                        st["cand"] = False
+                    st["cand"] = False
                     sends.append((st["best_src"], ("ec", j, st["best"], total),
                                   CAT_CONTROL))
             else:
@@ -665,7 +665,7 @@ def deterministic_bfs(g: Graph, root: int,
     computation at the root; the solution is (parent, layer).  Without a
     spanner it is extracted from gossip, which is run first when not given;
     metrics include the gossip phase whenever there is one."""
-    if type(root) is not int or root not in g.adjacency:
+    if not g.has_node(root):
         raise SpannerError(f"root {root!r} is not a node id of g")
     spanner, gossip = _spanner_of(g, spanner, gossip)
     solution, metrics = _solve(g, _FloodCollectProtocol(root, spanner.incident), 8 * g.n + 20)

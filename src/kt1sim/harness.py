@@ -13,13 +13,14 @@ are recorded in the output with diagnostics rather than swallowed, and the
 record is self-contained enough to re-derive each verdict.
 
 A private memo shares deterministic stages between trials: the generated
-graph of a spec, and for one trial seed at a time its one (kappa, 2) cover
-and the preprocessing of that cover, which ``cover_only``, ``bfs_cover``
-and ``le_rand`` start from.  It holds one spec; a new spec drops the old
-stages before its graph is generated, a new seed drops the old seed's
-before its cover is built, and a stage that raises stores nothing.  Only stage
-results are shared: every trial still runs its own verdict, and its record
-is the one it would get from an empty memo.
+graph of a spec, and for one trial seed at a time its default cover
+(``bfscover.default_cover``) and the preprocessing of that cover, which
+``cover_only``, ``bfs_cover`` and ``le_rand`` start from.  It holds one
+spec; a new spec drops the old stages before its graph is generated, a new
+seed drops the old seed's before its cover is built, and a stage that
+raises stores nothing.  Only stage results are shared: every trial still
+runs its own verdict, and its record is the one it would get from an empty
+memo.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ class _FloodProtocol(Protocol):
 
 def flood_baseline_bfs(g: Graph, root: int) -> Tuple[RootedTree, RunMetrics]:
     """Reference point: BFS by flooding over every edge (about 2m messages)."""
-    if type(root) is not int or root not in g.adjacency:
+    if not g.has_node(root):
         raise HarnessError(f"root {root!r} is not a node id of g")
     res = run(g, _FloodProtocol(root), ModeConfig(max_rounds=2 * g.n + 10))
     parent, layer = {}, {}
@@ -257,8 +258,8 @@ def oracle_mst(g: Graph) -> Tuple[Tuple[int, int], ...]:
 
 # ---------------------------------------------------------------------------
 # Stage memo (see the module docstring).  Stages are built through module
-# attributes (generate_graph, covers.cover_construction,
-# bfscover.preprocess), so a wrapper bound to one of them sees every build.
+# attributes (generate_graph, and bfscover's default_cover, cover_construction
+# and preprocess), so a wrapper bound to one of them sees every build.
 # ---------------------------------------------------------------------------
 
 class _Stages:
@@ -272,20 +273,18 @@ class _Stages:
         self.pre: Optional[bfscover.Preprocessed] = None
 
     def cover(self, seed: int) -> covers.Cover:
-        """The cover that bfscover.preprocess(graph, seed) builds."""
+        """bfscover.default_cover(graph, seed)."""
         if seed != self.seed:
             self.seed = self._cover = self.pre = None  # freed before the build
-            params = covers.CoverParams(kappa=bfscover.default_kappa(self.graph.n), W=2,
-                                        seed=seed)
-            self._cover = covers.cover_construction(self.graph, params)
+            self._cover = bfscover.default_cover(self.graph, seed)
             self.seed = seed
         return self._cover
 
     def preprocessed(self, seed: int) -> bfscover.Preprocessed:
-        """bfscover.preprocess(graph, seed), on the seed's cover."""
+        """bfscover.preprocess of the seed's cover."""
         cover = self.cover(seed)
         if self.pre is None:
-            self.pre = bfscover.preprocess(self.graph, seed, cover=cover)
+            self.pre = bfscover.preprocess(self.graph, cover)
         return self.pre
 
 

@@ -22,7 +22,7 @@ import random
 import re
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
 
@@ -81,7 +81,7 @@ class Graph:
             for u in nbrs:
                 if u == v:
                     raise GraphError(f"self loop at {v}")
-                if type(u) is not int or u not in adj:
+                if not self.has_node(u):
                     raise GraphError(f"edge ({v},{u!r}) points outside the node set")
                 back = nbr_sets.get(u)
                 if back is None:
@@ -110,6 +110,10 @@ class Graph:
     def nodes(self) -> Tuple[int, ...]:
         return tuple(sorted(self.adjacency))
 
+    def has_node(self, v: Any) -> bool:
+        """Whether v is a node id: an int (not a bool) key of adjacency."""
+        return type(v) is int and v in self.adjacency
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -126,7 +130,7 @@ class Graph:
 
     @staticmethod
     def from_edges(nodes: Iterable[int], edges: Iterable[Edge]) -> "Graph":
-        adj: Dict[int, set] = {int(v): set() for v in nodes}
+        adj: Dict[int, set] = {v: set() for v in nodes}
         for u, v in edges:
             if u not in adj or v not in adj:
                 raise GraphError(f"edge ({u},{v}) references unknown node")
@@ -348,7 +352,7 @@ def generate_graph(spec: GraphGenSpec) -> Graph:
 def oracle_bfs(g: Graph, root: int) -> DistanceMap:
     """Centralized breadth-first distances; the ground truth every
     distributed BFS in this package is judged against."""
-    if type(root) is not int or root not in g.adjacency:
+    if not g.has_node(root):
         raise GraphError(f"root {root!r} not in graph")
     dist = {root: 0}
     frontier = [root]

@@ -15,6 +15,7 @@ from kt1sim.bfscover import (
     bfs_construction,
     bfs_tree_from_json,
     bfs_tree_to_json,
+    default_cover,
     default_kappa,
     election_to_json,
     preprocess,
@@ -116,7 +117,7 @@ def test_exactness_assorted():
 
 def test_preprocessed_reuse_across_roots():
     g = make_graph("erdos_renyi", 90, seed=6, p=0.08)
-    pre = preprocess(g, seed=6)
+    pre = preprocess(g, default_cover(g, 6))
     roots = sorted(g.nodes)[:3]
     for root in roots:
         res = bfs_construction(g, root, pre=pre)
@@ -126,17 +127,24 @@ def test_preprocessed_reuse_across_roots():
 
 def test_preprocess_on_a_given_cover_builds_none(monkeypatch):
     g = make_graph("grid", 36)
-    first = preprocess(g, seed=4)
+    first = preprocess(g, default_cover(g, 4))
     assert first.cover.params == CoverParams(kappa=default_kappa(g.n), W=2, seed=4)
 
     def no_cover(*args):
         raise AssertionError("cover built although one was given")
 
     monkeypatch.setattr(bfscover, "cover_construction", no_cover)
-    again = preprocess(g, seed=4, cover=first.cover)
+    again = preprocess(g, first.cover)
     assert again.cover is first.cover and again == first
-    # The given cover is used whatever seed and kappa say.
-    assert preprocess(g, seed=9, kappa=1, cover=first.cover) == first
+
+
+def test_graph_check_reads_the_adjacency_the_cover_was_built_on():
+    """A node's neighbor_ids slot is writable by a protocol step; rebinding
+    it changes neither which graph the cover is of nor the check."""
+    g = make_graph("grid", 36)
+    cover = default_cover(g, 0)
+    cover.session.contexts[1].neighbor_ids = ()
+    bfscover._check_graph(g, cover)
 
 
 def test_preprocess_refuses_another_graphs_cover(monkeypatch):
@@ -144,7 +152,7 @@ def test_preprocess_refuses_another_graphs_cover(monkeypatch):
     monkeypatch.setattr(bfscover, "run", None)  # no run may start
     for g in (make_graph("cycle", 36), make_graph("grid", 49)):
         with pytest.raises(BFSError, match="another graph"):
-            preprocess(g, seed=0, cover=cover)
+            preprocess(g, cover)
 
 
 def test_homeless_node_is_a_bfs_error_naming_it(monkeypatch):
@@ -160,17 +168,18 @@ def test_homeless_node_is_a_bfs_error_naming_it(monkeypatch):
 
     monkeypatch.setattr(_HomeSetupProtocol, "setup", setup_without_7)
     with pytest.raises(BFSError, match=r"^node 7 has no home"):
-        preprocess(g, seed=0)
+        preprocess(g, default_cover(g, 0))
     cover = cover_construction(g, CoverParams(kappa=2, W=2))
     with pytest.raises(BFSError, match=r"^node 7 has no home"):
-        preprocess(g, seed=0, cover=cover)
+        preprocess(g, cover)
     # The failed run's node state is released; what the nodes learned stays.
     nodes = cover.session.contexts.values()
     assert all(not node.state and node.output is None and node.known["mem"] for node in nodes)
 
 
 def test_preprocessed_is_frozen():
-    pre = preprocess(make_graph("path", 6), seed=0)
+    g = make_graph("path", 6)
+    pre = preprocess(g, default_cover(g, 0))
     assert [f.name for f in dataclasses.fields(pre)] == ["cover", "H", "metrics"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         pre.H = 2
@@ -296,7 +305,7 @@ def test_registrants_are_the_nodes_at_home(monkeypatch):
     there among its ascending report roots, and in a BFS phase reports to
     every root H less its depth in that root's tree rounds into the phase."""
     g = make_graph("erdos_renyi", 60, seed=4, p=0.1, id_scheme="random_permutation")
-    pre = preprocess(g, seed=1)
+    pre = preprocess(g, default_cover(g, 1))
     trees = {t.root: t for t in pre.cover.clusters}
     known = {v: node.known for v, node in pre.cover.session.contexts.items()}
     registrants = {r: known[r]["registrants"] for r in trees}
@@ -384,7 +393,7 @@ def test_election_same_seed_reproducible():
 
 def test_election_reuses_a_given_preprocessing():
     g = make_graph("erdos_renyi", 96, seed=3, p=0.08)
-    pre = preprocess(g, seed=9)
+    pre = preprocess(g, default_cover(g, 9))
     shared = randomized_leader_election(g, seed=9, pre=pre)
     assert shared == randomized_leader_election(g, seed=9)
     assert shared.metrics.messages_total > pre.metrics.messages_total
@@ -401,7 +410,7 @@ def test_election_frees_each_candidates_node_state_before_checking_its_tree(monk
     """Every candidate runs on the cover's session, and each run's node
     state is freed before its tree is checked; the nodes' knowledge stays."""
     g = make_graph("grid", 36)
-    pre = preprocess(g, seed=2)
+    pre = preprocess(g, default_cover(g, 2))
     nodes = pre.cover.session.contexts.values()
     graphs = []
     real_run = bfscover.run
@@ -449,7 +458,8 @@ def test_stage_protocols_hold_only_ints(monkeypatch):
 def _another_graphs_preprocessing():
     """A preprocessing of grid-36, and graphs that it does not fit: ER-36
     on other ids, and the cycle on grid-36's own ids."""
-    pre = preprocess(make_graph("grid", 36), seed=0)
+    g = make_graph("grid", 36)
+    pre = preprocess(g, default_cover(g, 0))
     er = make_graph("erdos_renyi", 36, p=er_connectivity_safe_p(36),
                     id_scheme="random_permutation")
     return pre, (er, make_graph("cycle", 36))

@@ -449,6 +449,16 @@ def test_election_grid_unanimous():
     assert res.unanimous and res.leader == max(g.nodes)
 
 
+def test_election_past_its_phase_table_is_a_spanner_error():
+    """Told twice the true n, the candidate never tallies n and runs out
+    of phases; the failure names it, its tally and the n it was told."""
+    g = make_graph("grid", 64, seed=1)
+    proto = gossipspanner._ElectProtocol(build_spanner(g).incident, 2 * g.n)
+    with pytest.raises(SpannerError, match=r"^candidate 64 tallied 64 of n=128 nodes "
+                                           r"in the last phase, 9$"):
+        run(g, proto)
+
+
 def test_election_reports_what_the_nodes_decided(monkeypatch):
     g = make_graph("path", 5)
     sp = build_spanner(g)

@@ -301,13 +301,13 @@ def test_memo_holds_one_trial_seed():
 
 
 def _count_builds(monkeypatch):
-    """Calls of covers.cover_construction and bfscover.preprocess from now on."""
+    """Calls of bfscover.cover_construction and bfscover.preprocess from now on."""
     builds = []
-    for module, name in ((covers, "cover_construction"), (bfscover, "preprocess")):
-        def counted(*args, _name=name, _real=getattr(module, name), **kw):
+    for name in ("cover_construction", "preprocess"):
+        def counted(*args, _name=name, _real=getattr(bfscover, name), **kw):
             builds.append(_name)
             return _real(*args, **kw)
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(bfscover, name, counted)
     return builds
 
 
@@ -321,7 +321,7 @@ def test_failed_cover_build_leaves_no_cover_behind(monkeypatch):
         raise covers.CoverError("cover build failed")
 
     with monkeypatch.context() as mp:
-        mp.setattr(covers, "cover_construction", no_cover)
+        mp.setattr(bfscover, "cover_construction", no_cover)
         with pytest.raises(covers.CoverError):
             run_experiment(ExperimentConfig(graph=gspec, algo="bfs_cover", seeds=(1,)))
     # The old seed's stages went before the build; the new seed was not kept.

@@ -219,6 +219,24 @@ def test_graph_takes_only_int_node_ids(adj, says):
     assert str(exc.value) == says
 
 
+@pytest.mark.parametrize("v, is_node", [
+    (1, True), (True, False), (1.0, False), ("1", False), ([1], False), (99, False),
+])
+def test_has_node_takes_only_int_node_ids(v, is_node):
+    assert generate_graph(_spec("path", 3)).has_node(v) is is_node
+
+
+@pytest.mark.parametrize("nodes, edges", [
+    ([1.9, 2], [(1, 2)]),
+    (["1", "2"], [(1, 2)]),
+    ([1.0, 2], [(1, 2)]),
+])
+def test_from_edges_keeps_the_given_ids(nodes, edges):
+    """An id that is no int is refused, not converted into one."""
+    with pytest.raises(GraphError):
+        Graph.from_edges(nodes, edges)
+
+
 def test_oracle_bfs_path():
     g = generate_graph(_spec("path", 3))
     assert oracle_bfs(g, 1).dist == {1: 0, 2: 1, 3: 2}
