@@ -459,18 +459,22 @@ def _run_phases(g: Graph, root: int,
     return RootedTree(root=root, parent=parent, layer=layer), res.metrics, receipts
 
 
-def bfs_construction(g: Graph, root: int, seed: int = 0,
+def bfs_construction(g: Graph, root: int, seed: Optional[int] = None,
                      pre: Optional[Preprocessed] = None) -> BFSResult:
     """Exact BFS tree from root; cover + registration + phased growth.
 
     Metrics cover the whole pipeline including cover construction, of
-    default_cover(g, seed) unless a Preprocessed of g is passed to reuse one
-    cover across many roots (leader election does; another graph's is a
-    BFSError).
+    default_cover(g, seed) (seed None is 0) unless a Preprocessed of g is
+    passed to reuse one cover across many roots (leader election does;
+    another graph's is a BFSError).  A seed given with pre must be the seed
+    of pre's cover, or it is a BFSError.
     """
     if not g.has_node(root):
         raise BFSError(f"root {root!r} is not a node id of g")
-    pre = _preprocessed(g, seed, pre)
+    if pre is not None and seed is not None and seed != pre.cover.params.seed:
+        raise BFSError(f"seed {seed} differs from the seed {pre.cover.params.seed} "
+                       f"of pre's cover")
+    pre = _preprocessed(g, seed or 0, pre)
     tree, pm, receipts = _run_phases(g, root, pre)
     tree.validate_spanning(g)
     metrics = pre.metrics.merged_with(pm)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, KeysView, List, Mapping, Optional, Tuple
 
 from .netgraph import Graph, GraphError
 from .simengine import (
@@ -62,17 +62,20 @@ def tree_children(root: int, parent: Mapping[int, int]) -> Dict[int, List[int]]:
 class RootedTree:
     """Rooted tree on the nodes of layer: parent maps every non-root member
     to its tree parent and layer gives each member's depth below the root.
-    members and depth are derived once, at construction."""
+    depth is derived once, at construction; members is a view of layer's
+    keys, not a second table."""
 
     root: int
     parent: Dict[int, int]
     layer: Dict[int, int]
-    members: frozenset = field(init=False, repr=False, compare=False)
     depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.layer))
         object.__setattr__(self, "depth", max(self.layer.values(), default=0))
+
+    @property
+    def members(self) -> KeysView[int]:
+        return self.layer.keys()
 
     def validate(self, g: Graph) -> None:
         """ClusterError unless this is a tree of graph edges whose layers

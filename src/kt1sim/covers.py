@@ -25,14 +25,16 @@ timers are chained: setup schedules each node's samples for phases 1 and
 kappa only, and a still uncovered node whose phase-i sample (i < kappa - 1)
 does not promote it schedules its phase-(i+1) sample then.  A covered node
 thus never wakes again before phase kappa, and the calendar holds at most
-two samples per node instead of kappa.  Every node keeps its
-phase-kappa sample, covered or not: that round is active in every run, and
-it is often the run's last active round (when no node is left uncovered),
-so the rounds count is the one an every-phase schedule gives.  Because
-sources keep receiving upward reports for their final layer, every root ends
-the run knowing the full neighbor list of each member; the Cover keeps that
-run's session, whose nodes keep what they learned for the later stages, and
-so cover roots answer neighborhood queries without new communication.
+two samples per node instead of kappa.  A node ends its rng (del node.rng)
+once it is covered, so only uncovered nodes hold a generator.  Every node
+keeps its phase-kappa sample, covered or not: that round is active in every
+run, and it is often the run's last active round (when no node is left
+uncovered), so the rounds count is the one an every-phase schedule gives.
+Because sources keep receiving upward reports for their final layer, every
+root ends the run knowing the full neighbor list of each member; the Cover
+keeps that run's session, whose nodes keep what they learned for the later
+stages, and so cover roots answer neighborhood queries without new
+communication.
 """
 
 from __future__ import annotations
@@ -124,6 +126,7 @@ class _CoverProtocol(ExplorationProtocol):
     def on_joined(self, node: NodeContext, root: int, depth: int, extra: Any) -> None:
         if depth <= extra:
             node.output["covered"] = True
+            del node.rng  # a covered node never samples again
 
     def run_action(self, node: NodeContext, rnd: int, action: Tuple) -> List:
         kind = action[0]
@@ -139,6 +142,7 @@ class _CoverProtocol(ExplorationProtocol):
             return []
         node.output["covered"] = True
         node.output["phase"] = i
+        del node.rng
         return self.activate_cluster(node, rnd, phase_depth(self.kappa, self.W, i),
                                      join_extra=phase_cover_radius(self.kappa, self.W, i))
 

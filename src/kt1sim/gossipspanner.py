@@ -205,17 +205,27 @@ class _GossipProtocol(Protocol):
                     # reverse sweep below, not by a separate activation.
                     st["last_rwork"] = i
                     E.append(self.rumors[(R & -R).bit_length() - 1][0])
+                # st["plan"] is this iteration's (slot, link index) plan; one
+                # sweep is pending at a time and schedules the next entry.
                 # Slot 1 is this round: that sweep joins node.due and runs
                 # right after this action.
-                for slot, idx in self._sweep_plan(i, len(E)):
-                    node.schedule(rnd + 2 * (slot - 1), ("sweep", E[idx - 1]))
+                plan = st["plan"] = self._sweep_plan(i, len(E))
+                if plan:
+                    node.schedule(rnd + 2 * (plan[0][0] - 1), ("sweep", 0))
                 if i + 1 <= self.cap:
                     node.schedule(self.starts[i + 1], ("iter", i + 1))
             elif action[0] == "sweep":
-                _, partner = action
+                # E grows only at an iter, after the last sweep of the
+                # iteration before: plan and E are the ones this iter saw.
+                _, k = action
+                plan = st["plan"]
+                slot, idx = plan[k]
+                partner = st["E"][idx - 1]
                 st["last_act"] = (partner, rnd)
                 sends.append((partner, (GOSSIP_ACT, K ^ wm.get(partner, 0)), CAT_GOSSIP))
                 wm[partner] = K
+                if k + 1 < len(plan):
+                    node.schedule(rnd + 2 * (plan[k + 1][0] - slot), ("sweep", k + 1))
             else:
                 raise SpannerError(f"unknown scheduled action {action!r}")
         return sends, False
@@ -232,7 +242,7 @@ class GossipResult:
     # v -> the rumors (origin, neighbors) v holds, in ascending origin order
     known: Dict[int, Tuple[Tuple[int, Tuple[int, ...]], ...]]
     metrics: RunMetrics
-    raw: Optional[RunResult] = None
+    raw: Optional[RunResult] = None  # the run's result, without its contexts
 
 
 def gossip_local_broadcast(g: Graph, record_trace: bool = False) -> GossipResult:
@@ -259,6 +269,7 @@ def gossip_local_broadcast(g: Graph, record_trace: bool = False) -> GossipResult
         known[v] = rumors
         iterations = max(iterations, st["last_rwork"])
         complete = complete and not st["R"]
+    res.contexts = None  # dead once read: raw keeps trace, outputs and metrics
     return GossipResult(iterations=iterations, complete=complete, cap=proto.cap,
                         activated=activated, incident=incident, known=known,
                         metrics=res.metrics, raw=res)

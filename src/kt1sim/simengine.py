@@ -42,7 +42,9 @@ early, to free a run's node state once its outputs are read.  run(graph,
 ...) is a one-run session.  A session run's RunResult.contexts are the
 session's own contexts, valid only until the next run or release on that
 session.  No reset touches a node's known slot: what it learned in one run
-and reads in a later one.
+and reads in a later one.  A node's rng is built on its first read and lives
+until the run ends, unless the protocol ends it sooner with del node.rng (a
+later read in that run is a SimError); the reset re-arms it.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ _UNSENT = object()
 
 _RNG_MIX = 0x9E3779B97F4A7C15
 _RNG_MASK = (1 << 64) - 1
+# A node's _rng slot once `del node.rng` has ended its stream for the run.
+_RNG_ENDED: Any = object()
 
 
 class SimError(Exception):
@@ -173,7 +177,9 @@ class NodeContext:
     """What one node is allowed to know: its id, its neighbors' ids, its own
     mutable state bag, this round's inbox and due timer actions (read-only,
     EMPTY when there are none), a private seeded rng, and known, what it
-    kept from earlier runs on its session."""
+    kept from earlier runs on its session.  The rng is built on its first
+    read; a protocol that will never draw again ends it with del node.rng,
+    which frees the generator until the next run."""
 
     __slots__ = ("self_id", "neighbor_ids", "state", "inbox", "due", "output",
                  "known", "_rng", "_seed", "_clock")
@@ -187,15 +193,26 @@ class NodeContext:
         self.due: Sequence[Any] = []
         self.output: Any = None
         self.known: Any = None
-        self._rng: Optional[random.Random] = None
+        self._rng: Any = None  # None until the first read; _RNG_ENDED once ended
         self._seed = seed
         self._clock = clock
 
     @property
     def rng(self) -> random.Random:
-        if self._rng is None:
-            self._rng = random.Random((self._seed * _RNG_MIX + self.self_id) & _RNG_MASK)
-        return self._rng
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random((self._seed * _RNG_MIX + self.self_id) & _RNG_MASK)
+        elif rng is _RNG_ENDED:
+            raise SimError(f"node {self.self_id} read its rng after ending it in this run")
+        return rng
+
+    @rng.deleter
+    def rng(self) -> None:
+        """End this node's stream for the rest of the run (del node.rng):
+        its generator is freed, and a later read in the same run is a
+        SimError, not a replay from the seed.  The session's next run or
+        release re-arms it."""
+        self._rng = _RNG_ENDED
 
     def schedule(self, rnd: int, action: Any) -> None:
         """Have action appear in self.due when this node is stepped in round
@@ -246,9 +263,10 @@ class Session:
 
     def release(self) -> None:
         """Free the last run's node state: put every node's per-run slots
-        (state, inbox, due, output, rng and its seed; known is kept) and the
-        clock back to fresh values, emptying the last run's contexts: read
-        its outputs first.  The next run starts without a reset."""
+        (state, inbox, due, output, rng and its seed; an ended rng is
+        re-armed, known is kept) and the clock back to fresh values,
+        emptying the last run's contexts: read its outputs first.  The next
+        run starts without a reset."""
         if not self._used:
             return
         self.clock.now = 0

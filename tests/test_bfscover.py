@@ -125,6 +125,21 @@ def test_preprocessed_reuse_across_roots():
         assert res.tree.layer == oracle_bfs(g, root).dist
 
 
+def test_a_seed_given_with_pre_must_be_its_covers_seed(monkeypatch):
+    g = make_graph("grid", 64)
+    pre = preprocess(g, default_cover(g, 0))
+    root = min(g.nodes)
+    alone = bfs_construction(g, root, pre=pre)
+    matching = bfs_construction(g, root, seed=0, pre=pre)
+    assert alone.pre is pre and matching.pre is pre
+    assert matching.tree == alone.tree and matching.metrics == alone.metrics
+    assert alone.tree.layer == oracle_bfs(g, root).dist
+
+    monkeypatch.setattr(bfscover, "run", None)  # the mismatch starts no run
+    with pytest.raises(BFSError, match=r"seed 5 differs from the seed 0 "):
+        bfs_construction(g, root, seed=5, pre=pre)
+
+
 def test_preprocess_on_a_given_cover_builds_none(monkeypatch):
     g = make_graph("grid", 36)
     first = preprocess(g, default_cover(g, 4))

@@ -41,6 +41,23 @@ def test_from_parent_map_depths():
     assert tree_children(t.root, t.parent)[2] == [3, 4]
 
 
+def test_members_is_a_view_of_the_layer_keys():
+    t = tree_from_parent_map(1, {2: 1, 3: 2, 4: 2})
+    members = t.members
+    assert type(members) is type({}.keys())  # a view, not a second table
+    assert 3 in members and 9 not in members and len(members) == 4
+    assert sorted(members) == [1, 2, 3, 4]
+    assert members == {1, 2, 3, 4} and members == frozenset({1, 2, 3, 4})
+    assert members <= frozenset(range(1, 6)) and not members <= frozenset({1, 2})
+    assert members >= frozenset({2, 4}) and not members >= frozenset({2, 9})
+    assert frozenset({1, 2}) <= members and {1, 2, 3, 4, 5} >= members
+    other = tree_from_parent_map(1, {2: 1}).members
+    assert other <= members and members >= other and not members <= other
+    assert members - {1} == {2, 3, 4} and members - other == {3, 4}
+    t.layer[5] = 3  # the view follows layer
+    assert 5 in t.members and len(members) == 5
+
+
 def test_from_parent_map_rejects_cycle():
     with pytest.raises(ClusterError):
         tree_from_parent_map(1, {2: 3, 3: 2})

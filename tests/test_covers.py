@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,7 @@ from kt1sim.netgraph import (
     oracle_ball,
     oracle_bfs,
 )
-from kt1sim.simengine import ModeConfig, RunMetrics, Session, run_digest
+from kt1sim.simengine import ModeConfig, RunMetrics, Session, run, run_digest
 
 from support import message_bound, tree_from_parent_map
 
@@ -318,6 +319,41 @@ def test_same_seed_same_cover():
     assert [t.parent for t in a.clusters] == [t.parent for t in b.clusters]
     assert a.metrics.messages_total == b.metrics.messages_total
     assert a.metrics.rounds == b.metrics.rounds
+
+
+@pytest.mark.parametrize("family, n, p", [("erdos_renyi", 96, 0.08), ("grid", 64, None)])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_a_covered_node_ends_its_rng(family, n, p, sparse, monkeypatch):
+    """Every generator a node builds in the cover run is freed by the time
+    the run ends (each node is covered by then), so neither the run's last
+    round nor the cover's session holds one; the draws, and so the cover,
+    are unchanged."""
+    if sparse:  # nodes stay uncovered, and draw, through the middle phases
+        real = covers.phase_probability
+        monkeypatch.setattr(covers, "phase_probability",
+                            lambda kappa, n, i: real(kappa, n, i) if i >= kappa else 0.05)
+    g = make_graph(family, n, seed=3, p=p, id_scheme="random_permutation")
+    params = CoverParams(kappa=4, W=1, seed=3)
+    plain = cover_construction(g, params)
+    gens, alive_at_end = [], []
+
+    class Watched(covers._CoverProtocol):
+        def run_action(self, node, rnd, action):
+            if action[0] == "sample" and not node.output["covered"]:
+                gens.append(weakref.ref(node.rng))  # the generator it draws from
+            return super().run_action(node, rnd, action)
+
+    def watched_run(graph, protocol, config=None):
+        res = run(graph, protocol, config)
+        alive_at_end.extend(ref() is not None for ref in gens)
+        return res
+
+    monkeypatch.setattr(covers, "_CoverProtocol", Watched)
+    monkeypatch.setattr(covers, "run", watched_run)
+    cov = cover_construction(g, params)
+    assert len(gens) >= g.n and alive_at_end and not any(alive_at_end)
+    assert all(ref() is None for ref in gens)
+    assert cov.clusters == plain.clusters and cov.metrics == plain.metrics
 
 
 @settings(max_examples=12, deadline=None)

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +37,7 @@ from kt1sim.netgraph import (
     generate_graph,
     oracle_bfs,
 )
-from kt1sim.simengine import ModeConfig, gossip_check, run
+from kt1sim.simengine import ModeConfig, Session, gossip_check, run
 
 from support import tree_from_parent_map
 
@@ -108,18 +109,22 @@ def test_watermarks_stay_inside_the_known_mask(family, n, seeds):
     """Every watermark is a mask its node once held, so it lies inside the
     node's final K (the XOR delta sends only new bits); each rumor crosses
     a link at most once per direction; and a node's partners are its
-    watermark keys."""
+    watermark keys.  GossipResult.raw holds no node contexts, so the node
+    states come from a direct run of the same protocol."""
     for seed in seeds:
         p = er_connectivity_safe_p(n) if family == "erdos_renyi" else None
         g = make_graph(family, n, seed=seed, p=p, id_scheme="random_permutation")
-        res = gossip_local_broadcast(g, record_trace=True)
+        res = gossip_local_broadcast(g)
+        proto = gossipspanner._GossipProtocol(g.n)
+        raw = run(g, proto, ModeConfig(gossip_mode=True, allow_quiescence=True,
+                                       record_trace=True, max_rounds=proto.starts[-1] + 2))
         sent = {}
-        for env in res.raw.trace:
+        for env in raw.trace:
             link = (env.src, env.dst)
             assert sent.get(link, 0) & env.payload[1] == 0
             sent[link] = sent.get(link, 0) | env.payload[1]
         for v in g.nodes:
-            st = res.raw.contexts[v].state
+            st = raw.contexts[v].state
             K, wm = st["K"], st["wm"]
             for partner, mark in wm.items():
                 assert mark & ~K == 0
@@ -127,6 +132,35 @@ def test_watermarks_stay_inside_the_known_mask(family, n, seeds):
                 # crossed the link adds up to the last mask sent over it.
                 assert sent[v, partner] == mark
             assert res.incident[v] == tuple(sorted(wm))
+
+
+@pytest.mark.parametrize("family,n", [("erdos_renyi", 96), ("grid", 64)])
+def test_gossip_keeps_one_sweep_pending_per_node(family, n):
+    """At the start of every round (checked by the round's first step) the
+    session's calendar holds at most one sweep per node, and the run is the
+    one gossip_local_broadcast makes."""
+    p = er_connectivity_safe_p(n) if family == "erdos_renyi" else None
+    g = make_graph(family, n, seed=1, p=p, id_scheme="random_permutation")
+    session = Session(g)
+    most = {"round": 0, "pending": 0}
+
+    class Watched(gossipspanner._GossipProtocol):
+        def step(self, node, rnd):
+            if rnd != most["round"]:
+                most["round"] = rnd
+                per_node = Counter(v for bucket in session.clock.cal.values()
+                                   for v, acts in bucket.items()
+                                   for a in acts if a[0] == "sweep")
+                most["pending"] = max(most["pending"], *per_node.values(), 0)
+            return super().step(node, rnd)
+
+    proto = Watched(g.n)
+    raw = run(session, proto, ModeConfig(gossip_mode=True, allow_quiescence=True,
+                                         max_rounds=proto.starts[-1] + 2))
+    res = gossip_local_broadcast(g)
+    assert most["pending"] == 1
+    assert res.metrics == raw.metrics
+    assert res.activated == {v: tuple(raw.contexts[v].state["E"]) for v in g.nodes}
 
 
 def test_iteration_cap_formula_and_respecting():

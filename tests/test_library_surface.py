@@ -1,6 +1,7 @@
 """The package's surface: no module, and no test module, imports a name it
 never uses, no function or method is defined that the package never names,
-and `kt1sim.__all__` names only what exists.  Parsing the sources with `ast`
+no module but the engine touches a node's private slots, and
+`kt1sim.__all__` names only what exists.  Parsing the sources with `ast`
 keeps the check in the standard library and in the fast tier."""
 
 from __future__ import annotations
@@ -104,6 +105,37 @@ def test_unnamed_function_check_sees_a_dead_method():
                     "    pass\n",
                "c": "from b import orphan as renamed\n# mentioned\n"}
     assert _unnamed_functions(sources) == {"used", "dead", "mentioned"}
+
+
+# NodeContext's engine-owned slots: a protocol reads them through node.rng
+# and node.schedule, and ends its rng with del node.rng.
+PRIVATE_SLOTS = {"_rng", "_seed", "_clock"}
+
+
+def _private_slot_uses(sources: dict) -> set:
+    """(module, line, slot) of every attribute read, write or del of a
+    PRIVATE_SLOTS name in sources (module -> text).  A getattr with the
+    slot's name as a string is not an attribute access and is not seen."""
+    uses = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and node.attr in PRIVATE_SLOTS:
+                uses.add((module, node.lineno, node.attr))
+    return uses
+
+
+def test_no_module_but_the_engine_touches_a_node_private_slot():
+    sources = {m: (SRC / f"{m}.py").read_text() for m in MODULES if m != "simengine"}
+    assert _private_slot_uses(sources) == set()
+
+
+def test_private_slot_check_sees_a_planted_access():
+    sources = {"a": "def covered(node):\n    node._rng = None\n    return node.rng\n",
+               "b": "def peek(node, other):\n    del other._rng\n"
+                    "    return node._clock.now + node._seed\n",
+               "c": "rng_seed = 1\n_rng = None  # not an attribute\n"}
+    assert _private_slot_uses(sources) == {("a", 2, "_rng"), ("b", 2, "_rng"),
+                                           ("b", 3, "_clock"), ("b", 3, "_seed")}
 
 
 def test_all_names_resolve_and_removed_names_stay_out():

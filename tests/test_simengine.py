@@ -297,6 +297,45 @@ def test_node_rng_streams_are_seed_and_id_deterministic():
     assert xa[2] == want
 
 
+class DrawThenEnd(Protocol):
+    """Each node draws once in round 1, ends its stream and, with reread,
+    reads node.rng again; the output is (draw, whether the ended
+    generator was freed)."""
+
+    def __init__(self, reread=False):
+        self.reread = reread
+
+    def step(self, node, rnd):
+        draw = node.rng.random()
+        ref = weakref.ref(node.rng)
+        del node.rng
+        node.output = (draw, ref() is None)
+        if self.reread:
+            node.rng.random()
+        return NO_SENDS, True
+
+
+def test_an_ended_rng_is_freed_and_a_later_read_in_the_run_is_an_error():
+    g = _graph("path", 3)
+    res = run(g, DrawThenEnd(), ModeConfig(rng_seed=5))
+    assert all(freed for _, freed in res.outputs.values())
+    with pytest.raises(SimError, match="node 1 read its rng after ending it"):
+        run(g, DrawThenEnd(reread=True), ModeConfig(rng_seed=5))
+
+
+def test_the_next_run_on_a_session_draws_the_seeded_stream_again():
+    g = _graph("path", 3)
+    cfg = ModeConfig(rng_seed=5)
+    fresh = run(g, DrawThenEnd(), cfg).outputs
+    mix = 0x9E3779B97F4A7C15
+    assert fresh[2][0] == random.Random((5 * mix + 2) & ((1 << 64) - 1)).random()
+    session = Session(g)
+    assert run(session, DrawThenEnd(), cfg).outputs == fresh
+    assert run(session, DrawThenEnd(), cfg).outputs == fresh  # the run's reset re-arms
+    session.release()
+    assert run(session, DrawThenEnd(), cfg).outputs == fresh  # and so does release
+
+
 def test_trace_digest_repeatable_and_seed_sensitive():
     g = _graph("complete", 4)
     d1 = run_digest(g, lambda: Flood(1))
